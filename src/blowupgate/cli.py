@@ -23,13 +23,14 @@ from blowupgate.invariants import NotWirtinger, link_invariants
 from blowupgate.links import (BraidWord, EmptySelection, InvalidLetter,
                               LinkDiagram, MalformedPD, Presentation,
                               from_braid, parse_pd)
-from blowupgate.psl2r import (GenusZero, IDENTITY, PSL2, ResidualTooLarge,
-                              RoundingAmbiguous, euler_number, mat_inv,
-                              mat_mul, milnor_wood_admissible, psl_dist_sq)
-from blowupgate.repvar import (BrieskornData, NotCoprime, UnassignedGenerator,
-                               brieskorn_enumerate, brieskorn_presentation,
-                               is_abelian, is_irreducible, is_metabelian,
-                               solve, trace_coordinates)
+from blowupgate.psl2r import (GenusZero, PSL2, ResidualTooLarge,
+                              RoundingAmbiguous, euler_number,
+                              milnor_wood_admissible, surface_relator_residual)
+from blowupgate.repvar import (BrieskornData, InvalidParameter, NotCoprime,
+                               UnassignedGenerator, brieskorn_enumerate,
+                               brieskorn_presentation, is_abelian,
+                               is_irreducible, is_metabelian, solve,
+                               trace_coordinates)
 
 SCHEMA = "1"
 
@@ -193,7 +194,10 @@ def _matrix_json(m: PSL2):
 
 def _cmd_solve(args):
     pres = _presentation_from_json(_load_json(args.presentation))
-    threads = max(1, int(os.environ.get("BLOWUPGATE_THREADS", "1")))
+    try:
+        threads = max(1, int(os.environ.get("BLOWUPGATE_THREADS", "1")))
+    except ValueError as exc:
+        raise InputError(f"BLOWUPGATE_THREADS: {exc}") from exc
     sols = solve(pres, restarts=args.restarts, tol=args.tol,
                  seed=args.seed, threads=threads)
     out = []
@@ -212,8 +216,7 @@ def _cmd_solve(args):
 
 def _cmd_brieskorn(args):
     data = BrieskornData(args.p, args.q, args.r)
-    census = brieskorn_enumerate(data, restarts=args.restarts,
-                                 tol=args.tol, seed=args.seed)
+    census = brieskorn_enumerate(data, tol=args.tol)
     pres = brieskorn_presentation(data)
     classes = []
     for cls in census:
@@ -250,19 +253,16 @@ def _cmd_euler(args):
         for name in (f"a{i}", f"b{i}"):
             if name not in matrices:
                 raise InputError(f"missing generator {name}")
-    rel = IDENTITY
-    for i in range(1, genus + 1):
-        ai = matrices[f"a{i}"].tuple()
-        bi = matrices[f"b{i}"].tuple()
-        rel = mat_mul(rel, mat_mul(mat_mul(ai, bi),
-                                   mat_mul(mat_inv(ai), mat_inv(bi))))
-    res = psl_dist_sq(rel, IDENTITY)
+    res = surface_relator_residual(matrices, genus)
     e = euler_number(matrices, genus, tol=args.tol)
     return {"schema": SCHEMA, "euler": e, "residual": res, "genus": genus}
 
 
 def _cmd_mw(args):
-    genera = [int(g) for g in args.genera.split(",") if g.strip() != ""]
+    try:
+        genera = [int(g) for g in args.genera.split(",") if g.strip() != ""]
+    except ValueError as exc:
+        raise InputError(f"--genera: {exc}") from exc
     vectors = milnor_wood_admissible(genera)
     return {"schema": SCHEMA, "genera": genera,
             "bounds": [2 * g - 2 for g in genera],
@@ -307,9 +307,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("r", type=int)
-    p.add_argument("--restarts", type=int, default=60)
+    p.add_argument("--restarts", type=int, default=60,
+                   help="ignored: the census is solved in closed form")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: the census is solved in closed form")
     p.set_defaults(handler=_cmd_brieskorn)
 
     p = sub.add_parser("euler", help="Euler number of a surface-group "
@@ -339,6 +341,7 @@ KNOWN_ERRORS = (
     RoundingAmbiguous,
     GenusZero,
     NotCoprime,
+    InvalidParameter,
     UnassignedGenerator,
     NotWirtinger,
 )

@@ -369,9 +369,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shifted(self, by: int) -> "LaurentPoly":
-        return LaurentPoly({e + by: k for e, k in self._c.items()})
-
     def inverted_variable(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
         return LaurentPoly({-e: k for e, k in self._c.items()})

@@ -322,6 +322,25 @@ def parse_pd(code) -> LinkDiagram:
     return _assemble(signed, free_arcs=(), origin="pd", derive_signs=True)
 
 
+def _union_find(items):
+    """find and union functions over items.  find halves paths; the least
+    element of each class is its representative."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    return find, union
+
+
 def from_braid(b: BraidWord) -> LinkDiagram:
     """Diagram of the braid closure.
 
@@ -343,23 +362,12 @@ def from_braid(b: BraidWord) -> LinkDiagram:
             raw.append(((u, v, y, x), -1))
         occ[i], occ[i + 1] = x, y
 
-    parent = list(range(next(fresh)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    size = next(fresh)
+    find, union = _union_find(range(size))
     for pos in range(n):
         union(start[pos], occ[pos])
 
-    reps = sorted({find(x) for x in range(1, len(parent))})
+    reps = sorted({find(x) for x in range(1, size)})
     relabel = {rep: i + 1 for i, rep in enumerate(reps)}
 
     signed = [(tuple(relabel[find(a)] for a in arcs), s) for arcs, s in raw]
@@ -461,19 +469,7 @@ def wirtinger(d: LinkDiagram) -> Presentation:
     first arc.
     """
     arcs = sorted(d.arcs)
-    parent = {a: a for a in arcs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    find, union = _union_find(arcs)
     for c in d.crossings:
         union(c.arcs[1], c.arcs[3])
 
@@ -541,18 +537,7 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     for i in keep:
         kept_arcs.update(d.components[i])
 
-    parent = {a: a for a in kept_arcs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
+    find, union = _union_find(kept_arcs)
 
     survivors = []
     for c in d.crossings:

@@ -42,18 +42,6 @@ def mat_inv(x):
     return (x[3], -x[1], -x[2], x[0])
 
 
-def mat_det(x):
-    return x[0] * x[3] - x[1] * x[2]
-
-
-def mat_trace(x):
-    return x[0] + x[3]
-
-
-def mat_dist_sq(x, y):
-    return sum((a - b) ** 2 for a, b in zip(x, y))
-
-
 def psl_dist_sq(x, y):
     """Squared Frobenius distance modulo overall sign."""
     plus = sum((a - b) ** 2 for a, b, in zip(x, y))
@@ -92,10 +80,6 @@ class SL2:
             object.__setattr__(self, "b", self.b * s)
             object.__setattr__(self, "c", self.c * s)
             object.__setattr__(self, "d", self.d * s)
-
-    @staticmethod
-    def from_tuple(t) -> "SL2":
-        return SL2(*t)
 
     def tuple(self):
         return (self.a, self.b, self.c, self.d)
@@ -257,6 +241,17 @@ def surface_generator_names(genus: int) -> list:
     return names
 
 
+def surface_relator_residual(matrices, genus: int) -> float:
+    """Squared distance to +-identity of the image of prod [a_i, b_i]."""
+    rel = IDENTITY
+    for i in range(1, genus + 1):
+        ai = matrices[f"a{i}"].tuple()
+        bi = matrices[f"b{i}"].tuple()
+        rel = mat_mul(rel, mat_mul(mat_mul(ai, bi),
+                                   mat_mul(mat_inv(ai), mat_inv(bi))))
+    return psl_dist_sq(rel, IDENTITY)
+
+
 def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
     """Integer Euler number of a surface-group representation.
 
@@ -268,15 +263,9 @@ def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
     if genus < 1:
         raise GenusZero("genus must be >= 1")
     gens = surface_generator_names(genus)
-    rel = IDENTITY
-    for i in range(1, genus + 1):
-        ai = matrices[f"a{i}"].tuple()
-        bi = matrices[f"b{i}"].tuple()
-        rel = mat_mul(rel, mat_mul(mat_mul(ai, bi),
-                                   mat_mul(mat_inv(ai), mat_inv(bi))))
-    if psl_dist_sq(rel, IDENTITY) > tol:
-        raise ResidualTooLarge(
-            f"relator residual {psl_dist_sq(rel, IDENTITY):.3e} exceeds {tol:.3e}")
+    res = surface_relator_residual(matrices, genus)
+    if res > tol:
+        raise ResidualTooLarge(f"relator residual {res:.3e} exceeds {tol:.3e}")
 
     lifts = {name: CircleLift(matrices[name]) for name in gens}
     word = []

@@ -28,7 +28,13 @@ class NotCoprime(ValueError):
     """Brieskorn exponents must be pairwise coprime."""
 
 
+class InvalidParameter(ValueError):
+    """A solver parameter is out of range."""
+
+
 DEDUP_TOL = 1e-6
+LM_MAX_ITER = 200
+LM_COST_TARGET = 1e-28
 
 
 @dataclass(frozen=True)
@@ -116,15 +122,15 @@ def _solve_linear(a, b):
     return x
 
 
-def _levmar(fun, x0, max_iter=200, cost_target=1e-28):
+def _levmar(fun, x0):
     """Minimize |fun(x)|^2 by Levenberg-Marquardt with numeric Jacobian."""
     x = list(x0)
     r = fun(x)
     cost = sum(v * v for v in r)
     lam = 1e-3
     n = len(x)
-    for _ in range(max_iter):
-        if cost < cost_target:
+    for _ in range(LM_MAX_ITER):
+        if cost < LM_COST_TARGET:
             break
         m = len(r)
         jac = []
@@ -199,9 +205,9 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
     assignments with residual below tol, sorted by trace coordinates.
     """
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidParameter("restarts must be >= 1")
+    if not tol > 0:          # unlike tol <= 0, this also rejects NaN
+        raise InvalidParameter("tol must be positive")
     n = len(p.generators)
     found = []
     if not p.relators:
@@ -506,38 +512,31 @@ class BrieskornClass:
         return self.assignment.residual
 
 
-def _rotation_solve(angles_num, exponents, restarts, tol, seed):
+def _rotation_solve(angles_num, exponents):
     """Solve x1 x2 x3 = +-identity with x_i elliptic of fixed angles.
 
     The parametrization is exact: x1 rotates about i, x2 is the same
     rotation conjugated a hyperbolic distance d down the imaginary axis
     (the residual conjugation gauge is a rotation about i, which this
-    slice kills), and x3 is forced by the product.  Only the distance d
-    is searched, per sign branch of the product.
+    slice kills), and x3 is forced by the product.  The trace condition
+    2 c1 c2 - 2 s1 s2 cosh d = +-2 c3 on x3 is solved in closed form for
+    d, per sign branch of the product; d and -d give conjugate triples,
+    so only d > 0 is kept.  Returns the matrix triples found.
     """
     th = [math.pi * l / p for l, p in zip(angles_num, exponents)]
     c1, s1 = math.cos(th[0]), math.sin(th[0])
     c2, s2 = math.cos(th[1]), math.sin(th[1])
     c3 = math.cos(th[2])
     hits = []
-    label = ":".join(str(x) for x in angles_num)
     for eps in (1.0, -1.0):
-        def fun(params, eps=eps):
-            d = min(max(params[0], -30.0), 30.0)
-            tr = 2.0 * c1 * c2 - 2.0 * s1 * s2 * math.cosh(d)
-            return [tr - eps * 2.0 * c3]
-
-        for idx in range(restarts):
-            rng = random.Random(f"{seed}:{label}:{eps}:{idx}")
-            params, cost = _levmar(fun, [abs(rng.gauss(0.0, 1.5)) + 0.05],
-                                   max_iter=60)
-            if cost < tol and abs(params[0]) > 1e-6:
-                d = min(max(params[0], -30.0), 30.0)
-                t_mat = (math.exp(d / 2), 0.0, 0.0, math.exp(-d / 2))
-                x1 = rotation(th[0])
-                x2 = mat_mul(mat_mul(t_mat, rotation(th[1])), mat_inv(t_mat))
-                x3 = mat_inv(mat_mul(x1, x2))
-                hits.append(([x1, x2, x3], cost))
+        arg = (c1 * c2 - eps * c3) / (s1 * s2)
+        d = math.acosh(arg) if arg > 1.0 else 0.0
+        if d > 1e-6:
+            t_mat = (math.exp(d / 2), 0.0, 0.0, math.exp(-d / 2))
+            x1 = rotation(th[0])
+            x2 = mat_mul(mat_mul(t_mat, rotation(th[1])), mat_inv(t_mat))
+            x3 = mat_inv(mat_mul(x1, x2))
+            hits.append([x1, x2, x3])
     return hits
 
 
@@ -546,12 +545,15 @@ def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
     """Census of PSL(2,R) representation classes of a Brieskorn sphere.
 
     The central generator maps to the identity, each x_i to an elliptic
-    element of rotation number l_i / p_i; candidate angle triples are
-    swept and solutions kept when the full presentation residual passes,
-    the rotation numbers verify, and nontrivial classes are irreducible.
-    Includes the trivial class.  Finiteness shows up as a census stable
-    across seeds.
+    element of rotation number l_i / p_i.  Every angle triple is solved
+    in closed form, and a solution is kept when the full presentation
+    residual is below tol, the rotation numbers verify, and the class is
+    irreducible.  Includes the trivial class.  The census is exact and
+    takes O(p q r) steps; restarts and seed are accepted for
+    compatibility and ignored.
     """
+    if not tol > 0:
+        raise InvalidParameter("tol must be positive")
     pres = brieskorn_presentation(data)
     eye = PSL2.identity()
     trivial = RepAssignment({g: eye for g in pres.generators}, residual=0.0)
@@ -563,9 +565,7 @@ def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
     for l1 in range(1, p1):
         for l2 in range(1, p2):
             for l3 in range(1, p3):
-                hits = _rotation_solve((l1, l2, l3), data.exponents,
-                                       restarts, tol, seed)
-                for mats, _cost in hits:
+                for mats in _rotation_solve((l1, l2, l3), data.exponents):
                     matrices = {f"x{i+1}": PSL2(SL2(*m))
                                 for i, m in enumerate(mats)}
                     matrices["h"] = eye

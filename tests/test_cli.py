@@ -169,6 +169,36 @@ def test_brieskorn_subcommand():
     assert json.loads(out)["error"]["code"] == "NotCoprime"
 
 
+def test_brieskorn_ignores_restarts_and_seed():
+    code, base = invoke(["brieskorn", "2", "3", "7"])
+    assert code == 0
+    assert [c["angles"] for c in json.loads(base)["census"]] == [
+        [0, 0, 0], [1, 1, 1]]
+    for flags in (["--restarts", "0"], ["--restarts", "2"],
+                  ["--restarts", "60"], ["--seed", "0"], ["--seed", "77"]):
+        assert invoke(["brieskorn", "2", "3", "7", *flags]) == (0, base)
+
+
+@pytest.mark.parametrize("argv, threads, error", [
+    (["solve", "PRES", "--restarts", "0"], None, "InvalidParameter"),
+    (["solve", "PRES", "--tol", "0"], None, "InvalidParameter"),
+    (["solve", "PRES"], "x", "InputError"),
+    (["brieskorn", "2", "3", "7", "--tol", "0"], None, "InvalidParameter"),
+    (["mw-admissible", "--genera", "2,x"], None, "InputError"),
+])
+def test_bad_option_values_are_input_errors(tmp_path, monkeypatch, argv,
+                                            threads, error):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"generators": ["x"], "relators": [[1]]}))
+    if threads is None:
+        monkeypatch.delenv("BLOWUPGATE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("BLOWUPGATE_THREADS", threads)
+    code, out = invoke([str(path) if a == "PRES" else a for a in argv])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == error
+
+
 def test_text_format(trefoil_file):
     code, out = invoke(["--format", "text", "invariants", trefoil_file])
     assert code == 0

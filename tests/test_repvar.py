@@ -223,6 +223,21 @@ def test_brieskorn_census_seed_stable_small():
     assert keys[0] == keys[1] == keys[2]
 
 
+@pytest.mark.parametrize("exponents, angles", [
+    ((2, 3, 5), {(0, 0, 0)}),
+    ((2, 3, 7), {(0, 0, 0), (1, 1, 1)}),
+    ((2, 3, 11), {(0, 0, 0), (1, 1, 1)}),
+    ((2, 5, 7), {(0, 0, 0), (1, 1, 1), (1, 1, 2)}),
+    ((3, 4, 5), {(0, 0, 0), (1, 1, 1), (1, 1, 2)}),
+    ((2, 3, 13), {(0, 0, 0), (1, 1, 1), (1, 1, 2)}),
+    ((3, 5, 7), {(0, 0, 0), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1)}),
+])
+def test_brieskorn_census_angle_sets(exponents, angles):
+    census = brieskorn_enumerate(BrieskornData(*exponents))
+    assert len(census) == len(angles)
+    assert {cls.angles for cls in census} == angles
+
+
 # ---------------------------------------------------------------------------
 # connected sums and product presentations
 
