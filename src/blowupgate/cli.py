@@ -57,10 +57,11 @@ def _diagram_from_json(data) -> LinkDiagram:
     if "braid" in data:
         braid = data["braid"]
         try:
-            word = BraidWord(int(braid["strands"]), tuple(braid.get("word", ())))
-        except (KeyError, TypeError) as exc:
+            strands = int(braid["strands"])
+            word = tuple(int(w) for w in braid.get("word", ()))
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed braid object: {exc}") from exc
-        return from_braid(word)
+        return from_braid(BraidWord(strands, word))
     raise InputError('link JSON needs a "pd" or "braid" field')
 
 
@@ -234,7 +235,11 @@ def _cmd_brieskorn(args):
 
 
 def _cmd_euler(args):
+    if not args.tol > 0:          # unlike tol <= 0, this also rejects NaN
+        raise InvalidParameter("tol must be positive")
     data = _load_json(args.rep)
+    if not isinstance(data, dict):
+        raise InputError("representation JSON must be an object")
     mats = data.get("matrices", data)
     if not isinstance(mats, dict):
         raise InputError("representation JSON must map generators to matrices")

@@ -412,40 +412,41 @@ class LaurentPoly:
 def laurent_det(mat) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials.
 
-    Expansion by minors with memoization on column subsets; the empty
-    matrix has determinant 1.
+    Kronecker substitution: each row is divided by t to its least
+    exponent, every entry is evaluated at t = 2**bits, one integer
+    determinant is taken with IntMatrix.det, and its coefficients are
+    read off as balanced base-2**bits digits.  The product over rows of
+    the sum of absolute coefficients in the row bounds every coefficient
+    of the determinant, and 2**bits exceeds twice that bound, so the
+    digits are exact.  The empty matrix has determinant 1.
     """
     n = len(mat)
     for row in mat:
         if len(row) != n:
             raise NonSquare("matrix of Laurent polynomials is not square")
-    if n == 0:
-        return LaurentPoly.one()
-    memo = {}
-
-    def minor(r: int, mask: int) -> LaurentPoly:
-        if mask == 0:
-            return LaurentPoly.one()
-        key = (r, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = LaurentPoly.zero()
-        sign = 1
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            j = bit.bit_length() - 1
-            entry = mat[r][j]
-            if not entry.is_zero:
-                term = entry * minor(r + 1, mask ^ bit)
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-            rest ^= bit
-        memo[key] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
+    bound = 1
+    lows = []
+    for row in mat:
+        exps = [e for entry in row for e in entry._c]
+        if not exps:
+            return LaurentPoly.zero()
+        lows.append(min(exps))
+        bound *= sum(abs(k) for entry in row for k in entry._c.values())
+    bits = (2 * bound).bit_length()
+    value = IntMatrix(n, n, tuple(
+        sum(k << (bits * (e - low)) for e, k in entry._c.items())
+        for row, low in zip(mat, lows) for entry in row)).det()
+    base = 1 << bits
+    coeffs = {}
+    exp = sum(lows)
+    while value:
+        digit = value & (base - 1)
+        if digit >= base >> 1:
+            digit -= base
+        coeffs[exp] = digit
+        value = (value - digit) >> bits
+        exp += 1
+    return LaurentPoly(coeffs)
 
 
 def _int_content(coeffs) -> int:

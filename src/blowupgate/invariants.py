@@ -2,19 +2,17 @@
 
 Two independent routes to the one-variable Alexander polynomial are
 provided: the Seifert-matrix determinant det(V - t V^T) for braid
-closures, and the gcd of maximal minors of the reduced free-derivative
-Jacobian of a Wirtinger presentation (all meridians sent to t).  Both
-agree up to units +-t^k.
+closures, and one maximal minor of the reduced free-derivative Jacobian
+of a Wirtinger presentation (all meridians sent to t).  Both agree up
+to units +-t^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .exact import (AbelianGroup, IntMatrix, LaurentPoly, cokernel,
-                    laurent_det, laurent_gcd)
+from .exact import AbelianGroup, IntMatrix, LaurentPoly, cokernel, laurent_det
 from .links import LinkDiagram, Presentation, SeifertMatrix, from_braid
 from .links import seifert_matrix as _seifert_of_braid
 from .links import wirtinger as _wirtinger
@@ -68,28 +66,25 @@ def fox_jacobian(p: Presentation) -> list:
 
 
 def alexander_fox(p: Presentation) -> LaurentPoly:
-    """gcd of the maximal minors of the Jacobian with one column removed.
+    """One maximal minor of the Jacobian with the first column removed.
 
-    Requires meridian markers; without enough relators to form a maximal
-    minor the polynomial vanishes (split closures).
+    Every Wirtinger relator has exponent sum 0 and any one crossing
+    relator follows from the others, so the rows satisfy a relation with
+    unit coefficients and all maximal minors agree up to units +-t^k;
+    the first n-1 relators are taken.  Requires meridian markers and at
+    most as many relators as generators, as a diagram gives; without
+    enough relators to form a maximal minor the polynomial vanishes
+    (split closures).
     """
     if p.meridian_markers is None:
         raise NotWirtinger("presentation has no meridian markers")
     n = len(p.generators)
-    size = n - 1
-    if size == 0:
-        return LaurentPoly.one()
-    jac = fox_jacobian(p)
-    reduced = [row[1:] for row in jac]
-    if len(reduced) < size:
+    if len(p.relators) > n:
+        raise NotWirtinger(f"{len(p.relators)} relators for {n} generators")
+    if len(p.relators) < n - 1:
         return LaurentPoly.zero()
-    acc = LaurentPoly.zero()
-    for rows in combinations(range(len(reduced)), size):
-        det = laurent_det([reduced[i] for i in rows])
-        acc = laurent_gcd(acc, det)
-        if acc == LaurentPoly.one():
-            break
-    return acc.unit_normalize()
+    reduced = [row[1:] for row in fox_jacobian(p)[:n - 1]]
+    return laurent_det(reduced).unit_normalize()
 
 
 def determinant_at_minus_one(a: LaurentPoly):

@@ -264,7 +264,7 @@ def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
         raise GenusZero("genus must be >= 1")
     gens = surface_generator_names(genus)
     res = surface_relator_residual(matrices, genus)
-    if res > tol:
+    if not res <= tol:          # a NaN residual fails this test too
         raise ResidualTooLarge(f"relator residual {res:.3e} exceeds {tol:.3e}")
 
     lifts = {name: CircleLift(matrices[name]) for name in gens}

@@ -185,6 +185,8 @@ def test_brieskorn_ignores_restarts_and_seed():
     (["solve", "PRES"], "x", "InputError"),
     (["brieskorn", "2", "3", "7", "--tol", "0"], None, "InvalidParameter"),
     (["mw-admissible", "--genera", "2,x"], None, "InputError"),
+    (["euler", "PRES", "--tol", "0"], None, "InvalidParameter"),
+    (["euler", "PRES", "--tol", "nan"], None, "InvalidParameter"),
 ])
 def test_bad_option_values_are_input_errors(tmp_path, monkeypatch, argv,
                                             threads, error):
@@ -248,6 +250,25 @@ def test_euler_error_paths(tmp_path):
     missing.write_text(json.dumps({"matrices": {
         "a1": [[1.0, 0.0], [0.0, 1.0]]}}))
     code, out = invoke(["euler", str(missing), "--genus", "1"])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "InputError"
+    # the relator residual overflows to NaN, which must not pass as small
+    overflow = tmp_path / "overflow.json"
+    huge = [[1e200, 0.0], [0.0, 1e-200]]
+    overflow.write_text(json.dumps({"matrices": {"a1": huge, "b1": huge}}))
+    code, out = invoke(["euler", str(overflow)])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "ResidualTooLarge"
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("invariants", {"braid": {"strands": 2, "word": ["a"]}}),
+    ("euler", [1, 2]),
+])
+def test_malformed_input_is_input_error(tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out = invoke([command, str(path)])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "InputError"
 

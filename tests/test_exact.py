@@ -151,10 +151,28 @@ def test_laurent_det_nonsquare():
 
 def test_laurent_det_matches_cofactor_oracle():
     rng = random.Random(5)
+    mats = []
     for _ in range(25):
         n = rng.randint(1, 4)
-        mat = [[LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
-                for _ in range(n)] for _ in range(n)]
+        mats.append([[LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
+                      for _ in range(n)] for _ in range(n)])
+    # multi-term entries with large coefficients (digits carry), negative
+    # exponents, up to 5 x 5
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        mats.append([[LaurentPoly({rng.randint(-3, 3): rng.choice(
+            [rng.randint(-3, 3), rng.randint(-10**6, 10**6)])
+            for _ in range(rng.randint(0, 3))})
+            for _ in range(n)] for _ in range(n)])
+    big = LaurentPoly({-2: 10**6, 0: -999_999, 3: 7})
+    # an all-zero row, and a zero leading entry that forces a row swap
+    mats.append([[big, t(-1, 3), t()],
+                 [LaurentPoly.zero()] * 3,
+                 [t(2, -5), big, t(-3)]])
+    mats.append([[LaurentPoly.zero(), big, t(-1, -2)],
+                 [big, t(1, 10**6), t()],
+                 [t(-2, 4), t(), big * big]])
+    for mat in mats:
         assert laurent_det(mat) == cofactor_det(mat)
 
 

@@ -1,14 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from blowupgate.exact import AbelianGroup, IntMatrix, LaurentPoly
+from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly,
+                              laurent_det, laurent_gcd)
 from blowupgate.invariants import (NotWirtinger, alexander_fox,
                                    alexander_seifert, braid_invariants,
                                    branched_cover_h1, branched_cover_h1_fox,
-                                   determinant_at_minus_one, link_invariants)
+                                   determinant_at_minus_one, fox_jacobian,
+                                   link_invariants)
 from blowupgate.links import (BraidWord, Presentation, SeifertMatrix,
-                              from_braid, parse_pd, seifert_matrix, wirtinger)
+                              from_braid, parse_pd, seifert_matrix, sublink,
+                              wirtinger)
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (1, -2, 1, -2))
@@ -41,6 +45,36 @@ def test_alexander_fox_requires_markers():
     pres = Presentation(("x", "y"), ((1, 2, -1, -2),))
     with pytest.raises(NotWirtinger):
         alexander_fox(pres)
+    # no diagram has more crossings than arcs
+    extra = Presentation(("x", "y"), ((1, 2, -1, -2),) * 3,
+                         meridian_markers=(1,))
+    with pytest.raises(NotWirtinger):
+        alexander_fox(extra)
+
+
+def gcd_of_maximal_minors(p: Presentation) -> LaurentPoly:
+    """Reference Fox route: gcd over every maximal minor of the Jacobian
+    with the first column removed."""
+    reduced = [row[1:] for row in fox_jacobian(p)]
+    acc = LaurentPoly.zero()
+    for rows in combinations(range(len(reduced)), len(p.generators) - 1):
+        acc = laurent_gcd(acc, laurent_det([reduced[i] for i in rows]))
+    return acc.unit_normalize()
+
+
+def test_one_fox_minor_matches_gcd_of_all_minors(corpus):
+    braids = [b for _name, b in corpus]
+    # generators = relators + 1: a component passes under nowhere
+    braids += [BraidWord(2, (1, -1)), BraidWord(3, (1,))]
+    for braid in braids:
+        d_braid = from_braid(braid)
+        for d in (d_braid, parse_pd(d_braid.to_pd())):
+            nc = len(d.components)
+            for k in range(1, nc + 1):
+                for keep in combinations(range(nc), k):
+                    pres = wirtinger(sublink(d, keep))
+                    assert alexander_fox(pres) == gcd_of_maximal_minors(pres), \
+                        (braid, d.origin, keep)
 
 
 def test_determinant_examples():
