@@ -3,15 +3,15 @@
 Subcommands: invariants, gate, flow, solve, brieskorn, euler,
 mw-admissible.  All output is JSON (or a terse text rendering with
 --format text) on stdout; runs with identical inputs and seed are
-byte-identical.  BLOWUPGATE_THREADS caps parallel solver restarts.
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from blowupgate.gate import gate as evaluate_gate
@@ -49,19 +49,30 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+@contextmanager
+def _input_errors(what: str):
+    """Report a KeyError, TypeError or ValueError raised while reading
+    input data as an InputError; errors with a code of their own in
+    KNOWN_ERRORS keep it."""
+    try:
+        yield
+    except KNOWN_ERRORS:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
+
+
 def _diagram_from_json(data) -> LinkDiagram:
     if not isinstance(data, dict):
         raise InputError("link JSON must be an object")
     if "pd" in data:
-        return parse_pd(data["pd"])
+        with _input_errors("malformed pd code"):
+            return parse_pd(data["pd"])
     if "braid" in data:
         braid = data["braid"]
-        try:
-            strands = int(braid["strands"])
-            word = tuple(int(w) for w in braid.get("word", ()))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed braid object: {exc}") from exc
-        return from_braid(BraidWord(strands, word))
+        with _input_errors("malformed braid object"):
+            word = BraidWord(braid["strands"], tuple(braid.get("word", ())))
+        return from_braid(word)
     raise InputError('link JSON needs a "pd" or "braid" field')
 
 
@@ -126,6 +137,8 @@ def _cmd_gate(args):
     if args.monodromy is not None:
         labels = _parse_monodromy(args.monodromy, ncomp)
     elif "monodromy" in data:
+        if not isinstance(data["monodromy"], list):
+            raise InputError('"monodromy" must be an array')
         labels = [bool(x) for x in data["monodromy"]]
     else:
         labels = [True] * ncomp
@@ -146,7 +159,7 @@ def _element_from_json(obj) -> HomologyElement:
 
 def _cmd_flow(args):
     data = _load_json(args.graph)
-    try:
+    with _input_errors("malformed flow graph JSON"):
         edges = tuple((e["from"], e["to"]) for e in data["edges"])
         labels = None
         if data["edges"] and "label" in data["edges"][0]:
@@ -154,22 +167,22 @@ def _cmd_flow(args):
         graph = FlowGraph(int(data["vertices"]), edges, labels)
         weights = [Fraction(str(w)) for w in data["weights"]]
         orientations = [int(o) for o in data["orientations"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed flow graph JSON: {exc}") from exc
-    flow = Flow.from_weights(weights, orientations)
+        flow = Flow.from_weights(weights, orientations)
+        model = None
+        if "model" in data:
+            model = HomologyModel(int(data["model"]["rank"]),
+                                  tuple(data["model"].get("torsion", ())))
+        elif labels is not None:
+            model = HomologyModel(len(labels[0].free), ())
     out = {"schema": SCHEMA, "is_flow": is_flow(graph, flow),
            "class": None, "realizable_k": None}
-    model = None
-    if "model" in data:
-        model = HomologyModel(int(data["model"]["rank"]),
-                              tuple(data["model"].get("torsion", ())))
-    elif labels is not None:
-        model = HomologyModel(len(labels[0].free), ())
     if labels is not None and model is not None and flow.is_integral:
         cls = homology_class(graph, flow, model)
         out["class"] = {"free": list(cls.free), "torsion": list(cls.torsion)}
         if "admissible" in data:
-            admissible = [_element_from_json(a) for a in data["admissible"]]
+            with _input_errors("malformed flow graph JSON"):
+                admissible = [_element_from_json(a)
+                              for a in data["admissible"]]
             rk = realizable_k(cls, admissible, model)
             if rk.finite:
                 out["realizable_k"] = {"finite": True, "values": list(rk.values)}
@@ -181,11 +194,9 @@ def _cmd_flow(args):
 
 
 def _presentation_from_json(data) -> Presentation:
-    try:
+    with _input_errors("malformed presentation JSON"):
         return Presentation(tuple(data["generators"]),
                             tuple(tuple(r) for r in data["relators"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed presentation JSON: {exc}") from exc
 
 
 def _matrix_json(m: PSL2):
@@ -195,12 +206,7 @@ def _matrix_json(m: PSL2):
 
 def _cmd_solve(args):
     pres = _presentation_from_json(_load_json(args.presentation))
-    try:
-        threads = max(1, int(os.environ.get("BLOWUPGATE_THREADS", "1")))
-    except ValueError as exc:
-        raise InputError(f"BLOWUPGATE_THREADS: {exc}") from exc
-    sols = solve(pres, restarts=args.restarts, tol=args.tol,
-                 seed=args.seed, threads=threads)
+    sols = solve(pres, restarts=args.restarts, tol=args.tol, seed=args.seed)
     out = []
     for rep in sols:
         out.append({

@@ -33,6 +33,13 @@ class EmptySelection(ValueError):
     """Sublink extraction with no components selected."""
 
 
+def _integer(x) -> int:
+    """int(x), refusing a float that int() would truncate, such as 1.7."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group B_n; letter +-i is the i-th generator."""
@@ -41,7 +48,8 @@ class BraidWord:
     word: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(w) for w in self.word))
+        object.__setattr__(self, "strands", _integer(self.strands))
+        object.__setattr__(self, "word", tuple(_integer(w) for w in self.word))
         if self.strands < 1:
             raise InvalidLetter("strand count must be >= 1")
         for w in self.word:
@@ -137,15 +145,18 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relators",
-                           tuple(tuple(int(x) for x in r) for r in self.relators))
+                           tuple(tuple(_integer(x) for x in r)
+                                 for r in self.relators))
         n = len(self.generators)
+        if len(set(self.generators)) != n:
+            raise ValueError("generator names must be distinct")
         for r in self.relators:
             for letter in r:
                 if letter == 0 or abs(letter) > n:
                     raise ValueError(f"relator letter {letter} out of range")
         if self.meridian_markers is not None:
-            object.__setattr__(self, "meridian_markers",
-                               tuple(int(x) for x in self.meridian_markers))
+            markers = tuple(_integer(x) for x in self.meridian_markers)
+            object.__setattr__(self, "meridian_markers", markers)
 
     def exponent_matrix(self) -> IntMatrix:
         rows = []
@@ -304,7 +315,7 @@ def parse_pd(code) -> LinkDiagram:
 
     The empty code is the one-component zero-crossing unknot.
     """
-    code = [tuple(int(x) for x in row) for row in code]
+    code = [tuple(_integer(x) for x in row) for row in code]
     if not code:
         return LinkDiagram(crossings=(), components=((1,),), origin="pd")
     seen = {}

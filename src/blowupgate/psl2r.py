@@ -42,11 +42,24 @@ def mat_inv(x):
     return (x[3], -x[1], -x[2], x[0])
 
 
+def psl_sign(x, y):
+    """The sign s of the nearer of +-y to x, as 1.0 or -1.0.
+
+    |x - y|^2 - |x + y|^2 = -4 <x, y>, so s is the sign of the inner
+    product; a tie gives 1.0 and a NaN entry gives -1.0.
+    """
+    return 1.0 if sum(a * b for a, b in zip(x, y)) >= 0 else -1.0
+
+
 def psl_dist_sq(x, y):
     """Squared Frobenius distance modulo overall sign."""
-    plus = sum((a - b) ** 2 for a, b, in zip(x, y))
-    minus = sum((a + b) ** 2 for a, b in zip(x, y))
-    return min(plus, minus)
+    s = psl_sign(x, y)
+    return sum((a - s * b) ** 2 for a, b in zip(x, y))
+
+
+def commutator(x, y):
+    """x y x^-1 y^-1 of determinant-one matrices."""
+    return mat_mul(mat_mul(x, y), mat_mul(mat_inv(x), mat_inv(y)))
 
 
 def rotation(theta: float):
@@ -207,28 +220,21 @@ class CircleLift:
                 - (self._inv_shift + self.offset) * math.pi)
 
 
-def translation_number(lift: CircleLift, iterations: int, tol: float = 0.0) -> float:
+def translation_number(lift: CircleLift, iterations: int) -> float:
     """Asymptotic translation per deck unit, (lift^n(0) - 0) / (n pi).
 
     A windowed (Richardson-style) estimate drops the bounded transient,
-    so the error is at most 1/iterations; with tol > 0 iteration stops
-    early once two successive window estimates are closer than tol.
+    so the error is at most 1/iterations.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     half = iterations // 2
     x = 0.0
     x_half = 0.0
-    prev = None
     for n in range(1, iterations + 1):
         x = lift.apply(x)
         if n == half:
             x_half = x
-        if tol > 0 and n > half > 0:
-            est = (x - x_half) / ((n - half) * math.pi)
-            if prev is not None and abs(est - prev) < tol:
-                return est
-            prev = est
     if half == 0:
         return x / (iterations * math.pi)
     return (x - x_half) / ((iterations - half) * math.pi)
@@ -247,8 +253,7 @@ def surface_relator_residual(matrices, genus: int) -> float:
     for i in range(1, genus + 1):
         ai = matrices[f"a{i}"].tuple()
         bi = matrices[f"b{i}"].tuple()
-        rel = mat_mul(rel, mat_mul(mat_mul(ai, bi),
-                                   mat_mul(mat_inv(ai), mat_inv(bi))))
+        rel = mat_mul(rel, commutator(ai, bi))
     return psl_dist_sq(rel, IDENTITY)
 
 
@@ -307,7 +312,7 @@ def fuchsian_genus2():
     A = (lam, 0.0, 0.0, 1.0 / lam)
     R = rotation(math.pi / 4)
     B = mat_mul(mat_mul(R, A), mat_inv(R))
-    K = mat_mul(mat_mul(A, B), mat_mul(mat_inv(A), mat_inv(B)))
+    K = commutator(A, B)
     # fixed points of K on the boundary of the upper half-plane
     a, b, c, d = K
     disc = math.sqrt((a - d) ** 2 + 4.0 * b * c)

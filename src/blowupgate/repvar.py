@@ -16,8 +16,9 @@ import random
 from dataclasses import dataclass, field
 
 from .links import Presentation
-from .psl2r import (PSL2, SL2, CircleLift, mat_inv, mat_mul, psl_dist_sq,
-                    rotation, sym_exp, translation_number, IDENTITY)
+from .psl2r import (PSL2, SL2, CircleLift, commutator, mat_inv, mat_mul,
+                    psl_dist_sq, psl_sign, rotation, surface_generator_names,
+                    sym_exp, translation_number, IDENTITY)
 
 
 class UnassignedGenerator(KeyError):
@@ -65,23 +66,24 @@ def _relator_residual(word, mats) -> float:
     return psl_dist_sq(_word_image(word, mats), IDENTITY)
 
 
+def _generator_mats(p: Presentation, rep: RepAssignment) -> list:
+    try:
+        return [rep.matrices[name].tuple() for name in p.generators]
+    except KeyError as exc:
+        raise UnassignedGenerator(str(exc)) from exc
+
+
 def residual(p: Presentation, rep: RepAssignment) -> float:
     """Sum over relators of the squared Frobenius distance of the relator
     image to +-identity, minimized over the sign."""
-    try:
-        mats = [rep.matrices[name].tuple() for name in p.generators]
-    except KeyError as exc:
-        raise UnassignedGenerator(str(exc)) from exc
+    mats = _generator_mats(p, rep)
     return sum(_relator_residual(w, mats) for w in p.relators)
 
 
 def trace_coordinates(p: Presentation, rep: RepAssignment) -> tuple:
     """Sorted |trace| values over generators, pairwise products, and the
     leading triple product."""
-    try:
-        mats = [rep.matrices[name].tuple() for name in p.generators]
-    except KeyError as exc:
-        raise UnassignedGenerator(str(exc)) from exc
+    mats = _generator_mats(p, rep)
     vals = [abs(m[0] + m[3]) for m in mats]
     n = len(mats)
     for i in range(n):
@@ -190,19 +192,17 @@ def _random_params(rng, n_gens):
 
 def _signed_entries(word, mats):
     img = _word_image(word, mats)
-    plus = sum((a - b) ** 2 for a, b in zip(img, IDENTITY))
-    minus = sum((a + b) ** 2 for a, b in zip(img, IDENTITY))
-    sign = 1.0 if plus <= minus else -1.0
+    sign = psl_sign(img, IDENTITY)
     return [img[0] - sign, img[1], img[2], img[3] - sign]
 
 
 def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
-          seed: int = 0, threads: int = 1) -> list:
+          seed: int = 0) -> list:
     """Local searches for representations, deduplicated by trace vectors.
 
     Each restart is a pure function of (presentation, seed, index), so
-    results are reproducible and restarts can run in parallel.  Returns
-    assignments with residual below tol, sorted by trace coordinates.
+    results are reproducible.  Returns assignments with residual below
+    tol, sorted by trace coordinates.
     """
     if restarts < 1:
         raise InvalidParameter("restarts must be >= 1")
@@ -215,8 +215,8 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
         mats = _params_to_mats(_random_params(rng, n), n)
         found.append(_assignment(p, mats, 0.0))
     else:
-        results = _run_restarts(p, restarts, seed, threads)
-        for params, cost in results:
+        for index in range(restarts):
+            params, cost = _restart(p, seed, index)
             if cost >= tol:
                 continue
             mats = _params_to_mats(params, n)
@@ -248,8 +248,7 @@ def _close(u, v, tol: float = DEDUP_TOL) -> bool:
     return len(u) == len(v) and math.dist(u, v) < tol
 
 
-def _restart_worker(args):
-    p, seed, index = args
+def _restart(p: Presentation, seed: int, index: int):
     n = len(p.generators)
     rng = random.Random(f"{seed}:{index}")
 
@@ -261,18 +260,6 @@ def _restart_worker(args):
         return out
 
     return _levmar(fun, _random_params(rng, n))
-
-
-def _run_restarts(p: Presentation, restarts: int, seed: int, threads: int):
-    jobs = [(p, seed, i) for i in range(restarts)]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(_restart_worker, jobs, chunksize=8))
-        except (OSError, ValueError):
-            pass
-    return [_restart_worker(job) for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +294,19 @@ def _line_dist(u, v):
     return abs(cross)
 
 
-def _fixes_line(m, v, tol=1e-7) -> bool:
+def _image_line(m, v):
+    """The line m v, normalized, or None when m v is numerically zero."""
     a, b, c, d = (complex(x) for x in m)
     w = (a * v[0] + b * v[1], c * v[0] + d * v[1])
     nw = math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2)
     if nw < 1e-12:
-        return True
-    return _line_dist(v, (w[0] / nw, w[1] / nw)) < tol
+        return None
+    return (w[0] / nw, w[1] / nw)
+
+
+def _fixes_line(m, v, tol=1e-7) -> bool:
+    w = _image_line(m, v)
+    return w is None or _line_dist(v, w) < tol
 
 
 def is_irreducible(rep: RepAssignment, tol: float = 1e-7) -> bool:
@@ -334,9 +327,7 @@ def is_abelian(rep: RepAssignment, tol: float = 1e-7) -> bool:
     n = len(mats)
     for i in range(n):
         for j in range(i + 1, n):
-            comm = mat_mul(mat_mul(mats[i], mats[j]),
-                           mat_mul(mat_inv(mats[i]), mat_inv(mats[j])))
-            if psl_dist_sq(comm, IDENTITY) > tol * tol:
+            if psl_dist_sq(commutator(mats[i], mats[j]), IDENTITY) > tol * tol:
                 return False
     return True
 
@@ -352,16 +343,13 @@ def is_metabelian(rep: RepAssignment, tol: float = 1e-7) -> bool:
     comms = []
     for i in range(n):
         for j in range(i + 1, n):
-            comms.append(mat_mul(mat_mul(mats[i], mats[j]),
-                                 mat_mul(mat_inv(mats[i]), mat_inv(mats[j]))))
+            comms.append(commutator(mats[i], mats[j]))
     core = _noncentral(comms, tol=tol * tol)
     if len(core) <= 1:
         return True
     for x in range(len(core)):
         for y in range(x + 1, len(core)):
-            cc = mat_mul(mat_mul(core[x], core[y]),
-                         mat_mul(mat_inv(core[x]), mat_inv(core[y])))
-            if psl_dist_sq(cc, IDENTITY) > tol * tol:
+            if psl_dist_sq(commutator(core[x], core[y]), IDENTITY) > tol * tol:
                 return False
     lines = _eigenlines(core[0])
     if not lines:
@@ -376,12 +364,8 @@ def is_metabelian(rep: RepAssignment, tol: float = 1e-7) -> bool:
 
 
 def _maps_to(m, v, w, tol=1e-7) -> bool:
-    a, b, c, d = (complex(x) for x in m)
-    mv = (a * v[0] + b * v[1], c * v[0] + d * v[1])
-    nv = math.sqrt(abs(mv[0]) ** 2 + abs(mv[1]) ** 2)
-    if nv < 1e-12:
-        return False
-    return _line_dist((mv[0] / nv, mv[1] / nv), w) < tol
+    mv = _image_line(m, v)
+    return mv is not None and _line_dist(mv, w) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +376,11 @@ def surface_presentation(genus: int) -> Presentation:
     """<a1, b1, ..., ag, bg | prod [ai, bi]>."""
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    gens = []
     rel = []
-    for i in range(1, genus + 1):
-        gens.extend([f"a{i}", f"b{i}"])
-        ai, bi = 2 * i - 1, 2 * i
-        rel.extend([ai, bi, -ai, -bi])
-    return Presentation(generators=tuple(gens), relators=(tuple(rel),))
+    for ai in range(1, 2 * genus, 2):
+        rel.extend([ai, ai + 1, -ai, -ai - 1])
+    return Presentation(generators=tuple(surface_generator_names(genus)),
+                        relators=(tuple(rel),))
 
 
 def surface_times_circle_presentation(genus: int) -> Presentation:

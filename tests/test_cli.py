@@ -28,19 +28,22 @@ def unknot_file(tmp_path):
     return str(path)
 
 
+GRAPH = {
+    "vertices": 2,
+    "edges": [{"from": 0, "to": 1, "label": {"free": [1], "torsion": []}},
+              {"from": 0, "to": 1, "label": {"free": [0], "torsion": []}},
+              {"from": 0, "to": 1, "label": {"free": [0], "torsion": []}}],
+    "weights": [2, 1, 1],
+    "orientations": [1, -1, -1],
+    "model": {"rank": 1, "torsion": []},
+    "admissible": [{"free": [0]}, {"free": [2]}, {"free": [4]}],
+}
+
+
 @pytest.fixture()
 def graph_file(tmp_path):
     path = tmp_path / "graph.json"
-    path.write_text(json.dumps({
-        "vertices": 2,
-        "edges": [{"from": 0, "to": 1, "label": {"free": [1], "torsion": []}},
-                  {"from": 0, "to": 1, "label": {"free": [0], "torsion": []}},
-                  {"from": 0, "to": 1, "label": {"free": [0], "torsion": []}}],
-        "weights": [2, 1, 1],
-        "orientations": [1, -1, -1],
-        "model": {"rank": 1, "torsion": []},
-        "admissible": [{"free": [0]}, {"free": [2]}, {"free": [4]}],
-    }))
+    path.write_text(json.dumps(GRAPH))
     return str(path)
 
 
@@ -179,23 +182,17 @@ def test_brieskorn_ignores_restarts_and_seed():
         assert invoke(["brieskorn", "2", "3", "7", *flags]) == (0, base)
 
 
-@pytest.mark.parametrize("argv, threads, error", [
-    (["solve", "PRES", "--restarts", "0"], None, "InvalidParameter"),
-    (["solve", "PRES", "--tol", "0"], None, "InvalidParameter"),
-    (["solve", "PRES"], "x", "InputError"),
-    (["brieskorn", "2", "3", "7", "--tol", "0"], None, "InvalidParameter"),
-    (["mw-admissible", "--genera", "2,x"], None, "InputError"),
-    (["euler", "PRES", "--tol", "0"], None, "InvalidParameter"),
-    (["euler", "PRES", "--tol", "nan"], None, "InvalidParameter"),
+@pytest.mark.parametrize("argv, error", [
+    (["solve", "PRES", "--restarts", "0"], "InvalidParameter"),
+    (["solve", "PRES", "--tol", "0"], "InvalidParameter"),
+    (["brieskorn", "2", "3", "7", "--tol", "0"], "InvalidParameter"),
+    (["mw-admissible", "--genera", "2,x"], "InputError"),
+    (["euler", "PRES", "--tol", "0"], "InvalidParameter"),
+    (["euler", "PRES", "--tol", "nan"], "InvalidParameter"),
 ])
-def test_bad_option_values_are_input_errors(tmp_path, monkeypatch, argv,
-                                            threads, error):
+def test_bad_option_values_are_input_errors(tmp_path, argv, error):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps({"generators": ["x"], "relators": [[1]]}))
-    if threads is None:
-        monkeypatch.delenv("BLOWUPGATE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("BLOWUPGATE_THREADS", threads)
     code, out = invoke([str(path) if a == "PRES" else a for a in argv])
     assert code == 1
     assert json.loads(out)["error"]["code"] == error
@@ -226,18 +223,6 @@ def test_console_entry_point(trefoil_file):
     assert json.loads(proc.stdout)["det"] == 3
 
 
-def test_threads_env_var_does_not_change_output(tmp_path, monkeypatch):
-    path = tmp_path / "pres.json"
-    path.write_text(json.dumps({"generators": ["x1", "x2", "x3"],
-                                "relators": [[3, 2, -1, -2], [1, 3, -2, -3]]}))
-    argv = ["solve", str(path), "--restarts", "4", "--seed", "2"]
-    monkeypatch.delenv("BLOWUPGATE_THREADS", raising=False)
-    _, serial = invoke(argv)
-    monkeypatch.setenv("BLOWUPGATE_THREADS", "2")
-    _, threaded = invoke(argv)
-    assert serial == threaded
-
-
 def test_euler_error_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"matrices": {
@@ -264,6 +249,21 @@ def test_euler_error_paths(tmp_path):
 @pytest.mark.parametrize("command, payload", [
     ("invariants", {"braid": {"strands": 2, "word": ["a"]}}),
     ("euler", [1, 2]),
+    # int() would truncate the next three to a trefoil
+    ("invariants", {"braid": {"strands": 2, "word": [1.7, 1, 1]}}),
+    ("invariants", {"braid": {"strands": 2.9, "word": [1, 1, 1]}}),
+    ("invariants", {"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3.5]]}),
+    ("invariants", {"pd": [[1, 2, "x", 4]]}),
+    ("invariants", {"pd": 5}),
+    ("gate", {"braid": {"strands": 2, "word": [1, 1]}, "monodromy": 1}),
+    ("flow", dict(GRAPH, model={"rank": "x"})),
+    ("flow", dict(GRAPH, model=3)),
+    ("flow", dict(GRAPH, weights=[-2, 1, 1])),
+    ("flow", dict(GRAPH, orientations=[2, -1, -1])),
+    ("flow", dict(GRAPH, model={"rank": 1, "torsion": [1]})),
+    ("flow", dict(GRAPH, admissible=[{"free": 5}])),
+    ("solve", {"generators": ["a", "a"], "relators": [[1, 2, -1, -2]]}),
+    ("solve", {"generators": ["a", "b"], "relators": [[1.5, 2, -1, -2]]}),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"

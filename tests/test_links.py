@@ -140,6 +140,12 @@ def test_braid_letter_validation():
         BraidWord(3, (0,))
     with pytest.raises(InvalidLetter):
         BraidWord(0, ())
+    # a float is an integer only when int() would not truncate it
+    assert BraidWord(2.0, (1.0, -1)) == BraidWord(2, (1, -1))
+    for strands, word in ((2, (1.7,)), (2.9, (1,)), (2, (float("inf"),)),
+                          (2, (float("nan"),))):
+        with pytest.raises(ValueError):
+            BraidWord(strands, word)
 
 
 def test_from_braid_component_count_matches_cycle_oracle():

@@ -6,8 +6,8 @@ import pytest
 from blowupgate.psl2r import (CircleLift, GenusZero, IDENTITY, PSL2,
                               ResidualTooLarge, SL2, act_rp1, classify,
                               euler_number, fuchsian_genus2, mat_inv, mat_mul,
-                              milnor_wood_admissible, psl_dist_sq, rotation,
-                              sym_exp, translation_number)
+                              milnor_wood_admissible, psl_dist_sq, psl_sign,
+                              rotation, sym_exp, translation_number)
 
 B = PSL2(SL2(0.0, -1.0, 1.0, 0.0))
 
@@ -43,6 +43,35 @@ def test_act_rp1_examples():
     diag = PSL2(SL2(2.0, 0.0, 0.0, 0.5))
     assert act_rp1(diag, 0.0) < 1e-12
     assert abs(act_rp1(diag, math.pi / 2) - math.pi / 2) < 1e-12
+
+
+def nearer_sign_oracle(x, y):
+    """Sign and squared distance of the nearer of +-y to x, computed from
+    both distances, and the gap |x - y|^2 - |x + y|^2."""
+    plus = sum((a - b) ** 2 for a, b in zip(x, y))
+    minus = sum((a + b) ** 2 for a, b in zip(x, y))
+    return (1.0 if plus <= minus else -1.0), min(plus, minus), plus - minus
+
+
+def test_psl_sign_matches_nearer_of_plus_minus():
+    rng = random.Random(23)
+    pairs = [((math.nan, 0.0, 0.0, 1.0), IDENTITY)]
+    for _ in range(3000):
+        x = tuple(rng.gauss(0.0, rng.choice((0.1, 1.0, 10.0)))
+                  for _ in range(4))
+        y = IDENTITY if rng.random() < 0.5 else \
+            tuple(rng.gauss(0.0, 1.0) for _ in range(4))
+        pairs.append((x, y))
+    for x, y in pairs:
+        sign, dist, gap = nearer_sign_oracle(x, y)
+        d = psl_dist_sq(x, y)
+        if math.isnan(gap) or abs(gap) > 1e-9 * (1.0 + dist):
+            assert psl_sign(x, y) == sign
+            assert d == dist or (math.isnan(d) and math.isnan(dist))
+        else:
+            # near a tie both signs are equally far, up to rounding
+            assert d == pytest.approx(dist, rel=1e-9)
+    assert psl_sign((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)) == 1.0
 
 
 def test_act_rp1_is_circle_homeomorphism():

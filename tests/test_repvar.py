@@ -115,15 +115,6 @@ def test_solve_deterministic_given_seed():
             assert ra.matrices[g].tuple() == rb.matrices[g].tuple()
 
 
-def test_solve_threads_match_serial():
-    serial = solve(TREFOIL_GROUP, restarts=6, tol=1e-10, seed=3, threads=1)
-    threaded = solve(TREFOIL_GROUP, restarts=6, tol=1e-10, seed=3, threads=2)
-    assert len(serial) == len(threaded)
-    for ra, rb in zip(serial, threaded):
-        for g in ra.matrices:
-            assert ra.matrices[g].tuple() == rb.matrices[g].tuple()
-
-
 # ---------------------------------------------------------------------------
 # classification predicates
 
