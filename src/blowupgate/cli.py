@@ -22,7 +22,7 @@ from blowupgate.gate import (Flow, FlowGraph, HomologyElement, HomologyModel,
 from blowupgate.invariants import NotWirtinger, link_invariants
 from blowupgate.links import (BraidWord, EmptySelection, InvalidLetter,
                               LinkDiagram, MalformedPD, Presentation,
-                              from_braid, parse_pd)
+                              _integer, from_braid, parse_pd)
 from blowupgate.psl2r import (GenusZero, PSL2, ResidualTooLarge,
                               RoundingAmbiguous, euler_number,
                               milnor_wood_admissible, surface_relator_residual)
@@ -164,13 +164,13 @@ def _cmd_flow(args):
         labels = None
         if data["edges"] and "label" in data["edges"][0]:
             labels = tuple(_element_from_json(e["label"]) for e in data["edges"])
-        graph = FlowGraph(int(data["vertices"]), edges, labels)
+        graph = FlowGraph(data["vertices"], edges, labels)
         weights = [Fraction(str(w)) for w in data["weights"]]
-        orientations = [int(o) for o in data["orientations"]]
+        orientations = [_integer(o) for o in data["orientations"]]
         flow = Flow.from_weights(weights, orientations)
         model = None
         if "model" in data:
-            model = HomologyModel(int(data["model"]["rank"]),
+            model = HomologyModel(data["model"]["rank"],
                                   tuple(data["model"].get("torsion", ())))
         elif labels is not None:
             model = HomologyModel(len(labels[0].free), ())

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .invariants import link_invariants
-from .links import LinkDiagram, sublink
+from .links import LinkDiagram, _integer, sublink
 
 
 class LabelLengthMismatch(ValueError):
@@ -118,8 +118,8 @@ class HomologyElement:
     torsion: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "free", tuple(int(x) for x in self.free))
-        object.__setattr__(self, "torsion", tuple(int(x) for x in self.torsion))
+        object.__setattr__(self, "free", tuple(map(_integer, self.free)))
+        object.__setattr__(self, "torsion", tuple(map(_integer, self.torsion)))
 
     @property
     def is_zero(self) -> bool:
@@ -134,7 +134,8 @@ class HomologyModel:
     torsion: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "rank", _integer(self.rank))
+        object.__setattr__(self, "torsion", tuple(map(_integer, self.torsion)))
         for d in self.torsion:
             if d < 2:
                 raise ValueError("torsion divisors must be >= 2")
@@ -168,8 +169,10 @@ class FlowGraph:
     labels: tuple | None = None  # HomologyElement per edge
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", _integer(self.vertices))
         object.__setattr__(self, "edges",
-                           tuple((int(a), int(b)) for a, b in self.edges))
+                           tuple((_integer(a), _integer(b))
+                                 for a, b in self.edges))
         for a, b in self.edges:
             if not (0 <= a < self.vertices and 0 <= b < self.vertices):
                 raise ValueError(f"edge ({a}, {b}) references a missing vertex")

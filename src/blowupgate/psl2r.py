@@ -85,8 +85,10 @@ class SL2:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if det <= 0:
-            raise ValueError(f"determinant {det} is not positive")
+        # a NaN or infinite entry makes det NaN or infinite, and a finite
+        # det is needed for the rescale below
+        if not 0 < det < math.inf:
+            raise ValueError(f"determinant {det} is not positive and finite")
         if abs(det - 1.0) > 1e-15:
             s = 1.0 / math.sqrt(det)
             object.__setattr__(self, "a", self.a * s)

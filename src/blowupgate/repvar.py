@@ -3,7 +3,9 @@
 Representations are found by damped least squares on the polar
 parametrization R(alpha) * exp(symmetric traceless) of SL(2,R), three
 parameters per generator.  Relator signs are minimized pointwise, so a
-word is considered trivial when its image is +-identity.  Classes are
+word is considered trivial when its image is +-identity.  The Jacobian
+of the relator entries is exact: each relator word contributes prefix
+and suffix products around the derivative of every letter.  Classes are
 separated by sorted absolute-trace vectors over a fixed word schedule,
 which is invariant under conjugation, sign lifts, and trace-preserving
 reversal.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import mul
 
 from .links import Presentation
 from .psl2r import (PSL2, SL2, CircleLift, commutator, mat_inv, mat_mul,
@@ -124,30 +127,25 @@ def _solve_linear(a, b):
     return x
 
 
-def _levmar(fun, x0):
-    """Minimize |fun(x)|^2 by Levenberg-Marquardt with numeric Jacobian."""
+def _levmar(p: Presentation, x0):
+    """Minimize the squared relator residual of p by Levenberg-Marquardt.
+
+    The Jacobian is exact (_residual_and_jacobian) and is taken once per
+    accepted point; trial points evaluate the residual only.
+    """
     x = list(x0)
-    r = fun(x)
-    cost = sum(v * v for v in r)
+    cost = sum(v * v for v in _residual_vector(p, x))
     lam = 1e-3
     n = len(x)
     for _ in range(LM_MAX_ITER):
         if cost < LM_COST_TARGET:
             break
-        m = len(r)
-        jac = []
-        h = 1e-6
-        for j in range(n):
-            xp = list(x)
-            xp[j] += h
-            rp = fun(xp)
-            xm = list(x)
-            xm[j] -= h
-            rm = fun(xm)
-            jac.append([(a - b) / (2 * h) for a, b in zip(rp, rm)])
-        jtj = [[sum(jac[i][k] * jac[j][k] for k in range(m)) for j in range(n)]
-               for i in range(n)]
-        jtr = [sum(jac[i][k] * r[k] for k in range(m)) for i in range(n)]
+        r, jac = _residual_and_jacobian(p, x)
+        jtj = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                jtj[i][j] = jtj[j][i] = sum(map(mul, jac[i], jac[j]))
+        jtr = [sum(map(mul, col, r)) for col in jac]
         grad_norm = max(abs(v) for v in jtr) if jtr else 0.0
         if grad_norm < 1e-17:
             break
@@ -161,10 +159,12 @@ def _levmar(fun, x0):
                 lam *= 10.0
                 continue
             xn = [xi + di for xi, di in zip(x, delta)]
-            rn = fun(xn)
-            cn = sum(v * v for v in rn)
+            try:
+                cn = sum(v * v for v in _residual_vector(p, xn))
+            except OverflowError:    # a step too long for cosh in sym_exp
+                cn = math.inf
             if cn < cost:
-                x, r, cost = xn, rn, cn
+                x, cost = xn, cn
                 lam = max(lam / 3.0, 1e-14)
                 improved = True
                 break
@@ -182,6 +182,38 @@ def _params_to_mats(params, n_gens):
     return mats
 
 
+JET_SERIES_R = 1e-2
+
+
+def _generator_jet(alpha, x, y):
+    """M = R(alpha) E(x, y), as _params_to_mats builds it, and its partial
+    derivatives in alpha, x and y.
+
+    dR/dalpha = R(alpha + pi/2).  With r = |(x, y)|, S = ((x, y), (y, -x)),
+    f = sinh r / r and g = (cosh r - f) / r^2, E = cosh r I + f S, so
+    dE/dx = x (f I + g S) + f diag(1, -1) and
+    dE/dy = y (f I + g S) + f ((0, 1), (1, 0)).
+    Below JET_SERIES_R, f and g are Taylor series (g -> 1/3), which
+    avoids the cancellation in cosh r - f.
+    """
+    rot = rotation(alpha)
+    e = sym_exp(x, y)
+    r2 = x * x + y * y
+    r = math.sqrt(r2)
+    if r < JET_SERIES_R:
+        f = 1.0 + r2 / 6.0 + r2 * r2 / 120.0
+        g = 1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0
+    else:
+        f = math.sinh(r) / r
+        g = (math.cosh(r) - f) / r2
+    c, s = rot[0], rot[2]
+    gx, gy = g * x, g * y
+    d_alpha = mat_mul((-s, -c, c, -s), e)
+    d_x = mat_mul(rot, (x * (f + gx) + f, gx * y, gx * y, x * (f - gx) - f))
+    d_y = mat_mul(rot, (y * (f + gx), gy * y + f, gy * y + f, y * (f - gx)))
+    return mat_mul(rot, e), (d_alpha, d_x, d_y)
+
+
 def _random_params(rng, n_gens):
     out = []
     for _ in range(n_gens):
@@ -190,10 +222,63 @@ def _random_params(rng, n_gens):
     return out
 
 
-def _signed_entries(word, mats):
-    img = _word_image(word, mats)
+def _signed_entries(img):
+    """Entries of a relator image minus the nearer of +-identity."""
     sign = psl_sign(img, IDENTITY)
     return [img[0] - sign, img[1], img[2], img[3] - sign]
+
+
+def _residual_vector(p: Presentation, params) -> list:
+    """The relator entries that _levmar drives to zero, four per relator."""
+    mats = _params_to_mats(params, len(p.generators))
+    out = []
+    for w in p.relators:
+        out.extend(_signed_entries(_word_image(w, mats)))
+    return out
+
+
+def _residual_and_jacobian(p: Presentation, params):
+    """_residual_vector(p, params) and its exact Jacobian, as a list of
+    columns, one per parameter.
+
+    A relator word N_1 ... N_L with prefix products P_k and suffix
+    products S_k has the derivative sum_k P_{k-1} dN_k S_{k+1}.  An
+    inverse letter is the adjugate of its generator's matrix, which is
+    linear in the entries, so its derivative is the adjugate of the
+    generator's derivative.  The sign of _signed_entries is locally
+    constant and drops out.
+    """
+    n = len(p.generators)
+    mats, dmats = [], []
+    for i in range(n):
+        m, d = _generator_jet(*params[3 * i:3 * i + 3])
+        mats.append(m)
+        dmats.append(d)
+    invs = [mat_inv(m) for m in mats]
+    dinvs = [tuple(mat_inv(d) for d in ds) for ds in dmats]
+    res = []
+    jac = [[] for _ in range(3 * n)]
+    zero = (0.0, 0.0, 0.0, 0.0)
+    for word in p.relators:
+        letters = [mats[l - 1] if l > 0 else invs[-l - 1] for l in word]
+        prefix = [IDENTITY]
+        for m in letters:
+            prefix.append(mat_mul(prefix[-1], m))
+        res.extend(_signed_entries(prefix[-1]))
+        block = [zero] * (3 * n)
+        suffix = IDENTITY
+        for k in range(len(word) - 1, -1, -1):
+            g = abs(word[k]) - 1
+            derivs = dmats[g] if word[k] > 0 else dinvs[g]
+            for t, d in enumerate(derivs):
+                term = mat_mul(mat_mul(prefix[k], d), suffix)
+                acc = block[3 * g + t]
+                block[3 * g + t] = (acc[0] + term[0], acc[1] + term[1],
+                                    acc[2] + term[2], acc[3] + term[3])
+            suffix = mat_mul(letters[k], suffix)
+        for col, entries in zip(jac, block):
+            col.extend(entries)
+    return res, jac
 
 
 def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
@@ -249,17 +334,8 @@ def _close(u, v, tol: float = DEDUP_TOL) -> bool:
 
 
 def _restart(p: Presentation, seed: int, index: int):
-    n = len(p.generators)
     rng = random.Random(f"{seed}:{index}")
-
-    def fun(params):
-        mats = _params_to_mats(params, n)
-        out = []
-        for w in p.relators:
-            out.extend(_signed_entries(w, mats))
-        return out
-
-    return _levmar(fun, _random_params(rng, n))
+    return _levmar(p, _random_params(rng, len(p.generators)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -264,6 +265,14 @@ def test_euler_error_paths(tmp_path):
     ("flow", dict(GRAPH, admissible=[{"free": 5}])),
     ("solve", {"generators": ["a", "a"], "relators": [[1, 2, -1, -2]]}),
     ("solve", {"generators": ["a", "b"], "relators": [[1.5, 2, -1, -2]]}),
+    # int() would truncate the next three and answer for the truncated graph
+    ("flow", dict(GRAPH, orientations=[1.5, -1, -1])),
+    ("flow", dict(GRAPH, vertices=2.5)),
+    ("flow", dict(GRAPH, edges=[dict(e, label={"free": [1.5]})
+                                for e in GRAPH["edges"]])),
+    # a NaN matrix entry, which SL2 used to accept
+    ("euler", {"matrices": {"a1": [[math.nan, 0.0], [0.0, 1.0]],
+                            "b1": [[1.0, 0.0], [0.0, 1.0]]}}),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"

@@ -36,6 +36,17 @@ def test_sl2_normalizes_determinant():
         SL2(1.0, 0.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("entries", [
+    (math.nan, 0.0, 0.0, 1.0),
+    (math.inf, 0.0, 0.0, 1.0),
+    (1.0, -math.inf, 0.0, 1.0),
+    (1e200, 0.0, 0.0, 1e200),       # finite entries, det overflows
+])
+def test_sl2_rejects_non_finite(entries):
+    with pytest.raises(ValueError):
+        SL2(*entries)
+
+
 def test_act_rp1_examples():
     for theta in (0.0, 0.7, 1.5, 3.0):
         assert abs(act_rp1(PSL2.identity(), theta) - theta % math.pi) < 1e-12

@@ -7,8 +7,10 @@ from blowupgate.exact import AbelianGroup
 from blowupgate.links import BraidWord, Presentation, from_braid, wirtinger
 from blowupgate.psl2r import (PSL2, SL2, euler_number, fuchsian_genus2,
                               rotation, sym_exp)
-from blowupgate.repvar import (BrieskornData, NotCoprime, RepAssignment,
-                               UnassignedGenerator, brieskorn_enumerate,
+from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
+                               RepAssignment, UnassignedGenerator,
+                               _random_params, _residual_and_jacobian,
+                               _residual_vector, _restart, brieskorn_enumerate,
                                brieskorn_presentation, connected_sum_family,
                                free_product, is_abelian, is_irreducible,
                                is_metabelian, residual, solve,
@@ -17,6 +19,18 @@ from blowupgate.repvar import (BrieskornData, NotCoprime, RepAssignment,
                                trace_coordinates)
 
 TREFOIL_GROUP = wirtinger(from_braid(BraidWord(2, (1, 1, 1))))
+
+LM_GROUPS = {
+    "surface1": surface_presentation(1),
+    "surface2": surface_presentation(2),
+    "surface1xS1": surface_times_circle_presentation(1),
+    "surface1*surface1": free_product(surface_presentation(1),
+                                      surface_presentation(1)),
+    "trefoil": TREFOIL_GROUP,
+    "figure_eight": wirtinger(from_braid(BraidWord(3, (1, -2, 1, -2)))),
+    # repeated letters and h^+-b powers
+    "brieskorn_2_3_7": brieskorn_presentation(BrieskornData(2, 3, 7)),
+}
 
 
 def random_psl2(rng):
@@ -105,6 +119,13 @@ def test_solve_free_group_every_restart_succeeds():
     assert residual(pres, sols[0]) == 0.0
 
 
+def test_solve_survives_an_overflowing_step():
+    # a trial step of this search overflows cosh in sym_exp
+    sols = solve(LM_GROUPS["brieskorn_2_3_7"], restarts=6, tol=1e-10, seed=1)
+    assert sols
+    assert all(rep.residual < 1e-10 for rep in sols)
+
+
 def test_solve_deterministic_given_seed():
     a = solve(TREFOIL_GROUP, restarts=8, tol=1e-10, seed=7)
     b = solve(TREFOIL_GROUP, restarts=8, tol=1e-10, seed=7)
@@ -113,6 +134,64 @@ def test_solve_deterministic_given_seed():
         assert ra.matrices.keys() == rb.matrices.keys()
         for g in ra.matrices:
             assert ra.matrices[g].tuple() == rb.matrices[g].tuple()
+
+
+# ---------------------------------------------------------------------------
+# exact Jacobian of the LM core
+
+
+def numeric_jacobian(p, params, h=1e-6):
+    """Central differences of _residual_vector, one column per parameter."""
+    cols = []
+    for j in range(len(params)):
+        up, down = list(params), list(params)
+        up[j] += h
+        down[j] -= h
+        cols.append([(a - b) / (2 * h) for a, b in
+                     zip(_residual_vector(p, up), _residual_vector(p, down))])
+    return cols
+
+
+def jacobian_points(n, rng):
+    """Random parameters, then the same with every (x, y) at the origin,
+    at r = 1e-9 and on either side of the series switch of the jet."""
+    points = [_random_params(rng, n) for _ in range(4)]
+    s = JET_SERIES_R
+    for x, y in ((0.0, 0.0), (1e-9, 0.0), (0.54 * s, 0.72 * s),
+                 (0.66 * s, -0.88 * s)):
+        point = _random_params(rng, n)
+        point[1::3] = [x] * n
+        point[2::3] = [y] * n
+        points.append(point)
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(LM_GROUPS))
+def test_jacobian_matches_central_differences(name):
+    p = LM_GROUPS[name]
+    n = len(p.generators)
+    rng = random.Random(f"jacobian:{name}")
+    for params in jacobian_points(n, rng):
+        res, jac = _residual_and_jacobian(p, params)
+        assert res == _residual_vector(p, params)
+        oracle = numeric_jacobian(p, params)
+        assert len(jac) == 3 * n
+        for col, ref in zip(jac, oracle):
+            assert len(col) == 4 * len(p.relators)
+            for a, b in zip(col, ref):
+                assert abs(a - b) <= 1e-6 * max(1.0, abs(a)), (params, a, b)
+
+
+# restarts of seed 123 out of 40 that the central-difference Jacobian
+# brought below 1e-10
+@pytest.mark.parametrize("name, converged", [
+    ("surface1", 40), ("surface2", 38), ("surface1xS1", 40),
+    ("surface1*surface1", 40), ("trefoil", 35),
+])
+def test_restarts_converge_as_often_as_central_differences(name, converged):
+    p = LM_GROUPS[name]
+    hits = sum(_restart(p, 123, i)[1] < 1e-10 for i in range(40))
+    assert hits >= converged
 
 
 # ---------------------------------------------------------------------------
