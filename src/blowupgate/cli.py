@@ -39,6 +39,10 @@ class InputError(ValueError):
     """Bad input file, JSON shape, or option value."""
 
 
+class NonFiniteResult(ValueError):
+    """A result holds a NaN or infinite number, which JSON cannot carry."""
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,12 +90,18 @@ def _group_json(g):
 
 
 def _emit(obj, out, fmt: str):
-    if fmt == "json":
-        out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-        out.write("\n")
-    else:
-        for line in _text_lines(obj, prefix=""):
-            out.write(line + "\n")
+    """Write obj as one JSON line or as text lines.  The whole rendering
+    is built first, so a non-finite number writes nothing and raises
+    NonFiniteResult."""
+    try:
+        if fmt == "json":
+            text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False) + "\n"
+        else:
+            text = "".join(line + "\n" for line in _text_lines(obj, prefix=""))
+    except ValueError as exc:
+        raise NonFiniteResult(str(exc)) from exc
+    out.write(text)
 
 
 def _text_lines(obj, prefix: str):
@@ -101,7 +111,7 @@ def _text_lines(obj, prefix: str):
                                    f"{prefix}{key}." if prefix else f"{key}.")
     else:
         label = prefix[:-1] if prefix.endswith(".") else prefix
-        yield f"{label} = {json.dumps(obj, sort_keys=True)}"
+        yield f"{label} = {json.dumps(obj, sort_keys=True, allow_nan=False)}"
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 KNOWN_ERRORS = (
     InputError,
+    NonFiniteResult,
     MalformedPD,
     InvalidLetter,
     EmptySelection,
@@ -368,13 +379,12 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        result = args.handler(args)
+        _emit(args.handler(args), out, args.format)
     except KNOWN_ERRORS as exc:
         _emit({"schema": SCHEMA,
                "error": {"code": type(exc).__name__, "message": str(exc)}},
               out, args.format)
         return 1
-    _emit(result, out, args.format)
     return 0
 
 

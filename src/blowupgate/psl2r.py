@@ -222,24 +222,38 @@ class CircleLift:
                 - (self._inv_shift + self.offset) * math.pi)
 
 
-def translation_number(lift: CircleLift, iterations: int) -> float:
-    """Asymptotic translation per deck unit, (lift^n(0) - 0) / (n pi).
+def translation_number(lift: CircleLift) -> float:
+    """Translation number lim (lift^n(x) - x) / (n pi), in closed form.
 
-    A windowed (Richardson-style) estimate drops the bounded transient,
-    so the error is at most 1/iterations.
+    The unit is one deck translation, so the base lift of the rotation
+    by t in (0, pi) has translation number t / pi.  With a, b, c, d the
+    entries of g and D = (a - d)^2 + 4 b c = tr^2 - 4:
+
+    - D < 0 (elliptic): the sign of g with c > 0 is conjugate to the
+      rotation by t in (0, pi) with cos t = tr / 2 and
+      sin t = sqrt(-D) / 2, and the base lift moves every point forward
+      by less than pi, so the number is offset + t / pi.  t is taken
+      with atan2, which stays accurate near the identity, where
+      acos(tr / 2) loses half the digits.  Near a parabolic element the
+      number moves like sqrt(-D), so it is as accurate as D is.
+    - D >= 0: g fixes a line theta, the lift sends theta to theta + k pi
+      for an integer k, and k is the number.  The lift is evaluated by
+      apply, so a fixed line near 0 or pi meets the same tie rule as an
+      orbit of the lift does.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    half = iterations // 2
-    x = 0.0
-    x_half = 0.0
-    for n in range(1, iterations + 1):
-        x = lift.apply(x)
-        if n == half:
-            x_half = x
-    if half == 0:
-        return x / (iterations * math.pi)
-    return (x - x_half) / ((iterations - half) * math.pi)
+    a, b, c, d = lift.g.tuple()
+    tr = a + d
+    disc = (a - d) ** 2 + 4.0 * b * c
+    if disc < 0:
+        t = math.atan2(math.sqrt(-disc), tr if c > 0 else -tr)
+        return lift.offset + t / math.pi
+    # an eigenvector of the eigenvalue of larger modulus; both candidates
+    # vanish only at the identity, which fixes every line
+    lam = 0.5 * (tr + math.copysign(math.sqrt(disc), tr))
+    u, v = (b, lam - a), (lam - d, c)
+    x, y = u if math.hypot(*u) >= math.hypot(*v) else v
+    theta = math.atan2(y, x) % math.pi if x or y else 0.0
+    return float(round((lift.apply(theta) - theta) / math.pi))
 
 
 def surface_generator_names(genus: int) -> list:

@@ -37,6 +37,7 @@ class InvalidParameter(ValueError):
 
 
 DEDUP_TOL = 1e-6
+ROTATION_TOL = 1e-9
 LM_MAX_ITER = 200
 LM_COST_TARGET = 1e-28
 
@@ -302,7 +303,7 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
     else:
         for index in range(restarts):
             params, cost = _restart(p, seed, index)
-            if cost >= tol:
+            if not cost < tol:      # a NaN cost is rejected too
                 continue
             mats = _params_to_mats(params, n)
             found.append(_assignment(p, mats, cost))
@@ -632,7 +633,7 @@ def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
                     if any(_close(key, k) for k in seen):
                         continue
                     res = residual(pres, rep)
-                    if res >= tol:
+                    if not res < tol:
                         continue
                     rep = RepAssignment(matrices, residual=res)
                     if not _rotation_numbers_verify(rep, (l1, l2, l3),
@@ -649,14 +650,17 @@ def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
     return census
 
 
-def _rotation_numbers_verify(rep: RepAssignment, angles, exponents,
-                             iterations: int = 400) -> bool:
-    """Exact-by-rounding check of elliptic rotation numbers via lifts."""
+def _rotation_numbers_verify(rep: RepAssignment, angles, exponents) -> bool:
+    """True when each x_i has rotation number l_i / p_i mod 1.
+
+    translation_number is a closed form, so ROTATION_TOL only absorbs
+    rounding; a NaN error fails the check.
+    """
     for i, (l, p) in enumerate(zip(angles, exponents), start=1):
-        lift = CircleLift(rep.matrices[f"x{i}"])
-        tau = translation_number(lift, iterations)
+        tau = translation_number(CircleLift(rep.matrices[f"x{i}"]))
         target = (l / p) % 1.0
-        err = min(abs(tau - target), abs(tau - target + 1), abs(tau - target - 1))
-        if err > 2.0 / iterations + 1e-6:
+        err = min(abs(tau - target), abs(tau - target + 1),
+                  abs(tau - target - 1))
+        if not err <= ROTATION_TOL:
             return False
     return True

@@ -124,6 +124,39 @@ def test_solve_subcommand(tmp_path):
     assert data["solutions"][0]["abelian"] is True
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 does."""
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in output")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_solve_drops_non_finite_restarts(tmp_path):
+    # a long relator drives two of these three restarts to a NaN cost
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"generators": ["x", "y"],
+                                "relators": [[1] * 2000 + [2]]}))
+    code, out = invoke(["solve", str(path), "--restarts", "3"])
+    assert code == 0
+    data = strict_json(out)
+    assert data["count"] == len(data["solutions"]) >= 1
+    assert all(sol["residual"] < 1e-10 for sol in data["solutions"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_result_is_an_error(monkeypatch, fmt, value):
+    import blowupgate.cli as cli
+    monkeypatch.setattr(cli, "_cmd_mw", lambda args: {"bound": [1.0, value]})
+    code, out = invoke(["--format", fmt, "mw-admissible", "--genera", "2"])
+    assert code == 1
+    if fmt == "json":
+        assert strict_json(out)["error"]["code"] == "NonFiniteResult"
+    else:
+        assert "error.code = \"NonFiniteResult\"" in out
+        assert "bound" not in out
+
+
 def test_missing_file_is_input_error():
     code, out = invoke(["solve", "/nonexistent/file.json"])
     assert code == 1

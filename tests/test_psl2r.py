@@ -7,15 +7,11 @@ from blowupgate.psl2r import (CircleLift, GenusZero, IDENTITY, PSL2,
                               ResidualTooLarge, SL2, act_rp1, classify,
                               euler_number, fuchsian_genus2, mat_inv, mat_mul,
                               milnor_wood_admissible, psl_dist_sq, psl_sign,
-                              rotation, sym_exp, translation_number)
+                              rotation, translation_number)
+
+from circle_helpers import random_psl2, windowed_translation_number
 
 B = PSL2(SL2(0.0, -1.0, 1.0, 0.0))
-
-
-def random_psl2(rng):
-    m = mat_mul(rotation(rng.uniform(-3, 3)),
-                sym_exp(rng.gauss(0, 1), rng.gauss(0, 1)))
-    return PSL2(SL2(*m))
 
 
 # ---------------------------------------------------------------------------
@@ -116,38 +112,116 @@ def test_lift_deck_equivariance_and_inverse():
 
 
 def test_translation_number_identity_offset():
-    for m in (-2, 0, 3):
+    for m in (-2, 0, 2, 3):
         lift = CircleLift(PSL2.identity(), offset=m)
-        assert abs(translation_number(lift, 50) - m) < 1e-9
+        assert translation_number(lift) == m
 
 
 def test_translation_number_quarter_rotation():
-    assert abs(translation_number(CircleLift(B), 200) - 0.5) < 1e-9
+    assert translation_number(CircleLift(B)) == 0.5
 
 
 def test_translation_number_hyperbolic_zero():
     hyp = PSL2(SL2(2.0, 0.0, 0.0, 0.5))
-    assert abs(translation_number(CircleLift(hyp), 300)) < 1e-9
+    assert translation_number(CircleLift(hyp)) == 0.0
 
 
 def test_translation_number_rotation_matches_angle():
-    for t in (0.2, 0.9, 2.4):
+    for t in (1e-9, 0.2, 0.9, 2.4, math.pi - 1e-9):
         lift = CircleLift(PSL2(SL2(*rotation(t))))
-        tau = translation_number(lift, 4000)
-        assert abs(tau - (t / math.pi) % 1.0) < 1e-3
+        assert abs(translation_number(lift) - t / math.pi) < 1e-12
+
+
+def conjugate(h, g):
+    return h @ g @ h.inv()
 
 
 def test_translation_number_conjugacy_invariant():
     rng = random.Random(3)
-    n = 600
-    for _ in range(20):
+    for _ in range(200):
         g = random_psl2(rng)
         h = random_psl2(rng)
-        tau_g = translation_number(CircleLift(g), n)
-        conj = h @ g @ h.inv()
-        tau_c = translation_number(CircleLift(conj), n)
+        tau_g = translation_number(CircleLift(g))
+        tau_c = translation_number(CircleLift(conjugate(h, g)))
         delta = min(abs(tau_g - tau_c), abs(abs(tau_g - tau_c) - 1.0))
-        assert delta < 2.0 / n + 1e-9
+        assert delta < 1e-9
+
+
+def oracle_elements():
+    """Seeded elliptic, hyperbolic and parabolic elements with a class
+    tag."""
+    rng = random.Random(17)
+    out = []
+    for _ in range(30):
+        h = random_psl2(rng)
+        rot = PSL2(SL2(*rotation(rng.uniform(0.01, math.pi - 0.01))))
+        lam = math.exp(rng.uniform(0.05, 2.0))
+        par = PSL2(SL2(1.0, rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0),
+                       0.0, 1.0))
+        out.append(("elliptic", conjugate(h, rot)))
+        out.append(("hyperbolic", conjugate(h, PSL2(SL2(lam, 0.0, 0.0,
+                                                         1.0 / lam)))))
+        out.append(("parabolic", conjugate(h, par)))
+    return out
+
+
+def tie_elements():
+    """The identity, the two unit parabolics, and hyperbolic and parabolic
+    elements with a fixed line within 1e-9 of pi (or of 0, the same line).
+    Their lifts send 0 next to a multiple of pi, where CircleLift.apply
+    resolves near-ties by a rule of its own."""
+    out = [PSL2.identity(), PSL2(SL2(1.0, 1.0, 0.0, 1.0)),
+           PSL2(SL2(1.0, 0.0, -1.0, 1.0))]
+    bases = [PSL2(SL2(2.0, 0.0, 0.0, 0.5)), PSL2(SL2(0.5, 0.0, 0.0, 2.0)),
+             PSL2(SL2(1.0 + 1e-4, 0.0, 0.0, 1.0 / (1.0 + 1e-4))),
+             PSL2(SL2(1.0, 1.0, 0.0, 1.0)), PSL2(SL2(1.0, -1.0, 0.0, 1.0)),
+             PSL2(SL2(1.0, 1e-6, 0.0, 1.0))]
+    for delta in (0.0, 1e-12, 1e-10, 3e-10, 1e-9, -1e-12, -1e-10, -1e-9):
+        r = PSL2(SL2(*rotation(math.pi - delta)))
+        out.extend(conjugate(r, g) for g in bases)
+    return out
+
+
+def assert_integral_off_elliptic(kind, offset, tau):
+    """Elliptic lifts translate by offset plus a fraction in (0, 1);
+    hyperbolic lifts by an integer.  A parabolic float matrix may be
+    elliptic by rounding, and near D = 0 the number moves like sqrt(-D),
+    so it is integral only to about sqrt(eps) |g|."""
+    if kind == "elliptic":
+        assert offset < tau < offset + 1
+    elif kind == "hyperbolic":
+        assert tau == round(tau)
+    else:
+        assert abs(tau - round(tau)) < 1e-6
+
+
+def test_translation_number_matches_windowed_oracle():
+    seen = set()
+    for kind, g in oracle_elements():
+        assert classify(g) == kind
+        seen.add(kind)
+        for offset in range(-2, 3):
+            lift = CircleLift(g, offset)
+            tau = translation_number(lift)
+            assert abs(tau - windowed_translation_number(lift, 400)) < 2 / 400
+            assert_integral_off_elliptic(kind, offset, tau)
+        if kind == "elliptic":
+            lift = CircleLift(g)
+            assert abs(translation_number(lift)
+                       - windowed_translation_number(lift, 4000)) < 2 / 4000
+    assert seen == {"elliptic", "hyperbolic", "parabolic"}
+
+
+def test_translation_number_tie_cases_match_windowed_oracle():
+    for g in tie_elements():
+        kind = classify(g)
+        assert kind != "elliptic"
+        for offset in range(-2, 3):
+            lift = CircleLift(g, offset)
+            tau = translation_number(lift)
+            assert_integral_off_elliptic(kind, offset, tau)
+            assert abs(tau - windowed_translation_number(lift, 400)) \
+                < 2 / 400, (g.tuple(), offset)
 
 
 def test_b_squared_is_identity_but_lift_translates():
@@ -226,10 +300,3 @@ def test_milnor_wood_genus_zero():
         milnor_wood_admissible([0])
     with pytest.raises(GenusZero):
         milnor_wood_admissible([2, 0])
-
-
-def test_translation_number_single_iteration():
-    lift = CircleLift(PSL2.identity(), offset=2)
-    assert abs(translation_number(lift, 1) - 2.0) < 1e-12
-    with pytest.raises(ValueError):
-        translation_number(lift, 0)

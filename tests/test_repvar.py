@@ -1,16 +1,21 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from circle_helpers import random_psl2, windowed_translation_number
+
 from blowupgate.exact import AbelianGroup
 from blowupgate.links import BraidWord, Presentation, from_braid, wirtinger
-from blowupgate.psl2r import (PSL2, SL2, euler_number, fuchsian_genus2,
-                              rotation, sym_exp)
+from blowupgate.psl2r import (PSL2, SL2, CircleLift, euler_number,
+                              fuchsian_genus2, rotation, translation_number)
 from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
                                RepAssignment, UnassignedGenerator,
                                _random_params, _residual_and_jacobian,
-                               _residual_vector, _restart, brieskorn_enumerate,
+                               _residual_vector, _restart,
+                               _rotation_numbers_verify, _rotation_solve,
+                               brieskorn_enumerate,
                                brieskorn_presentation, connected_sum_family,
                                free_product, is_abelian, is_irreducible,
                                is_metabelian, residual, solve,
@@ -31,13 +36,6 @@ LM_GROUPS = {
     # repeated letters and h^+-b powers
     "brieskorn_2_3_7": brieskorn_presentation(BrieskornData(2, 3, 7)),
 }
-
-
-def random_psl2(rng):
-    from blowupgate.psl2r import mat_mul
-    m = mat_mul(rotation(rng.uniform(-3, 3)),
-                sym_exp(rng.gauss(0, 1), rng.gauss(0, 1)))
-    return PSL2(SL2(*m))
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +387,49 @@ def test_is_irreducible_conjugation_invariant():
 def test_brieskorn_rotation_numbers_verified():
     census = brieskorn_enumerate(BrieskornData(2, 3, 7), restarts=40,
                                  tol=1e-10, seed=0)
-    from blowupgate.psl2r import CircleLift, translation_number
     for cls in census:
         if cls.angles == (0, 0, 0):
             continue
         for i, (l, p) in enumerate(zip(cls.angles, (2, 3, 7)), start=1):
             tau = translation_number(
-                CircleLift(cls.assignment.matrices[f"x{i}"]), 500)
+                CircleLift(cls.assignment.matrices[f"x{i}"]))
             err = min(abs(tau - l / p), abs(tau - l / p + 1),
                       abs(tau - l / p - 1))
-            assert err < 0.01, (cls.angles, i, tau)
+            assert err < 1e-9, (cls.angles, i, tau)
+
+
+def windowed_rotation_check(rep, angles, exponents, iterations=400):
+    """The census rotation-number check as it was made by iterating each
+    lift, with an error bound of 2 / iterations."""
+    for i, (l, p) in enumerate(zip(angles, exponents), start=1):
+        tau = windowed_translation_number(
+            CircleLift(rep.matrices[f"x{i}"]), iterations)
+        target = (l / p) % 1.0
+        err = min(abs(tau - target), abs(tau - target + 1),
+                  abs(tau - target - 1))
+        if err > 2.0 / iterations + 1e-6:
+            return False
+    return True
+
+
+def test_rotation_certificate_agrees_with_windowed_oracle():
+    eye = PSL2.identity()
+    decisions = set()
+    for exponents in ((2, 3, 7), (2, 5, 7), (3, 4, 5), (3, 5, 7), (2, 3, 13),
+                      (5, 7, 11)):
+        p1, p2, p3 = exponents
+        for angles in itertools.product(range(1, p1), range(1, p2),
+                                        range(1, p3)):
+            for mats in _rotation_solve(angles, exponents):
+                matrices = {f"x{i + 1}": PSL2(SL2(*m))
+                            for i, m in enumerate(mats)}
+                matrices["h"] = eye
+                rep = RepAssignment(matrices)
+                exact = _rotation_numbers_verify(rep, angles, exponents)
+                assert exact == windowed_rotation_check(rep, angles,
+                                                        exponents), angles
+                decisions.add(exact)
+    assert decisions == {True, False}
 
 
 def test_brieskorn_multi_class_census_2_5_7():
