@@ -230,6 +230,14 @@ def test_b_squared_is_identity_but_lift_translates():
     assert abs(lift.apply(lift.apply(0.0)) - math.pi) < 1e-12
 
 
+def test_translation_number_single_iteration():
+    lift = CircleLift(PSL2.identity(), offset=2)
+    assert lift.apply(0.0) == 2 * math.pi
+    assert translation_number(lift) == 2.0
+    with pytest.raises(TypeError):
+        translation_number(lift, 0)
+
+
 # ---------------------------------------------------------------------------
 # Euler numbers
 
