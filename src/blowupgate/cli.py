@@ -205,8 +205,10 @@ def _cmd_flow(args):
 
 def _presentation_from_json(data) -> Presentation:
     with _input_errors("malformed presentation JSON"):
-        return Presentation(tuple(data["generators"]),
-                            tuple(tuple(r) for r in data["relators"]))
+        gens = tuple(data["generators"])
+        if not all(isinstance(g, str) for g in gens):
+            raise InputError("generator names must be strings")
+        return Presentation(gens, tuple(tuple(r) for r in data["relators"]))
 
 
 def _matrix_json(m: PSL2):

@@ -54,7 +54,8 @@ def psl_sign(x, y):
 def psl_dist_sq(x, y):
     """Squared Frobenius distance modulo overall sign."""
     s = psl_sign(x, y)
-    return sum((a - s * b) ** 2 for a, b in zip(x, y))
+    # d * d overflows to inf where d ** 2 raises OverflowError
+    return sum(d * d for d in (a - s * b for a, b in zip(x, y)))
 
 
 def commutator(x, y):

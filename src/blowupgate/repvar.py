@@ -5,17 +5,19 @@ parametrization R(alpha) * exp(symmetric traceless) of SL(2,R), three
 parameters per generator.  Relator signs are minimized pointwise, so a
 word is considered trivial when its image is +-identity.  The Jacobian
 of the relator entries is exact: each relator word contributes prefix
-and suffix products around the derivative of every letter.  Classes are
-separated by sorted absolute-trace vectors over a fixed word schedule,
-which is invariant under conjugation, sign lifts, and trace-preserving
-reversal.
+and suffix products around the derivative of every letter.  solve
+separates classes by sorted absolute-trace vectors over a fixed word
+schedule, invariant under conjugation, sign lifts, and trace-preserving
+reversal; the Brieskorn census names each class by rotation numbers.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from operator import mul
 
 from .links import Presentation
@@ -344,25 +346,31 @@ def _restart(p: Presentation, seed: int, index: int):
 
 
 def _noncentral(mats, tol=1e-9):
-    return [m for m in mats if psl_dist_sq(m, IDENTITY) > tol]
+    # not <=, so that a NaN matrix counts as noncentral
+    return [m for m in mats if not psl_dist_sq(m, IDENTITY) <= tol]
 
 
 def _eigenlines(m):
     """Projective fixed lines of a 2x2 matrix over C, as (v0, v1) pairs."""
     a, b, c, d = (complex(x) for x in m)
     tr = a + d
-    disc = (tr * tr - 4) ** 0.5
+    # sqrt(tr^2 - 4) as a product, which does not overflow for large tr
+    disc = cmath.sqrt(tr - 2) * cmath.sqrt(tr + 2)
     lines = []
     for lam in ((tr + disc) / 2, (tr - disc) / 2):
-        cands = [(b, lam - a), (lam - d, c)]
-        v = max(cands, key=lambda w: abs(w[0]) ** 2 + abs(w[1]) ** 2)
-        norm = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+        v = max([(b, lam - a), (lam - d, c)], key=_norm)
+        norm = _norm(v)
         if norm > 1e-12:
             lines.append((v[0] / norm, v[1] / norm))
     # collapse the pair when the eigenvalues coincide (parabolic)
     if len(lines) == 2 and _line_dist(lines[0], lines[1]) < 1e-8:
         lines = lines[:1]
     return lines
+
+
+def _norm(v):
+    # hypot, unlike a sum of ** 2, does not overflow on large entries
+    return math.hypot(abs(v[0]), abs(v[1]))
 
 
 def _line_dist(u, v):
@@ -375,7 +383,7 @@ def _image_line(m, v):
     """The line m v, normalized, or None when m v is numerically zero."""
     a, b, c, d = (complex(x) for x in m)
     w = (a * v[0] + b * v[1], c * v[0] + d * v[1])
-    nw = math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2)
+    nw = _norm(w)
     if nw < 1e-12:
         return None
     return (w[0] / nw, w[1] / nw)
@@ -404,7 +412,7 @@ def is_abelian(rep: RepAssignment, tol: float = 1e-7) -> bool:
     n = len(mats)
     for i in range(n):
         for j in range(i + 1, n):
-            if psl_dist_sq(commutator(mats[i], mats[j]), IDENTITY) > tol * tol:
+            if _noncentral([commutator(mats[i], mats[j])], tol * tol):
                 return False
     return True
 
@@ -426,7 +434,7 @@ def is_metabelian(rep: RepAssignment, tol: float = 1e-7) -> bool:
         return True
     for x in range(len(core)):
         for y in range(x + 1, len(core)):
-            if psl_dist_sq(commutator(core[x], core[y]), IDENTITY) > tol * tol:
+            if _noncentral([commutator(core[x], core[y])], tol * tol):
                 return False
     lines = _eigenlines(core[0])
     if not lines:
@@ -601,15 +609,17 @@ def _rotation_solve(angles_num, exponents):
 
 def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
                         tol: float = 1e-10, seed: int = 0) -> list:
-    """Census of PSL(2,R) representation classes of a Brieskorn sphere.
+    """Census of PSL(2,R) representation classes of a Brieskorn sphere,
+    up to PGL(2,R) conjugacy.
 
-    The central generator maps to the identity, each x_i to an elliptic
-    element of rotation number l_i / p_i.  Every angle triple is solved
-    in closed form, and a solution is kept when the full presentation
-    residual is below tol, the rotation numbers verify, and the class is
-    irreducible.  Includes the trivial class.  The census is exact and
-    takes O(p q r) steps; restarts and seed are accepted for
-    compatibility and ignored.
+    h maps to the identity and x_i to an elliptic element of rotation
+    number l_i / p_i.  By Jankins-Neumann a class exists exactly when
+    sum l_i / p_i < 1 or > 2 (tested in integers); the mirror p - l is
+    its conjugate by a reflection, so only the lesser of l and p - l is
+    solved.  The first closed-form solution whose residual is below tol,
+    whose rotation numbers verify and which is irreducible is kept.  The
+    trivial class comes first, the rest in order of angles; restarts and
+    seed are accepted for compatibility and ignored.
     """
     if not tol > 0:
         raise InvalidParameter("tol must be positive")
@@ -619,34 +629,26 @@ def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
     census = [BrieskornClass(angles=(0, 0, 0), assignment=trivial,
                              traces=trace_coordinates(pres, trivial),
                              irreducible=False)]
-    seen = [census[0].traces]
     p1, p2, p3 = data.exponents
-    for l1 in range(1, p1):
-        for l2 in range(1, p2):
-            for l3 in range(1, p3):
-                for mats in _rotation_solve((l1, l2, l3), data.exponents):
-                    matrices = {f"x{i+1}": PSL2(SL2(*m))
-                                for i, m in enumerate(mats)}
-                    matrices["h"] = eye
-                    rep = RepAssignment(matrices, residual=None)
-                    key = trace_coordinates(pres, rep)
-                    if any(_close(key, k) for k in seen):
-                        continue
-                    res = residual(pres, rep)
-                    if not res < tol:
-                        continue
-                    rep = RepAssignment(matrices, residual=res)
-                    if not _rotation_numbers_verify(rep, (l1, l2, l3),
-                                                    data.exponents):
-                        continue
-                    if not is_irreducible(rep):
-                        continue
-                    seen.append(key)
-                    census.append(BrieskornClass(angles=(l1, l2, l3),
-                                                 assignment=rep,
-                                                 traces=key,
-                                                 irreducible=True))
-    census.sort(key=lambda cls: (cls.angles, cls.traces))
+    whole = p1 * p2 * p3
+    for angles in product(range(1, p1), range(1, p2), range(1, p3)):
+        l1, l2, l3 = angles
+        total = l1 * p2 * p3 + l2 * p1 * p3 + l3 * p1 * p2
+        if whole <= total <= 2 * whole or (p1 - l1, p2 - l2, p3 - l3) < angles:
+            continue
+        for mats in _rotation_solve(angles, data.exponents):
+            matrices = {f"x{i+1}": PSL2(SL2(*m)) for i, m in enumerate(mats)}
+            matrices["h"] = eye
+            res = residual(pres, RepAssignment(matrices))
+            if not res < tol:
+                continue
+            rep = RepAssignment(matrices, residual=res)
+            if (_rotation_numbers_verify(rep, angles, data.exponents)
+                    and is_irreducible(rep)):
+                census.append(BrieskornClass(
+                    angles=angles, assignment=rep,
+                    traces=trace_coordinates(pres, rep), irreducible=True))
+                break
     return census
 
 

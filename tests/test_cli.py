@@ -278,6 +278,13 @@ def test_euler_error_paths(tmp_path):
     code, out = invoke(["euler", str(overflow)])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "ResidualTooLarge"
+    # a distance near 1e100 squares to inf, not to an OverflowError
+    large = tmp_path / "large.json"
+    large.write_text(json.dumps({"matrices": {
+        "a1": [[1e100, 0], [0, 1e-100]], "b1": [[1, 1], [0, 1]]}}))
+    code, out = invoke(["euler", str(large), "--genus", "1"])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "ResidualTooLarge"
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -306,6 +313,8 @@ def test_euler_error_paths(tmp_path):
     # a NaN matrix entry, which SL2 used to accept
     ("euler", {"matrices": {"a1": [[math.nan, 0.0], [0.0, 1.0]],
                             "b1": [[1.0, 0.0], [0.0, 1.0]]}}),
+    # mixed key types cannot be sorted into the output
+    ("solve", {"generators": ["a", 1.5], "relators": [[1, 2, -1, -2]]}),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"

@@ -54,9 +54,11 @@ def test_act_rp1_examples():
 
 def nearer_sign_oracle(x, y):
     """Sign and squared distance of the nearer of +-y to x, computed from
-    both distances, and the gap |x - y|^2 - |x + y|^2."""
-    plus = sum((a - b) ** 2 for a, b in zip(x, y))
-    minus = sum((a + b) ** 2 for a, b in zip(x, y))
+    both distances, and the gap |x - y|^2 - |x + y|^2.  Squares are
+    products, which round correctly; ** 2 can be off by one unit in the
+    last place."""
+    plus = sum((a - b) * (a - b) for a, b in zip(x, y))
+    minus = sum((a + b) * (a + b) for a, b in zip(x, y))
     return (1.0 if plus <= minus else -1.0), min(plus, minus), plus - minus
 
 

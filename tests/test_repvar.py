@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from circle_helpers import random_psl2, windowed_translation_number
 
 from blowupgate.exact import AbelianGroup
 from blowupgate.links import BraidWord, Presentation, from_braid, wirtinger
-from blowupgate.psl2r import (PSL2, SL2, CircleLift, euler_number,
+from blowupgate.psl2r import (PSL2, SL2, CircleLift, commutator, euler_number,
                               fuchsian_genus2, rotation, translation_number)
 from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
                                RepAssignment, UnassignedGenerator,
@@ -231,6 +232,16 @@ def test_abelian_implies_metabelian():
     assert is_metabelian(rep)
 
 
+def test_nan_commutator_is_not_the_identity():
+    a = PSL2(SL2(1e200, 0.0, 0.0, 1e-200))
+    b = PSL2(SL2(1e200, 1.0, 0.0, 1e-200))
+    assert any(math.isnan(x) for x in commutator(a.tuple(), b.tuple()))
+    rep = RepAssignment({"a": a, "b": b})
+    assert not is_abelian(rep)
+    # both fix the line of (1, 0); large entries must not overflow
+    assert not is_irreducible(rep)
+
+
 # ---------------------------------------------------------------------------
 # Brieskorn spheres
 
@@ -304,6 +315,33 @@ def test_brieskorn_census_angle_sets(exponents, angles):
     census = brieskorn_enumerate(BrieskornData(*exponents))
     assert len(census) == len(angles)
     assert {cls.angles for cls in census} == angles
+
+
+def jankins_neumann_count(exponents):
+    """1 for the trivial class, plus one class per angle triple l with
+    sum l_i / p_i < 1; its mirror p - l, with sum > 2, is the same class
+    up to PGL(2,R) conjugacy."""
+    return 1 + sum(
+        1 for angles in itertools.product(*(range(1, p) for p in exponents))
+        if sum(Fraction(l, p) for l, p in zip(angles, exponents)) < 1)
+
+
+@pytest.mark.parametrize("exponents, count", [
+    ((3, 4, 13), 9), ((5, 7, 11), 31), ((7, 9, 11), 65)])
+def test_brieskorn_census_matches_jankins_neumann_count(exponents, count):
+    assert jankins_neumann_count(exponents) == count
+    census = brieskorn_enumerate(BrieskornData(*exponents))
+    assert len(census) == count
+    assert len({cls.angles for cls in census}) == count
+
+
+def test_brieskorn_census_keeps_classes_with_equal_traces():
+    census = {cls.angles: cls
+              for cls in brieskorn_enumerate(BrieskornData(5, 7, 11))}
+    # x3 has rotation number 4/11 in one and 7/11 in the other, but the
+    # sorted |trace| vectors agree
+    one, other = census[(1, 1, 4)], census[(1, 1, 7)]
+    assert math.dist(one.traces, other.traces) < 1e-6
 
 
 # ---------------------------------------------------------------------------
