@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import prod
 
 from blowupgate.gate import gate as evaluate_gate
 from blowupgate.gate import (Flow, FlowGraph, HomologyElement, HomologyModel,
@@ -33,6 +34,11 @@ from blowupgate.repvar import (BrieskornData, InvalidParameter, NotCoprime,
                                trace_coordinates)
 
 SCHEMA = "1"
+# Limits on counts in the input, checked before anything of that size is
+# built: from_braid makes arcs per strand (1000 strands already take
+# seconds), and mw-admissible lists all prod(4 g_j - 3) vectors.
+MAX_STRANDS = 1000
+MAX_MW_VECTORS = 10 ** 6
 
 
 class InputError(ValueError):
@@ -75,7 +81,11 @@ def _diagram_from_json(data) -> LinkDiagram:
     if "braid" in data:
         braid = data["braid"]
         with _input_errors("malformed braid object"):
-            word = BraidWord(braid["strands"], tuple(braid.get("word", ())))
+            strands = _integer(braid["strands"])
+            if strands > MAX_STRANDS:
+                raise InputError(f"{strands} strands exceed the limit of "
+                                 f"{MAX_STRANDS}")
+            word = BraidWord(strands, tuple(braid.get("word", ())))
         return from_braid(word)
     raise InputError('link JSON needs a "pd" or "braid" field')
 
@@ -133,26 +143,29 @@ def _cmd_invariants(args):
     }
 
 
-def _parse_monodromy(text, ncomp):
-    flags = [f.strip() for f in text.split(",") if f.strip() != ""]
-    if len(flags) != ncomp:
-        raise LabelLengthMismatch(f"{len(flags)} labels for {ncomp} components")
-    return [f not in ("0", "false", "False") for f in flags]
+def _monodromy_label(x) -> bool:
+    """True for a nontrivial monodromy label (true, 1, "1", "true",
+    "True"), False for a trivial one (false, 0, "0", "false", "False")."""
+    if x in (True, "1", "true", "True"):
+        return True
+    if x in (False, "0", "false", "False"):
+        return False
+    raise InputError(f"monodromy label {x!r} is not 0, 1, true or false")
 
 
 def _cmd_gate(args):
     data = _load_json(args.link)
     d = _diagram_from_json(data)
-    ncomp = len(d.components)
     if args.monodromy is not None:
-        labels = _parse_monodromy(args.monodromy, ncomp)
+        labels = [f.strip() for f in args.monodromy.split(",")
+                  if f.strip() != ""]
     elif "monodromy" in data:
-        if not isinstance(data["monodromy"], list):
+        labels = data["monodromy"]
+        if not isinstance(labels, list):
             raise InputError('"monodromy" must be an array')
-        labels = [bool(x) for x in data["monodromy"]]
     else:
-        labels = [True] * ncomp
-    verdict = evaluate_gate(d, labels)
+        labels = [True] * len(d.components)
+    verdict = evaluate_gate(d, [_monodromy_label(x) for x in labels])
     return {
         "schema": SCHEMA,
         "status": verdict.status,
@@ -286,6 +299,9 @@ def _cmd_mw(args):
         genera = [int(g) for g in args.genera.split(",") if g.strip() != ""]
     except ValueError as exc:
         raise InputError(f"--genera: {exc}") from exc
+    if all(g >= 1 for g in genera) and \
+            prod(4 * g - 3 for g in genera) > MAX_MW_VECTORS:
+        raise InputError(f"--genera: more than {MAX_MW_VECTORS} vectors")
     vectors = milnor_wood_admissible(genera)
     return {"schema": SCHEMA, "genera": genera,
             "bounds": [2 * g - 2 for g in genera],

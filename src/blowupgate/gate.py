@@ -239,11 +239,11 @@ def is_flow(g: FlowGraph, f: Flow) -> bool:
     Loop edges feed both sides equally, so they are unconstrained.
     """
     _check_sizes(g, f)
-    net = [Fraction(0)] * g.vertices
+    net = {}  # vertex -> inflow minus outflow
     for (tail, head), w in zip(g.edges, f.signed):
-        net[head] += w
-        net[tail] -= w
-    return all(x == 0 for x in net)
+        net[head] = net.get(head, 0) + w
+        net[tail] = net.get(tail, 0) - w
+    return not any(net.values())
 
 
 def flow_add(f1: Flow, f2: Flow) -> Flow:
@@ -263,8 +263,11 @@ def homology_class(g: FlowGraph, f: Flow, h: HomologyModel) -> HomologyElement:
         raise ValueError("graph has no homology labels")
     if not f.is_integral:
         raise NonIntegerWeights("homology classes need integer weights")
+    # reduce first: a rank the labels lack is a SizeMismatch, not a
+    # zero element of that rank
+    labels = [h.reduce(label) for label in g.labels]
     acc = h.zero()
-    for label, w in zip(g.labels, f.signed):
+    for label, w in zip(labels, f.signed):
         acc = h.add(acc, h.scale(int(w), label))
     return acc
 

@@ -15,7 +15,7 @@ single free arcs that appear in no crossing record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 
 from .exact import IntMatrix, AbelianGroup, cokernel
@@ -178,136 +178,67 @@ class Presentation:
 
 
 def _traverse(crossings):
-    """Component cycles of arcs plus the traversal direction of every
-    through-path.
+    """Component cycles of arcs and the direction of each over strand.
 
-    Each crossing contributes two through-paths: slots (0, 2) for the
-    under strand and (1, 3) for the over strand.  Returns (components,
-    direction) where direction[(crossing_index, kind)] is True when the
-    strand runs from the first slot of the pair to the second.
+    Each arc fills two (crossing, slot) positions.  The walk leaves an
+    arc at slot s, arrives at slot s ^ 2 of the same crossing (the other
+    end of the under path 0-2 or the over path 1-3) and leaves the arc
+    found there through that arc's other position.  It alternates
+    between two perfect matchings of the positions, so it always comes
+    back to the arc it started from.  Under paths vote on the direction
+    of each component: the under strand runs slot 0 -> 2.  Returns
+    (components, over_forward) where over_forward[i] is True when the
+    over strand of crossing i runs slot 1 -> 3.
     """
-    edges = []  # (arc_u, arc_v, crossing index, kind)
+    ends = {}  # arc -> its two (crossing, slot) positions
     for idx, (arcs, _sign) in enumerate(crossings):
-        a, b, c, d = arcs
-        edges.append((a, c, idx, "under"))
-        edges.append((b, d, idx, "over"))
+        for slot, arc in enumerate(arcs):
+            ends.setdefault(arc, []).append((idx, slot))
 
-    incidence = {}
-    for eidx, (au, av, _i, _k) in enumerate(edges):
-        incidence.setdefault(au, []).append((eidx, 0))
-        incidence.setdefault(av, []).append((eidx, 1))
-    for arc, incs in incidence.items():
-        if len(incs) != 2:
-            raise MalformedPD(f"arc {arc} appears {len(incs)} times, expected 2")
-
-    visited = {}
-    for arc, incs in incidence.items():
-        visited[arc] = [False] * len(incs)
-
-    comps = []
-    steps_per_comp = []
-    for start in sorted(incidence):
-        if all(visited[start]):
+    components, over_forward = [], {}
+    for start in sorted(ends):
+        if start not in ends:  # already walked
             continue
-        slot = visited[start].index(False)
-        cyc = [start]
-        steps = []  # (edge index, from side)
-        arc, s = start, slot
+        cyc, steps = [start], []
+        idx, slot = ends.pop(start)[0]
         while True:
-            visited[arc][s] = True  # departure incidence
-            eidx, side = incidence[arc][s]
-            au, av, _i, _k = edges[eidx]
-            steps.append((eidx, side))
-            nxt = av if side == 0 else au
-            other_side = 1 - side
-            entry = None
-            for t, (e2, sd2) in enumerate(incidence[nxt]):
-                if e2 == eidx and sd2 == other_side and not visited[nxt][t]:
-                    entry = t
-                    break
-            if entry is None:
-                if nxt == start:
-                    break
-                raise MalformedPD("traversal does not close")
-            visited[nxt][entry] = True  # arrival incidence
-            s = 1 - entry
-            if visited[nxt][s]:
-                if nxt == start:
-                    break
-                raise MalformedPD("traversal does not close")
-            arc = nxt
+            steps.append((idx, slot))
+            arc = crossings[idx][0][slot ^ 2]
+            if arc == start:
+                break
+            first, second = ends.pop(arc)
+            idx, slot = second if first == (idx, slot ^ 2) else first
             cyc.append(arc)
-        comps.append(cyc)
-        steps_per_comp.append(steps)
 
-    # orient each component: under paths are directed u -> v
-    direction = {}
-    oriented = []
-    for cyc, steps in zip(comps, steps_per_comp):
-        votes = []
-        for eidx, side in steps:
-            _au, _av, _i, kind = edges[eidx]
-            if kind == "under":
-                votes.append(side == 0)
+        votes = {slot == 0 for _idx, slot in steps if slot % 2 == 0}
+        if len(votes) > 1:
+            raise MalformedPD("inconsistent strand orientation")
         if votes:
-            if not all(votes) and any(votes):
-                raise MalformedPD("inconsistent strand orientation")
-            flip = not votes[0]
+            flip = not votes.pop()
         else:
             # all-over component: run it so the arc after the minimum is
             # its smaller neighbour (labels increase along the strand)
-            flip = False
-            if len(cyc) > 1:
-                pos = cyc.index(min(cyc))
-                after = cyc[(pos + 1) % len(cyc)]
-                before = cyc[pos - 1]
-                flip = before < after
+            flip = len(cyc) > 1 and cyc[-1] < cyc[1]
         if flip:
-            cyc = [cyc[0]] + cyc[:0:-1]
-        for eidx, side in steps:
-            _au, _av, idx, kind = edges[eidx]
-            forward = (side == 0) != flip
-            direction[(idx, kind)] = forward
-        pos = cyc.index(min(cyc))
-        oriented.append(tuple(cyc[pos:] + cyc[:pos]))
-
-    return oriented, direction
+            cyc = cyc[:1] + cyc[:0:-1]
+        for idx, slot in steps:
+            if slot % 2:
+                over_forward[idx] = (slot == 1) != flip
+        components.append(tuple(cyc))
+    return components, over_forward
 
 
-def _assemble(signed_crossings, free_arcs, origin, braid=None,
-              first_edges=None, derive_signs=False):
-    if signed_crossings:
-        comps, direction = _traverse(signed_crossings)
-    else:
-        comps, direction = [], {}
-
+def _assemble(signed_crossings, free_arcs, origin, derive_signs=False):
+    comps, over_forward = _traverse(signed_crossings)
     crossings = []
     for idx, (arcs, sign) in enumerate(signed_crossings):
         if derive_signs:
             # over strand running d -> b is a right-handed crossing
-            sign = 1 if not direction[(idx, "over")] else -1
+            sign = -1 if over_forward[idx] else 1
         crossings.append(Crossing(tuple(arcs), sign))
-
-    all_comps = [tuple(c) for c in comps] + [(a,) for a in sorted(free_arcs)]
-    all_comps.sort(key=lambda c: c[0])
-
-    braid_cycles = None
-    if braid is not None and first_edges is not None:
-        cycle_of_arc = {arc: cyc for cyc, arc in first_edges.items()}
-        arc_to_comp = {}
-        for ci, comp in enumerate(all_comps):
-            for arc in comp:
-                arc_to_comp[arc] = ci
-        ordered = [None] * len(all_comps)
-        for arc, cyc in cycle_of_arc.items():
-            ordered[arc_to_comp[arc]] = cyc
-        braid_cycles = tuple(ordered)
-
-    return LinkDiagram(crossings=tuple(crossings),
-                       components=tuple(all_comps),
-                       origin=origin,
-                       braid=braid,
-                       braid_cycles=braid_cycles)
+    components = tuple(sorted(comps + [(a,) for a in free_arcs]))
+    return LinkDiagram(crossings=tuple(crossings), components=components,
+                       origin=origin)
 
 
 def parse_pd(code) -> LinkDiagram:
@@ -352,16 +283,25 @@ def _union_find(items):
     return find, union
 
 
+def _relabel(raw, arcs, find):
+    """Rename the union-find classes of arcs 1, 2, ... in order of their
+    least member.  Returns the renamed (arcs, sign) crossings of raw and
+    the sorted labels of the classes that meet no crossing."""
+    reps = sorted({find(a) for a in arcs})
+    label = {rep: i for i, rep in enumerate(reps, 1)}
+    signed = [(tuple(label[find(a)] for a in row), sign) for row, sign in raw]
+    used = {a for row, _sign in signed for a in row}
+    return signed, [label[r] for r in reps if label[r] not in used]
+
+
 def from_braid(b: BraidWord) -> LinkDiagram:
     """Diagram of the braid closure.
 
     Component count equals the cycle count of the strand permutation;
     strands that meet no crossing close up into free unknot components.
     """
-    n = b.strands
-    fresh = count(1)
-    occ = [next(fresh) for _ in range(n)]
-    start = list(occ)
+    occ = list(range(1, b.strands + 1))  # strand pos starts at arc pos + 1
+    fresh = count(b.strands + 1)
     raw = []
     for w in b.word:
         i = abs(w) - 1
@@ -373,22 +313,14 @@ def from_braid(b: BraidWord) -> LinkDiagram:
             raw.append(((u, v, y, x), -1))
         occ[i], occ[i + 1] = x, y
 
-    size = next(fresh)
-    find, union = _union_find(range(size))
-    for pos in range(n):
-        union(start[pos], occ[pos])
-
-    reps = sorted({find(x) for x in range(1, size)})
-    relabel = {rep: i + 1 for i, rep in enumerate(reps)}
-
-    signed = [(tuple(relabel[find(a)] for a in arcs), s) for arcs, s in raw]
-    used = {a for arcs, _ in signed for a in arcs}
-    free = [relabel[find(start[pos])] for pos in range(n)
-            if relabel[find(start[pos])] not in used]
-
-    first_edges = {cyc: relabel[find(start[cyc[0]])] for cyc in b.strand_cycles()}
-    return _assemble(signed, free_arcs=sorted(set(free)), origin="braid",
-                     braid=b, first_edges=first_edges)
+    arcs = range(1, next(fresh))
+    find, union = _union_find(arcs)
+    for first, last in enumerate(occ, 1):
+        union(first, last)
+    d = _assemble(*_relabel(raw, arcs, find), origin="braid")
+    # arc pos + 1 is the least arc of its class and keeps its label, so the
+    # components come in the order of the strand cycles
+    return replace(d, braid=b, braid_cycles=b.strand_cycles())
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +494,6 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
         elif over_kept:
             union(b2, d2)
 
-    used = set()
-    for c in survivors:
-        for a in c.arcs:
-            used.add(find(a))
-    reps = sorted({find(a) for a in kept_arcs})
-    relabel = {rep: i + 1 for i, rep in enumerate(reps)}
-
-    signed = [(tuple(relabel[find(a)] for a in c.arcs), c.sign) for c in survivors]
-    free = sorted(relabel[r] for r in reps if r not in used)
-    return _assemble(signed, free_arcs=free, origin="pd")
+    signed, free = _relabel([(c.arcs, c.sign) for c in survivors], kept_arcs,
+                            find)
+    return _assemble(signed, free, origin="pd")

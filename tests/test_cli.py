@@ -105,6 +105,21 @@ def test_gate_label_mismatch_is_input_error(trefoil_file):
     assert json.loads(out)["error"]["code"] == "LabelLengthMismatch"
 
 
+def test_gate_monodromy_labels_are_strict(tmp_path):
+    hopf = {"braid": {"strands": 2, "word": [1, 1]}}
+    path = tmp_path / "hopf.json"
+    path.write_text(json.dumps(hopf))
+    code, out = invoke(["gate", str(path), "--monodromy", "no,no"])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "InputError"
+    outputs = []
+    for labels in (["0", "0"], [False, False]):
+        path.write_text(json.dumps(dict(hopf, monodromy=labels)))
+        outputs.append(invoke(["gate", str(path)]))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["status"] == "indeterminate"
+
+
 def test_flow_subcommand(graph_file):
     code, out = invoke(["flow", graph_file])
     assert code == 0
@@ -178,6 +193,16 @@ def test_mw_admissible_subcommand():
     assert data["alpha_vectors"] == [[-4], [-2], [0], [2], [4]]
 
 
+def test_count_fields_never_size_an_allocation(tmp_path, graph_file):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(dict(GRAPH, vertices=1e308)))
+    assert invoke(["flow", str(path)]) == invoke(["flow", graph_file])
+    path.write_text(json.dumps(dict(GRAPH, model={"rank": 1e308})))
+    code, out = invoke(["flow", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "SizeMismatch"
+
+
 def test_euler_subcommand(tmp_path):
     from blowupgate.psl2r import fuchsian_genus2
     rep = fuchsian_genus2()
@@ -223,6 +248,8 @@ def test_brieskorn_ignores_restarts_and_seed():
     (["mw-admissible", "--genera", "2,x"], "InputError"),
     (["euler", "PRES", "--tol", "0"], "InvalidParameter"),
     (["euler", "PRES", "--tol", "nan"], "InvalidParameter"),
+    # 3997 ** 3 vectors, refused before any is built
+    (["mw-admissible", "--genera", "1000,1000,1000"], "InputError"),
 ])
 def test_bad_option_values_are_input_errors(tmp_path, argv, error):
     path = tmp_path / "pres.json"
@@ -315,6 +342,9 @@ def test_euler_error_paths(tmp_path):
                             "b1": [[1.0, 0.0], [0.0, 1.0]]}}),
     # mixed key types cannot be sorted into the output
     ("solve", {"generators": ["a", 1.5], "relators": [[1, 2, -1, -2]]}),
+    ("gate", {"braid": {"strands": 2, "word": [1, 1]}, "monodromy": [2, 0]}),
+    # more strands than the limit, refused before any arc is built
+    ("invariants", {"braid": {"strands": 1e18, "word": [1]}}),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"

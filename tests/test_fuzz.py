@@ -3,8 +3,9 @@
 Valid inputs are mutated (wrong types, flipped signs, NaN and infinities,
 large numbers, long words, dropped keys) and run through cli.run.  Every
 run must exit 0, 1 or 2 without an exception escaping, and on exit 0 or
-1 print strict JSON.  Count fields (strands, vertices, rank, genus) stay
-at magnitude <= 1000, as larger counts ask for allocations of that size,
+1 print strict JSON.  Count fields (strands, vertices, rank, genus) also
+draw 2**70 and 1e308, which must be refused or answered without an
+allocation of that size.  Their other values stay at magnitude <= 1000,
 and strands at <= 100, as a 1000-strand braid takes seconds in dense
 matrices.
 """
@@ -80,7 +81,8 @@ def _nodes(value, path=()):
 def _replacement(rng, key, value):
     if key in COUNT_KEYS:
         big = 100 if key == "strands" else 1000
-        return rng.choice([-big, -1, 0, 1, 2.5, big, math.nan, "3", None])
+        return rng.choice([-big, -1, 0, 1, 2.5, big, 2 ** 70, 1e308,
+                           math.nan, "3", None])
     if isinstance(value, list) and value and rng.random() < 0.5:
         if all(isinstance(x, int) for x in value):
             return value * rng.randint(5, 12)              # a long word
@@ -164,3 +166,21 @@ def check_run(argv):
 def test_cli_fuzz(tmp_path):
     codes = [check_run(argv) for argv in fuzz_cases(SEED, RUNS, tmp_path)]
     assert {0, 1, 2} <= set(codes)
+
+
+def test_cli_huge_counts(tmp_path):
+    """Each count field of each seeded input set to 2**70 and to 1e308."""
+    path = tmp_path / "case.json"
+    for command, payloads in SEEDED.items():
+        for payload in payloads:
+            for node_path, _value in _nodes(payload):
+                if not node_path or node_path[-1] not in COUNT_KEYS:
+                    continue
+                for big in (2 ** 70, 1e308):
+                    data = copy.deepcopy(payload)
+                    parent = data
+                    for step in node_path[:-1]:
+                        parent = parent[step]
+                    parent[node_path[-1]] = big
+                    path.write_text(json.dumps(data))
+                    check_run([command, str(path)])

@@ -341,6 +341,36 @@ def test_all_over_component_orientation():
     assert len(again.components) == len(d.components)
 
 
+@pytest.mark.parametrize("code, components, signs", [
+    ([[1, 2, 2, 1]], ((1, 2),), [-1]),
+    ([[2, 1, 1, 2]], ((1, 2),), [-1]),
+    # one-arc component that only goes over
+    ([[1, 2, 1, 2]], ((1,), (2,)), [-1]),
+    # two-arc all-over component, oriented by the label rule
+    ([[1, 5, 2, 6], [2, 6, 3, 5], [3, 1, 4, 4]], ((1, 2, 3, 4), (5, 6)),
+     [-1, -1, 1]),
+    # three-arc all-over component: the label rule sets its direction
+    ([[5, 6, 5, 2], [4, 6, 4, 3], [1, 2, 1, 3]], ((1,), (2, 3, 6), (4,), (5,)),
+     [-1, 1, -1]),
+])
+def test_traversal_edge_cases(code, components, signs):
+    d = parse_pd(code)
+    assert d.components == components
+    assert [c.sign for c in d.crossings] == signs
+
+
+def test_traversal_inconsistent_orientation():
+    # arc 1 is the incoming under arc at both of its ends
+    with pytest.raises(MalformedPD, match="^inconsistent strand orientation$"):
+        parse_pd([[1, 3, 2, 4], [1, 4, 2, 3]])
+
+
+def test_braid_cycles_align_with_components():
+    assert from_braid(BraidWord(4, (1, 1, 1, 3, 3))).braid_cycles == \
+        ((0, 1), (2,), (3,))
+    assert from_braid(BraidWord(3, (1, 1))).braid_cycles == ((0,), (1,), (2,))
+
+
 def test_seifert_fox_agreement_exhaustive_small_braids():
     from itertools import product
     for strands, letters, max_len in ((2, (1, -1), 7), (3, (1, -1, 2, -2), 5)):
