@@ -199,7 +199,7 @@ def _traverse(crossings):
     for start in sorted(ends):
         if start not in ends:  # already walked
             continue
-        cyc, steps = [start], []
+        cyc, steps = [start], []  # start is the least arc of its component
         idx, slot = ends.pop(start)[0]
         while True:
             steps.append((idx, slot))

@@ -18,6 +18,9 @@ import json
 from pathlib import Path
 
 from blowupgate.cli import run
+from blowupgate.links import from_braid
+from conftest import CORPUS
+from test_cli import GRAPH
 
 GOLDEN = Path(__file__).with_name("data") / "cli_exact_golden.jsonl"
 
@@ -43,10 +46,6 @@ def test_cli_matches_golden(tmp_path):
 
 
 def _cases():
-    from blowupgate.links import from_braid
-    from conftest import CORPUS
-    from test_cli import GRAPH
-
     for _name, braid in CORPUS:
         diagram = from_braid(braid)
         inputs = [{"braid": {"strands": braid.strands,
