@@ -25,8 +25,9 @@ from .psl2r import (PSL2, SL2, CircleLift, GenusZero, ResidualTooLarge,
                     RoundingAmbiguous, act_rp1, classify, euler_number,
                     fuchsian_genus2, milnor_wood_admissible,
                     translation_number)
-from .repvar import (BrieskornClass, BrieskornData, InvalidParameter,
-                     NotCoprime, RepAssignment, UnassignedGenerator,
+from .repvar import (BrieskornClass, BrieskornData, CertificateFailed,
+                     InvalidParameter, NotCoprime, RepAssignment,
+                     UnassignedGenerator,
                      brieskorn_enumerate, brieskorn_presentation,
                      connected_sum_family,
                      free_product, is_abelian, is_irreducible, is_metabelian,

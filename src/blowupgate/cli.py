@@ -27,7 +27,8 @@ from blowupgate.links import (BraidWord, EmptySelection, InvalidLetter,
 from blowupgate.psl2r import (GenusZero, PSL2, ResidualTooLarge,
                               RoundingAmbiguous, euler_number,
                               milnor_wood_admissible, surface_relator_residual)
-from blowupgate.repvar import (BrieskornData, InvalidParameter, NotCoprime,
+from blowupgate.repvar import (BrieskornData, CertificateFailed,
+                               InvalidParameter, NotCoprime,
                                UnassignedGenerator, brieskorn_enumerate,
                                brieskorn_presentation, is_abelian,
                                is_irreducible, is_metabelian, solve,
@@ -384,6 +385,7 @@ KNOWN_ERRORS = (
     InvalidParameter,
     UnassignedGenerator,
     NotWirtinger,
+    CertificateFailed,
 )
 
 

@@ -306,8 +306,33 @@ def realizable_k(c: HomologyElement, admissible, h: HomologyModel) -> Realizable
         if res % d:
             part = d // gcd(d, res)
             order = order * part // gcd(order, part)
-    residues = tuple(sorted(k for k in range(order)
-                            if any(h.scale(k, c) == a for a in admissible)))
+    # each admissible element with no free part fixes at most one residue
+    hits = (_torsion_multiple(c.torsion, a.torsion, h.torsion)
+            for a in admissible if not any(a.free))
+    residues = tuple(sorted({k for k in hits if k is not None}))
     if not residues:
         return RealizableK(finite=True, values=())
     return RealizableK(finite=False, residues=residues, modulus=order)
+
+
+def _torsion_multiple(c, a, moduli):
+    """The residue k modulo the order of c with k c_j = a_j (mod d_j) for
+    every factor j, or None when there is none.
+
+    With g = gcd(c_j, d_j), factor j needs g | a_j and then gives
+    k = (a_j / g) (c_j / g)^-1 modulo d_j / g; the factors combine by
+    the Chinese remainder theorem for moduli that need not be coprime.
+    """
+    k, m = 0, 1
+    for cj, aj, d in zip(c, a, moduli):
+        g = gcd(cj, d)
+        if aj % g:
+            return None
+        dj = d // g
+        kj = aj // g * pow(cj // g, -1, dj) % dj
+        e = gcd(m, dj)      # merge k mod m with kj mod dj
+        if (kj - k) % e:
+            return None
+        k += m * ((kj - k) // e * pow(m // e, -1, dj // e) % (dj // e))
+        m = m // e * dj
+    return k

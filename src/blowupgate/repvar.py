@@ -38,6 +38,11 @@ class InvalidParameter(ValueError):
     """A solver parameter is out of range."""
 
 
+class CertificateFailed(ArithmeticError):
+    """No closed-form solution of a census angle triple passes the
+    certificates, so its class would be dropped silently."""
+
+
 DEDUP_TOL = 1e-6
 ROTATION_TOL = 1e-9
 LM_MAX_ITER = 200
@@ -106,58 +111,54 @@ def trace_coordinates(p: Presentation, rep: RepAssignment) -> tuple:
 # damped least squares
 
 
-def _solve_linear(a, b):
-    # Gaussian elimination with partial pivoting; a is modified in place
-    n = len(a)
-    for row, val in zip(a, b):
-        row.append(val)
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if abs(a[piv][k]) < 1e-300:
-            raise ZeroDivisionError("singular system")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1.0 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f == 0.0:
-                continue
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        s = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / a[k][k]
-    return x
+def _damped_solve(jtj, lam, b):
+    """Solve (A + lam diag(A) + 1e-14 I) x = b by Cholesky, where jtj is
+    the lower triangle of the symmetric A (row i holds A[i][:i + 1]).
+
+    A pivot that is not positive, NaN included, raises ZeroDivisionError.
+    """
+    low, y = [], []
+    for i, (row, bi) in enumerate(zip(jtj, b)):
+        li = []
+        for j in range(i):
+            li.append((row[j] - sum(map(mul, li, low[j]))) / low[j][j])
+        d = row[i] + (lam * row[i] + 1e-14) - sum(map(mul, li, li))
+        if not d > 0:
+            raise ZeroDivisionError("damped system is not positive definite")
+        li.append(math.sqrt(d))
+        low.append(li)
+        y.append((bi - sum(map(mul, li, y))) / li[-1])    # L y = b
+    for i in reversed(range(len(y))):                     # L^T x = y
+        y[i] /= low[i][i]
+        y[:i] = [yk - lik * y[i] for yk, lik in zip(y[:i], low[i])]
+    return y
 
 
 def _levmar(p: Presentation, x0):
     """Minimize the squared relator residual of p by Levenberg-Marquardt.
 
     The Jacobian is exact (_residual_and_jacobian) and is taken once per
-    accepted point; trial points evaluate the residual only.
+    accepted point; trial points evaluate the residual only.  Each step
+    is a Cholesky solve (_damped_solve) of the damped normal equations,
+    whose matrix J^T J + lam diag(J^T J) + 1e-14 I is symmetric positive
+    definite.
     """
     x = list(x0)
-    cost = sum(v * v for v in _residual_vector(p, x))
+    # start at 0.0, so that a presentation without relators costs a float
+    cost = sum((v * v for v in _residual_vector(p, x)), 0.0)
     lam = 1e-3
-    n = len(x)
     for _ in range(LM_MAX_ITER):
         if cost < LM_COST_TARGET:
             break
         r, jac = _residual_and_jacobian(p, x)
-        jtj = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                jtj[i][j] = jtj[j][i] = sum(map(mul, jac[i], jac[j]))
-        jtr = [sum(map(mul, col, r)) for col in jac]
-        grad_norm = max(abs(v) for v in jtr) if jtr else 0.0
-        if grad_norm < 1e-17:
+        jtj = [[sum(map(mul, ci, cj)) for cj in jac[:i + 1]]
+               for i, ci in enumerate(jac)]
+        neg_grad = [-sum(map(mul, col, r)) for col in jac]
+        if max(map(abs, neg_grad), default=0.0) < 1e-17:
             break
-        improved = False
         for _ in range(30):
-            a = [[jtj[i][j] + (lam * jtj[i][i] + 1e-14 if i == j else 0.0)
-                  for j in range(n)] for i in range(n)]
             try:
-                delta = _solve_linear(a, [-v for v in jtr])
+                delta = _damped_solve(jtj, lam, neg_grad)
             except ZeroDivisionError:
                 lam *= 10.0
                 continue
@@ -169,10 +170,9 @@ def _levmar(p: Presentation, x0):
             if cn < cost:
                 x, cost = xn, cn
                 lam = max(lam / 3.0, 1e-14)
-                improved = True
                 break
             lam *= 4.0
-        if not improved:
+        else:
             break
     return x, cost
 
@@ -298,17 +298,12 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
         raise InvalidParameter("tol must be positive")
     n = len(p.generators)
     found = []
-    if not p.relators:
-        rng = random.Random(f"{seed}:0")
-        mats = _params_to_mats(_random_params(rng, n), n)
-        found.append(_assignment(p, mats, 0.0))
-    else:
-        for index in range(restarts):
-            params, cost = _restart(p, seed, index)
-            if not cost < tol:      # a NaN cost is rejected too
-                continue
-            mats = _params_to_mats(params, n)
-            found.append(_assignment(p, mats, cost))
+    # without relators every start is a solution, so one is enough
+    for index in range(restarts if p.relators else 1):
+        params, cost = _restart(p, seed, index)
+        if not cost < tol:      # a NaN cost is rejected too
+            continue
+        found.append(_assignment(p, _params_to_mats(params, n), cost))
     return _dedup(p, found)
 
 
@@ -617,7 +612,8 @@ def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
     sum l_i / p_i < 1 or > 2 (tested in integers); the mirror p - l is
     its conjugate by a reflection, so only the lesser of l and p - l is
     solved.  The first closed-form solution whose residual is below tol,
-    whose rotation numbers verify and which is irreducible is kept.  The
+    whose rotation numbers verify and which is irreducible is kept; a
+    triple without one raises CertificateFailed.  The
     trivial class comes first, the rest in order of angles; restarts and
     seed are accepted for compatibility and ignored.
     """
@@ -649,6 +645,11 @@ def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
                     angles=angles, assignment=rep,
                     traces=trace_coordinates(pres, rep), irreducible=True))
                 break
+        else:
+            raise CertificateFailed(
+                f"angles {angles}: no closed-form solution passes the "
+                f"residual, rotation-number and irreducibility "
+                f"certificates at tol {tol}")
     return census
 
 

@@ -129,6 +129,22 @@ def test_flow_subcommand(graph_file):
     assert data["realizable_k"] == {"finite": True, "values": [0, 1, 2]}
 
 
+def test_flow_large_torsion_modulus(tmp_path):
+    modulus = 10 ** 18 + 9
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({
+        "vertices": 1,
+        "edges": [{"from": 0, "to": 0,
+                   "label": {"free": [0], "torsion": [1]}}],
+        "weights": [1], "orientations": [1],
+        "model": {"rank": 1, "torsion": [modulus]},
+        "admissible": [{"free": [0], "torsion": [5]}]}))
+    code, out = invoke(["flow", str(path)])
+    assert code == 0
+    assert json.loads(out)["realizable_k"] == {
+        "finite": False, "residues": [5], "modulus": modulus}
+
+
 def test_solve_subcommand(tmp_path):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps({"generators": ["x"], "relators": [[1]]}))
@@ -229,6 +245,17 @@ def test_brieskorn_subcommand():
     code, out = invoke(["brieskorn", "2", "3", "4"])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "NotCoprime"
+
+
+@pytest.mark.parametrize("triple, tol", [
+    # class (1, 1, 1) of (2, 3, 7) has residual 2.45e-30
+    (("2", "3", "7"), "1e-30"), (("7", "9", "11"), "1e-31")])
+def test_brieskorn_certificate_failure_is_an_error(triple, tol):
+    code, out = invoke(["brieskorn", *triple, "--tol", tol])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "CertificateFailed"
+    assert "(1, 1, 1)" in error["message"] and tol in error["message"]
 
 
 def test_brieskorn_ignores_restarts_and_seed():

@@ -244,6 +244,39 @@ def test_realizable_k_torsion_family():
     assert out.modulus == 3 and out.residues == (2,)
 
 
+def random_divisor_chain(rng):
+    chain = []
+    for _ in range(rng.randint(0, 3)):
+        chain.append(rng.choice([2, 3, 4, 6]) * (chain[-1] if chain else 1))
+    return tuple(chain)
+
+
+def test_realizable_k_torsion_matches_enumeration():
+    # oracle: try every k below the order of c
+    rng = random.Random(47)
+    for _ in range(400):
+        torsion = random_divisor_chain(rng)
+        h = HomologyModel(rng.randint(0, 1), torsion)
+
+        def element(free_range):
+            return HomologyElement(
+                tuple(rng.choice(free_range) for _ in range(h.rank)),
+                tuple(rng.randrange(-d, 2 * d) for d in torsion))
+
+        c = element([0])
+        adm = [element([0, 0, 1]) for _ in range(rng.randint(0, 4))]
+        out = realizable_k(c, adm, h)
+        order = next(k for k in range(1, 10 ** 4)
+                     if h.scale(k, c) == h.zero())
+        expect = tuple(k for k in range(order)
+                       if h.scale(k, c) in [h.reduce(a) for a in adm])
+        if expect:
+            assert not out.finite
+            assert (out.residues, out.modulus) == (expect, order)
+        else:
+            assert out.finite and out.values == ()
+
+
 def test_realizable_k_finite_for_free_classes():
     rng = random.Random(31)
     h = HomologyModel(2, (4,))

@@ -13,7 +13,8 @@ from blowupgate.psl2r import (PSL2, SL2, CircleLift, commutator, euler_number,
                               fuchsian_genus2, rotation, translation_number)
 from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
                                RepAssignment, UnassignedGenerator,
-                               _random_params, _residual_and_jacobian,
+                               _damped_solve, _random_params,
+                               _residual_and_jacobian,
                                _residual_vector, _restart,
                                _rotation_numbers_verify, _rotation_solve,
                                brieskorn_enumerate,
@@ -193,6 +194,37 @@ def test_restarts_converge_as_often_as_central_differences(name, converged):
     assert hits >= converged
 
 
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("rows, cols, scale", [
+    (8, 5, 1.0),     # full column rank
+    (3, 6, 1.0),     # rank deficient: fewer rows than columns
+    (4, 4, 0.0),     # zero
+])
+def test_damped_solve_residual(rows, cols, scale, lam):
+    rng = random.Random(f"damped:{rows}:{cols}:{scale}:{lam}")
+    for _ in range(5):
+        jac = [[scale * rng.gauss(0.0, 1.0) for _ in range(rows)]
+               for _ in range(cols)]
+        a = [[sum(u * v for u, v in zip(ci, cj)) for cj in jac]
+             for ci in jac]
+        b = [rng.gauss(0.0, 1.0) for _ in range(cols)]
+        x = _damped_solve([row[:i + 1] for i, row in enumerate(a)], lam, b)
+        damped = [[a[i][j] + (lam * a[i][i] + 1e-14 if i == j else 0.0)
+                   for j in range(cols)] for i in range(cols)]
+        bound = 1e-12 * max(map(abs, x)) * max(
+            sum(map(abs, row)) for row in damped)
+        for row, bi in zip(damped, b):
+            assert abs(sum(u * v for u, v in zip(row, x)) - bi) <= bound
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (2, 1), (2, 2)])
+def test_damped_solve_rejects_nan(i, j):
+    jtj = [[2.0], [0.5, 3.0], [0.1, 0.2, 4.0]]
+    jtj[i][j] = math.nan
+    with pytest.raises(ZeroDivisionError):
+        _damped_solve(jtj, 1e-3, [1.0, 2.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # classification predicates
 
@@ -326,8 +358,15 @@ def jankins_neumann_count(exponents):
         if sum(Fraction(l, p) for l, p in zip(angles, exponents)) < 1)
 
 
-@pytest.mark.parametrize("exponents, count", [
-    ((3, 4, 13), 9), ((5, 7, 11), 31), ((7, 9, 11), 65)])
+PINNED_COUNTS = [((3, 4, 13), 9), ((5, 7, 11), 31), ((7, 9, 11), 65)]
+COPRIME_TRIPLES = [
+    t for t in itertools.combinations((2, 3, 4, 5, 7, 9, 11, 13), 3)
+    if all(math.gcd(a, b) == 1 for a, b in itertools.combinations(t, 2))]
+
+
+@pytest.mark.parametrize("exponents, count", PINNED_COUNTS + [
+    (t, jankins_neumann_count(t)) for t in COPRIME_TRIPLES
+    if t not in dict(PINNED_COUNTS)])
 def test_brieskorn_census_matches_jankins_neumann_count(exponents, count):
     assert jankins_neumann_count(exponents) == count
     census = brieskorn_enumerate(BrieskornData(*exponents))
