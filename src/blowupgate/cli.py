@@ -30,9 +30,8 @@ from blowupgate.psl2r import (GenusZero, PSL2, ResidualTooLarge,
 from blowupgate.repvar import (BrieskornData, CertificateFailed,
                                InvalidParameter, NotCoprime,
                                UnassignedGenerator, brieskorn_enumerate,
-                               brieskorn_presentation, is_abelian,
-                               is_irreducible, is_metabelian, solve,
-                               trace_coordinates)
+                               is_abelian, is_irreducible, is_metabelian,
+                               solve, trace_coordinates)
 
 SCHEMA = "1"
 # Limits on counts in the input, checked before anything of that size is
@@ -250,7 +249,6 @@ def _cmd_solve(args):
 def _cmd_brieskorn(args):
     data = BrieskornData(args.p, args.q, args.r)
     census = brieskorn_enumerate(data, tol=args.tol)
-    pres = brieskorn_presentation(data)
     classes = []
     for cls in census:
         classes.append({
@@ -258,8 +256,8 @@ def _cmd_brieskorn(args):
             "irreducible": cls.irreducible,
             "residual": cls.residual,
             "traces": [round(t, 9) for t in cls.traces],
-            "matrices": {g: _matrix_json(cls.assignment.matrices[g])
-                         for g in pres.generators},
+            "matrices": {g: _matrix_json(m)
+                         for g, m in cls.assignment.matrices.items()},
         })
     return {"schema": SCHEMA, "exponents": [args.p, args.q, args.r],
             "seifert": {"b0": data.b0, "cone": [[p, b] for p, b in data.cone]},

@@ -266,7 +266,11 @@ def homology_class(g: FlowGraph, f: Flow, h: HomologyModel) -> HomologyElement:
     # reduce first: a rank the labels lack is a SizeMismatch, not a
     # zero element of that rank
     labels = [h.reduce(label) for label in g.labels]
-    acc = h.zero()
+    try:
+        acc = h.zero()
+    except (OverflowError, MemoryError) as exc:
+        # only a graph without edges reaches this with an unchecked rank
+        raise SizeMismatch(f"model rank {h.rank} is too large") from exc
     for label, w in zip(labels, f.signed):
         acc = h.add(acc, h.scale(int(w), label))
     return acc

@@ -17,7 +17,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
 from .links import Presentation
@@ -45,6 +45,9 @@ class CertificateFailed(ArithmeticError):
 
 DEDUP_TOL = 1e-6
 ROTATION_TOL = 1e-9
+# classification: the sine of the angle between fixed lines below which
+# they count as equal; a commutator within its square of +-I is central
+CLASSIFY_TOL = 1e-7
 LM_MAX_ITER = 200
 LM_COST_TARGET = 1e-28
 
@@ -327,8 +330,8 @@ def _dedup(p: Presentation, assignments) -> list:
     return out
 
 
-def _close(u, v, tol: float = DEDUP_TOL) -> bool:
-    return len(u) == len(v) and math.dist(u, v) < tol
+def _close(u, v) -> bool:
+    return len(u) == len(v) and math.dist(u, v) < DEDUP_TOL
 
 
 def _restart(p: Presentation, seed: int, index: int):
@@ -384,68 +387,58 @@ def _image_line(m, v):
     return (w[0] / nw, w[1] / nw)
 
 
-def _fixes_line(m, v, tol=1e-7) -> bool:
+def _fixes_line(m, v) -> bool:
     w = _image_line(m, v)
-    return w is None or _line_dist(v, w) < tol
+    return w is None or _line_dist(v, w) < CLASSIFY_TOL
 
 
-def is_irreducible(rep: RepAssignment, tol: float = 1e-7) -> bool:
+def _maps_to(m, v, w) -> bool:
+    mv = _image_line(m, v)
+    return mv is not None and _line_dist(mv, w) < CLASSIFY_TOL
+
+
+def _noncentral_commutators(mats):
+    """The generator commutators that are not +-identity, lazily."""
+    for a, b in combinations(mats, 2):
+        yield from _noncentral([commutator(a, b)], CLASSIFY_TOL * CLASSIFY_TOL)
+
+
+def is_irreducible(rep: RepAssignment) -> bool:
     """True when no point of CP^1 is fixed by every generator image."""
     mats = [m.tuple() for m in rep.matrices.values()]
     core = _noncentral(mats)
     if not core:
         return False
     for v in _eigenlines(core[0]):
-        if all(_fixes_line(m, v, tol) for m in core):
+        if all(_fixes_line(m, v) for m in core):
             return False
     return True
 
 
-def is_abelian(rep: RepAssignment, tol: float = 1e-7) -> bool:
+def is_abelian(rep: RepAssignment) -> bool:
     """All pairwise commutators of generator images are +-identity."""
     mats = [m.tuple() for m in rep.matrices.values()]
-    n = len(mats)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _noncentral([commutator(mats[i], mats[j])], tol * tol):
-                return False
-    return True
+    return next(_noncentral_commutators(mats), None) is None
 
 
-def is_metabelian(rep: RepAssignment, tol: float = 1e-7) -> bool:
-    """Commutators of generator images generate an abelian subgroup.
+def is_metabelian(rep: RepAssignment) -> bool:
+    """The commutator subgroup [G, G] of the generator images is abelian.
 
-    Checks that all pairwise commutators commute with each other and
-    share a fixed-point set on CP^1.
+    Noncentral elements of PSL(2,R) commute exactly when they have the
+    same fixed lines on CP^1, and [G, G] is the normal closure of the
+    generator commutators.  So [G, G] is abelian exactly when every
+    generator commutator is central, or when every generator maps the
+    fixed-line set of one noncentral commutator to itself; G then fixes
+    a point of CP^1 or preserves a pair of points, and either group is
+    metabelian.
     """
     mats = [m.tuple() for m in rep.matrices.values()]
-    n = len(mats)
-    comms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            comms.append(commutator(mats[i], mats[j]))
-    core = _noncentral(comms, tol=tol * tol)
-    if len(core) <= 1:
+    c = next(_noncentral_commutators(mats), None)
+    if c is None:
         return True
-    for x in range(len(core)):
-        for y in range(x + 1, len(core)):
-            if _noncentral([commutator(core[x], core[y])], tol * tol):
-                return False
-    lines = _eigenlines(core[0])
-    if not lines:
-        return False
-    for m in core[1:]:
-        for v in lines:
-            image_fixed = any(_fixes_line(m, v, tol) or _maps_to(m, v, w, tol)
-                              for w in lines)
-            if not image_fixed:
-                return False
-    return True
-
-
-def _maps_to(m, v, w, tol=1e-7) -> bool:
-    mv = _image_line(m, v)
-    return mv is not None and _line_dist(mv, w) < tol
+    lines = _eigenlines(c)
+    return bool(lines) and all(any(_maps_to(m, v, w) for w in lines)
+                               for m in mats for v in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +506,16 @@ def connected_sum_family(p1: Presentation, rep1: RepAssignment,
 class BrieskornData:
     """Pairwise coprime exponents with normalized fibration constants.
 
-    The constants satisfy p*q*r*b0 + b1*q*r + b2*p*r + b3*p*q = 1
-    exactly, so the presented space is an integral homology sphere.
+    The constants satisfy b1*q*r + b2*p*r + b3*p*q = 1 exactly, so the
+    presented space is an integral homology sphere.  The central
+    exponent b0 is 0 in this normalization.
     """
 
     p: int
     q: int
     r: int
-    b0: int = field(init=False)
     cone: tuple = field(init=False)
+    b0 = 0
 
     def __post_init__(self):
         p, q, r = self.p, self.q, self.r
@@ -530,15 +524,10 @@ class BrieskornData:
                 raise NotCoprime("exponents must be >= 2")
         if math.gcd(p, q) != 1 or math.gcd(p, r) != 1 or math.gcd(q, r) != 1:
             raise NotCoprime(f"({p}, {q}, {r}) are not pairwise coprime")
-        # b0 = 0 is forced: it is the only choice for which the relators
-        # below present a group with trivial abelianization while the
-        # normalization identity holds
         b1 = pow(q * r, -1, p)
         b2 = pow(p * r, -1, q)
-        b3, rem = divmod(1 - b1 * q * r - b2 * p * r, p * q)
-        assert rem == 0
-        assert p * q * r * 0 + b1 * q * r + b2 * p * r + b3 * p * q == 1
-        object.__setattr__(self, "b0", 0)
+        # exact: the numerator vanishes mod p and mod q
+        b3 = (1 - b1 * q * r - b2 * p * r) // (p * q)
         object.__setattr__(self, "cone", ((p, b1), (q, b2), (r, b3)))
 
     @property
@@ -548,18 +537,14 @@ class BrieskornData:
 
 def brieskorn_presentation(data: BrieskornData) -> Presentation:
     """Standard Seifert-fibered presentation
-    <x1, x2, x3, h | [h, xi], xi^pi h^bi, x1 x2 x3 h^b0>."""
-    gens = ("x1", "x2", "x3", "h")
+    <x1, x2, x3, h | [h, xi], xi^pi h^bi, x1 x2 x3>."""
     h = 4
-    relators = []
+    commutators, powers = [], []
     for i, (pi, bi) in enumerate(data.cone, start=1):
-        relators.append((h, i, -h, -i))
-    for i, (pi, bi) in enumerate(data.cone, start=1):
-        word = (i,) * pi + ((h,) * bi if bi >= 0 else (-h,) * (-bi))
-        relators.append(word)
-    last = (1, 2, 3) + ((h,) * data.b0 if data.b0 >= 0 else (-h,) * (-data.b0))
-    relators.append(last)
-    return Presentation(generators=gens, relators=tuple(relators))
+        commutators.append((h, i, -h, -i))
+        powers.append((i,) * pi + ((h,) * bi if bi >= 0 else (-h,) * -bi))
+    return Presentation(generators=("x1", "x2", "x3", "h"),
+                        relators=(*commutators, *powers, (1, 2, 3)))
 
 
 @dataclass(frozen=True)
@@ -602,8 +587,7 @@ def _rotation_solve(angles_num, exponents):
     return hits
 
 
-def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
-                        tol: float = 1e-10, seed: int = 0) -> list:
+def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
     """Census of PSL(2,R) representation classes of a Brieskorn sphere,
     up to PGL(2,R) conjugacy.
 
@@ -613,9 +597,8 @@ def brieskorn_enumerate(data: BrieskornData, restarts: int = 60,
     its conjugate by a reflection, so only the lesser of l and p - l is
     solved.  The first closed-form solution whose residual is below tol,
     whose rotation numbers verify and which is irreducible is kept; a
-    triple without one raises CertificateFailed.  The
-    trivial class comes first, the rest in order of angles; restarts and
-    seed are accepted for compatibility and ignored.
+    triple without one raises CertificateFailed.  The trivial class
+    comes first, the rest in order of angles.
     """
     if not tol > 0:
         raise InvalidParameter("tol must be positive")

@@ -10,6 +10,8 @@ import random
 import time
 from contextlib import contextmanager
 
+from census_helpers import jankins_neumann_count
+
 from blowupgate.cli import run as cli_run
 from blowupgate.exact import IntMatrix, smith_normal_form
 from blowupgate.gate import (ADMISSIBLE, OBSTRUCTED, Flow, HomologyElement,
@@ -18,11 +20,13 @@ from blowupgate.gate import (ADMISSIBLE, OBSTRUCTED, Flow, HomologyElement,
 from blowupgate.invariants import (alexander_fox, alexander_seifert,
                                    braid_invariants)
 from blowupgate.links import BraidWord, from_braid, seifert_matrix, wirtinger
-from blowupgate.psl2r import (PSL2, SL2, euler_number, fuchsian_genus2,
-                              milnor_wood_admissible)
+from blowupgate.psl2r import (PSL2, SL2, CircleLift, euler_number,
+                              fuchsian_genus2, milnor_wood_admissible,
+                              translation_number)
 from blowupgate.repvar import (BrieskornData, RepAssignment,
-                               brieskorn_enumerate, connected_sum_family,
-                               free_product, residual, solve,
+                               brieskorn_enumerate, brieskorn_presentation,
+                               connected_sum_family, free_product,
+                               is_irreducible, residual, solve,
                                surface_presentation, trace_coordinates)
 from blowupgate.psl2r import mat_mul
 
@@ -126,25 +130,23 @@ def test_criterion_5_milnor_wood():
         assert milnor_wood_admissible([2]) == [(n,) for n in range(-2, 3)]
 
 
-def _census_keys(exponents, seed):
-    census = brieskorn_enumerate(BrieskornData(*exponents), restarts=200,
-                                 tol=1e-10, seed=seed)
-    for cls in census:
-        assert cls.residual < 1e-9
-        if cls.angles != (0, 0, 0):
-            assert cls.irreducible
-    return tuple(tuple(round(x, 6) for x in cls.traces) for cls in census)
-
-
-def test_criterion_6_brieskorn_census_stability():
-    with criterion(6, "Brieskorn censuses stable over 10 seeds"):
-        for exponents in ((2, 3, 5), (2, 3, 7)):
-            start = time.perf_counter()
-            keys = [_census_keys(exponents, seed) for seed in range(10)]
-            elapsed = time.perf_counter() - start
-            assert len(set(keys)) == 1, exponents
-            assert len(keys[0]) >= 1
-            assert elapsed < 120.0, f"{exponents} took {elapsed:.1f}s"
+def test_criterion_6_brieskorn_census_exact():
+    with criterion(6, "Brieskorn census count is Jankins-Neumann, "
+                   "every class certified"):
+        for exponents in ((2, 3, 5), (2, 3, 7), (2, 5, 7), (5, 7, 11)):
+            pres = brieskorn_presentation(BrieskornData(*exponents))
+            census = brieskorn_enumerate(BrieskornData(*exponents))
+            assert len(census) == jankins_neumann_count(exponents)
+            assert len({cls.angles for cls in census}) == len(census)
+            for cls in census:
+                rep = cls.assignment
+                assert residual(pres, rep) < 1e-10
+                for l, p, g in zip(cls.angles, exponents, ("x1", "x2", "x3")):
+                    tau = translation_number(CircleLift(rep.matrices[g]))
+                    turns = tau - l / p
+                    assert abs(turns - round(turns)) < 1e-9, (cls.angles, g)
+                trivial = cls.angles == (0, 0, 0)
+                assert cls.irreducible == is_irreducible(rep) == (not trivial)
 
 
 def test_criterion_7_connected_sum_noncompactness():

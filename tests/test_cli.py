@@ -264,7 +264,8 @@ def test_brieskorn_ignores_restarts_and_seed():
     assert [c["angles"] for c in json.loads(base)["census"]] == [
         [0, 0, 0], [1, 1, 1]]
     for flags in (["--restarts", "0"], ["--restarts", "2"],
-                  ["--restarts", "60"], ["--seed", "0"], ["--seed", "77"]):
+                  ["--restarts", "60"], ["--seed", "0"], ["--seed", "77"],
+                  ["--restarts", "3", "--seed", "9"]):
         assert invoke(["brieskorn", "2", "3", "7", *flags]) == (0, base)
 
 

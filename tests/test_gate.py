@@ -147,6 +147,14 @@ def test_homology_class_examples():
     assert cls2 == HomologyElement((2, -1))
 
 
+def test_homology_class_without_edges_fails_closed_on_huge_rank():
+    empty = FlowGraph(1, (), ())
+    assert homology_class(empty, Flow(()), HomologyModel(3)) == \
+        HomologyElement((0, 0, 0))
+    with pytest.raises(SizeMismatch):
+        homology_class(empty, Flow(()), HomologyModel(10 ** 20))
+
+
 def test_homology_class_rejects_rationals():
     h = HomologyModel(1)
     loop = FlowGraph(1, ((0, 0),), (HomologyElement((1,)),))
