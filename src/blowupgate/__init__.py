@@ -7,6 +7,7 @@ labeled graphs, and explores PSL(2,R) representation varieties of
 finitely presented groups numerically.
 """
 
+from .errors import BlowupgateError
 from .exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
                     ZeroEvaluationPoint, cokernel, laurent_det, laurent_gcd,
                     smith_normal_form)

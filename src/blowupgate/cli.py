@@ -15,23 +15,18 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 
+from blowupgate.errors import BlowupgateError
 from blowupgate.gate import gate as evaluate_gate
 from blowupgate.gate import (Flow, FlowGraph, HomologyElement, HomologyModel,
-                             LabelLengthMismatch, NonIntegerWeights,
-                             SizeMismatch, homology_class, is_flow,
-                             realizable_k)
-from blowupgate.invariants import NotWirtinger, link_invariants
-from blowupgate.links import (BraidWord, EmptySelection, InvalidLetter,
-                              LinkDiagram, MalformedPD, Presentation,
-                              _integer, from_braid, parse_pd)
-from blowupgate.psl2r import (GenusZero, PSL2, ResidualTooLarge,
-                              RoundingAmbiguous, euler_number,
-                              milnor_wood_admissible, surface_relator_residual)
-from blowupgate.repvar import (BrieskornData, CertificateFailed,
-                               InvalidParameter, NotCoprime,
-                               UnassignedGenerator, brieskorn_enumerate,
-                               is_abelian, is_irreducible, is_metabelian,
-                               solve, trace_coordinates)
+                             homology_class, is_flow, realizable_k)
+from blowupgate.invariants import link_invariants
+from blowupgate.links import (BraidWord, LinkDiagram, Presentation, _integer,
+                              from_braid, parse_pd)
+from blowupgate.psl2r import (PSL2, euler_number, milnor_wood_admissible,
+                              surface_relator_residual)
+from blowupgate.repvar import (BrieskornData, InvalidParameter,
+                               brieskorn_enumerate, is_abelian, is_irreducible,
+                               is_metabelian, solve, trace_coordinates)
 
 SCHEMA = "1"
 # Limits on counts in the input, checked before anything of that size is
@@ -41,11 +36,11 @@ MAX_STRANDS = 1000
 MAX_MW_VECTORS = 10 ** 6
 
 
-class InputError(ValueError):
+class InputError(BlowupgateError, ValueError):
     """Bad input file, JSON shape, or option value."""
 
 
-class NonFiniteResult(ValueError):
+class NonFiniteResult(BlowupgateError, ValueError):
     """A result holds a NaN or infinite number, which JSON cannot carry."""
 
 
@@ -61,14 +56,14 @@ def _load_json(path: str):
 
 @contextmanager
 def _input_errors(what: str):
-    """Report a KeyError, TypeError or ValueError raised while reading
-    input data as an InputError; errors with a code of their own in
-    KNOWN_ERRORS keep it."""
+    """Report a KeyError, TypeError, ValueError or ArithmeticError raised
+    while reading input data as an InputError; a BlowupgateError keeps
+    its own code."""
     try:
         yield
-    except KNOWN_ERRORS:
+    except BlowupgateError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"{what}: {exc}") from exc
 
 
@@ -218,10 +213,11 @@ def _cmd_flow(args):
 
 def _presentation_from_json(data) -> Presentation:
     with _input_errors("malformed presentation JSON"):
-        gens = tuple(data["generators"])
-        if not all(isinstance(g, str) for g in gens):
-            raise InputError("generator names must be strings")
-        return Presentation(gens, tuple(tuple(r) for r in data["relators"]))
+        gens = data["generators"]
+        if not (isinstance(gens, list)
+                and all(isinstance(g, str) for g in gens)):
+            raise InputError('"generators" must be an array of strings')
+        return Presentation(gens, data["relators"])
 
 
 def _matrix_json(m: PSL2):
@@ -280,10 +276,8 @@ def _cmd_euler(args):
         if not indices:
             raise InputError("cannot infer genus; pass --genus")
         genus = max(indices)
-    try:
+    with _input_errors("malformed matrix data"):
         matrices = {name: PSL2.from_matrix(rows) for name, rows in mats.items()}
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix data: {exc}") from exc
     for i in range(1, genus + 1):
         for name in (f"a{i}", f"b{i}"):
             if name not in matrices:
@@ -294,10 +288,8 @@ def _cmd_euler(args):
 
 
 def _cmd_mw(args):
-    try:
+    with _input_errors("--genera"):
         genera = [int(g) for g in args.genera.split(",") if g.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"--genera: {exc}") from exc
     if all(g >= 1 for g in genera) and \
             prod(4 * g - 3 for g in genera) > MAX_MW_VECTORS:
         raise InputError(f"--genera: more than {MAX_MW_VECTORS} vectors")
@@ -367,26 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-KNOWN_ERRORS = (
-    InputError,
-    NonFiniteResult,
-    MalformedPD,
-    InvalidLetter,
-    EmptySelection,
-    LabelLengthMismatch,
-    SizeMismatch,
-    NonIntegerWeights,
-    ResidualTooLarge,
-    RoundingAmbiguous,
-    GenusZero,
-    NotCoprime,
-    InvalidParameter,
-    UnassignedGenerator,
-    NotWirtinger,
-    CertificateFailed,
-)
-
-
 def run(argv, out=None) -> int:
     """Entry point returning an exit code: 0 success, 1 input error,
     2 usage error."""
@@ -398,7 +370,7 @@ def run(argv, out=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _emit(args.handler(args), out, args.format)
-    except KNOWN_ERRORS as exc:
+    except BlowupgateError as exc:
         _emit({"schema": SCHEMA,
                "error": {"code": type(exc).__name__, "message": str(exc)}},
               out, args.format)

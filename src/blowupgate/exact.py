@@ -11,12 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
+from .errors import BlowupgateError
 
-class NonSquare(ValueError):
+
+class NonSquare(BlowupgateError, ValueError):
     """A determinant of a non-square matrix was requested."""
 
 
-class ZeroEvaluationPoint(ValueError):
+class ZeroEvaluationPoint(BlowupgateError, ValueError):
     """Laurent polynomials cannot be evaluated at 0."""
 
 

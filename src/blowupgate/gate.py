@@ -18,19 +18,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import BlowupgateError
 from .invariants import link_invariants
 from .links import LinkDiagram, _integer, sublink
 
 
-class LabelLengthMismatch(ValueError):
+class LabelLengthMismatch(BlowupgateError, ValueError):
     """Monodromy label vector does not match the component count."""
 
 
-class SizeMismatch(ValueError):
+class SizeMismatch(BlowupgateError, ValueError):
     """Flow data does not match the edge count of its graph."""
 
 
-class NonIntegerWeights(ValueError):
+class NonIntegerWeights(BlowupgateError, ValueError):
     """Homology classes require integer flow weights."""
 
 
@@ -136,6 +137,8 @@ class HomologyModel:
     def __post_init__(self):
         object.__setattr__(self, "rank", _integer(self.rank))
         object.__setattr__(self, "torsion", tuple(map(_integer, self.torsion)))
+        if self.rank < 0:
+            raise ValueError("homology rank must be >= 0")
         for d in self.torsion:
             if d < 2:
                 raise ValueError("torsion divisors must be >= 2")

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import BlowupgateError
 from .exact import AbelianGroup, IntMatrix, LaurentPoly, cokernel, laurent_det
 from .links import LinkDiagram, Presentation, SeifertMatrix, from_braid
 from .links import seifert_matrix as _seifert_of_braid
 from .links import wirtinger as _wirtinger
 
 
-class NotWirtinger(ValueError):
+class NotWirtinger(BlowupgateError, ValueError):
     """Presentation lacks the meridian markers of a Wirtinger presentation."""
 
 

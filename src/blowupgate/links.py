@@ -18,24 +18,27 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import count
 
+from .errors import BlowupgateError
 from .exact import IntMatrix, AbelianGroup, cokernel
 
 
-class MalformedPD(ValueError):
+class MalformedPD(BlowupgateError, ValueError):
     """PD code fails validation (arc counts or traversal)."""
 
 
-class InvalidLetter(ValueError):
+class InvalidLetter(BlowupgateError, ValueError):
     """Braid letter out of range for the declared strand count."""
 
 
-class EmptySelection(ValueError):
+class EmptySelection(BlowupgateError, ValueError):
     """Sublink extraction with no components selected."""
 
 
 def _integer(x) -> int:
-    """int(x), refusing a float that int() would truncate, such as 1.7."""
-    if isinstance(x, float) and not x.is_integer():
+    """int(x), refusing a float that int() would truncate, such as 1.7,
+    and a string, which int() would parse, so that a string in place of
+    an integer array is not read digit by digit."""
+    if isinstance(x, str) or isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 

@@ -13,16 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import BlowupgateError
 
-class ResidualTooLarge(ValueError):
+
+class ResidualTooLarge(BlowupgateError, ValueError):
     """Relator images are too far from the identity to trust the lift."""
 
 
-class RoundingAmbiguous(ArithmeticError):
+class RoundingAmbiguous(BlowupgateError, ArithmeticError):
     """Lifted relator evaluation is not close enough to an integer."""
 
 
-class GenusZero(ValueError):
+class GenusZero(BlowupgateError, ValueError):
     """Surface genus below 1 has no admissible classes."""
 
 

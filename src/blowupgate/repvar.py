@@ -20,25 +20,26 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from operator import mul
 
+from .errors import BlowupgateError
 from .links import Presentation
 from .psl2r import (PSL2, SL2, CircleLift, commutator, mat_inv, mat_mul,
                     psl_dist_sq, psl_sign, rotation, surface_generator_names,
                     sym_exp, translation_number, IDENTITY)
 
 
-class UnassignedGenerator(KeyError):
+class UnassignedGenerator(BlowupgateError, KeyError):
     """A presentation generator has no matrix assigned."""
 
 
-class NotCoprime(ValueError):
+class NotCoprime(BlowupgateError, ValueError):
     """Brieskorn exponents must be pairwise coprime."""
 
 
-class InvalidParameter(ValueError):
+class InvalidParameter(BlowupgateError, ValueError):
     """A solver parameter is out of range."""
 
 
-class CertificateFailed(ArithmeticError):
+class CertificateFailed(BlowupgateError, ArithmeticError):
     """No closed-form solution of a census angle triple passes the
     certificates, so its class would be dropped silently."""
 

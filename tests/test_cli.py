@@ -1,11 +1,14 @@
+import importlib
 import io
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import blowupgate
 from blowupgate.cli import run
 
 
@@ -373,6 +376,17 @@ def test_euler_error_paths(tmp_path):
     ("gate", {"braid": {"strands": 2, "word": [1, 1]}, "monodromy": [2, 0]}),
     # more strands than the limit, refused before any arc is built
     ("invariants", {"braid": {"strands": 1e18, "word": [1]}}),
+    # a string in place of an integer array is not read digit by digit
+    ("invariants", {"braid": {"strands": 2, "word": "111"}}),
+    ("invariants", {"pd": ["2431", "4653", "6215"]}),
+    ("solve", {"generators": ["a", "b"], "relators": ["12"]}),
+    ("solve", {"generators": ["a", "b"], "relators": "12"}),
+    ("solve", {"generators": "xy", "relators": [[1, 2, -1, -2]]}),
+    ("flow", dict(GRAPH, edges=[dict(e, label={"free": "1"})
+                                for e in GRAPH["edges"]])),
+    ("flow", dict(GRAPH, model={"rank": 1, "torsion": "3"})),
+    ("flow", dict(GRAPH, model={"rank": -1})),
+    ("flow", dict(GRAPH, weights=["1/0", 1, 1])),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"
@@ -380,6 +394,34 @@ def test_malformed_input_is_input_error(tmp_path, command, payload):
     code, out = invoke([command, str(path)])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "InputError"
+
+
+# the builtin base that each exception class keeps beside BlowupgateError
+BUILTIN_BASES = {
+    "InputError": ValueError, "NonFiniteResult": ValueError,
+    "NonSquare": ValueError, "ZeroEvaluationPoint": ValueError,
+    "LabelLengthMismatch": ValueError, "SizeMismatch": ValueError,
+    "NonIntegerWeights": ValueError, "NotWirtinger": ValueError,
+    "MalformedPD": ValueError, "InvalidLetter": ValueError,
+    "EmptySelection": ValueError, "ResidualTooLarge": ValueError,
+    "RoundingAmbiguous": ArithmeticError, "GenusZero": ValueError,
+    "UnassignedGenerator": KeyError, "NotCoprime": ValueError,
+    "InvalidParameter": ValueError, "CertificateFailed": ArithmeticError,
+}
+
+
+def test_every_exception_class_derives_from_blowupgate_error():
+    found = {}
+    for info in pkgutil.iter_modules(blowupgate.__path__):
+        module = importlib.import_module(f"blowupgate.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, Exception) and \
+                    obj.__module__ == module.__name__:
+                found[name] = obj
+    assert set(BUILTIN_BASES) <= set(found)
+    for name, cls in found.items():
+        assert issubclass(cls, blowupgate.BlowupgateError), name
+        assert issubclass(cls, BUILTIN_BASES.get(name, Exception)), name
 
 
 def test_gate_pd_input_with_sublink(tmp_path):

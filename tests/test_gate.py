@@ -155,6 +155,11 @@ def test_homology_class_without_edges_fails_closed_on_huge_rank():
         homology_class(empty, Flow(()), HomologyModel(10 ** 20))
 
 
+def test_homology_model_refuses_negative_rank():
+    with pytest.raises(ValueError, match="rank"):
+        HomologyModel(-2)
+
+
 def test_homology_class_rejects_rationals():
     h = HomologyModel(1)
     loop = FlowGraph(1, ((0, 0),), (HomologyElement((1,)),))
