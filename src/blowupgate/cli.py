@@ -4,6 +4,10 @@ Subcommands: invariants, gate, flow, solve, brieskorn, euler,
 mw-admissible.  All output is JSON (or a terse text rendering with
 --format text) on stdout; runs with identical inputs and seed are
 byte-identical.
+
+The argument parser is built once, when this module is imported, and
+`run` may be called repeatedly in one process: each call parses into a
+fresh namespace and looks its handler up by name.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from blowupgate.gate import (Flow, FlowGraph, HomologyElement, HomologyModel,
                              homology_class, is_flow, realizable_k)
 from blowupgate.invariants import link_invariants
 from blowupgate.links import (BraidWord, LinkDiagram, Presentation, _integer,
-                              from_braid, parse_pd)
+                              _integers, from_braid, parse_pd)
 from blowupgate.psl2r import (PSL2, euler_number, milnor_wood_admissible,
                               surface_relator_residual)
 from blowupgate.repvar import (BrieskornData, InvalidParameter,
@@ -80,7 +84,7 @@ def _diagram_from_json(data) -> LinkDiagram:
             if strands > MAX_STRANDS:
                 raise InputError(f"{strands} strands exceed the limit of "
                                  f"{MAX_STRANDS}")
-            word = BraidWord(strands, tuple(braid.get("word", ())))
+            word = BraidWord(strands, braid.get("word", ()))
         return from_braid(word)
     raise InputError('link JSON needs a "pd" or "braid" field')
 
@@ -172,24 +176,27 @@ def _cmd_gate(args):
 def _element_from_json(obj) -> HomologyElement:
     if not isinstance(obj, dict) or "free" not in obj:
         raise InputError('homology elements need a "free" field')
-    return HomologyElement(tuple(obj["free"]), tuple(obj.get("torsion", ())))
+    return HomologyElement(obj["free"], obj.get("torsion", ()))
 
 
 def _cmd_flow(args):
     data = _load_json(args.graph)
     with _input_errors("malformed flow graph JSON"):
+        for key in ("edges", "weights", "admissible"):
+            if not isinstance(data.get(key, []), list):
+                raise InputError(f'"{key}" must be an array')
         edges = tuple((e["from"], e["to"]) for e in data["edges"])
         labels = None
         if data["edges"] and "label" in data["edges"][0]:
             labels = tuple(_element_from_json(e["label"]) for e in data["edges"])
         graph = FlowGraph(data["vertices"], edges, labels)
         weights = [Fraction(str(w)) for w in data["weights"]]
-        orientations = [_integer(o) for o in data["orientations"]]
+        orientations = _integers(data["orientations"])
         flow = Flow.from_weights(weights, orientations)
         model = None
         if "model" in data:
             model = HomologyModel(data["model"]["rank"],
-                                  tuple(data["model"].get("torsion", ())))
+                                  data["model"].get("torsion", ()))
         elif labels is not None:
             model = HomologyModel(len(labels[0].free), ())
     out = {"schema": SCHEMA, "is_flow": is_flow(graph, flow),
@@ -313,24 +320,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="Alexander polynomial, determinant, "
                        "branched double cover homology")
     p.add_argument("link", help="link JSON file")
-    p.set_defaults(handler=_cmd_invariants)
+    p.set_defaults(handler="_cmd_invariants")
 
     p = sub.add_parser("gate", help="obstruction verdict for a labeled link")
     p.add_argument("link", help="link JSON file")
     p.add_argument("--monodromy", help="comma-separated 0/1 per component")
-    p.set_defaults(handler=_cmd_gate)
+    p.set_defaults(handler="_cmd_gate")
 
     p = sub.add_parser("flow", help="conservation check and homology class "
                        "of a weighted graph")
     p.add_argument("graph", help="flow graph JSON file")
-    p.set_defaults(handler=_cmd_flow)
+    p.set_defaults(handler="_cmd_flow")
 
     p = sub.add_parser("solve", help="search PSL(2,R) representations")
     p.add_argument("presentation", help="presentation JSON file")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_solve)
+    p.set_defaults(handler="_cmd_solve")
 
     p = sub.add_parser("brieskorn", help="representation census of a "
                        "Brieskorn homology sphere")
@@ -342,34 +349,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0,
                    help="ignored: the census is solved in closed form")
-    p.set_defaults(handler=_cmd_brieskorn)
+    p.set_defaults(handler="_cmd_brieskorn")
 
     p = sub.add_parser("euler", help="Euler number of a surface-group "
                        "representation")
     p.add_argument("rep", help="representation JSON file")
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(handler=_cmd_euler)
+    p.set_defaults(handler="_cmd_euler")
 
     p = sub.add_parser("mw-admissible", help="integer classes allowed by the "
                        "Milnor-Wood bound")
     p.add_argument("--genera", required=True, help="comma-separated genera")
-    p.set_defaults(handler=_cmd_mw)
+    p.set_defaults(handler="_cmd_mw")
 
     return parser
+
+
+# built eagerly, so that its cost is part of importing the module and
+# not of the first call to run
+_PARSER = _build_parser()
 
 
 def run(argv, out=None) -> int:
     """Entry point returning an exit code: 0 success, 1 input error,
     2 usage error."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _emit(args.handler(args), out, args.format)
+        # looked up at call time, so a rebound module-level _cmd_* is used
+        _emit(globals()[args.handler](args), out, args.format)
     except BlowupgateError as exc:
         _emit({"schema": SCHEMA,
                "error": {"code": type(exc).__name__, "message": str(exc)}},

@@ -376,11 +376,24 @@ class LaurentPoly:
         return LaurentPoly({-e: k for e, k in self._c.items()})
 
     def eval_at(self, x) -> Fraction:
-        """Exact value at a nonzero rational point."""
+        """Exact value at a nonzero rational point.
+
+        With x = n/d, lo = min_exp and hi = max_exp, the value is
+        x^lo * sum(k n^(e-lo) d^(hi-e)) / d^(hi-lo): the sum is taken in
+        integers and one Fraction is built at the end.
+        """
         x = Fraction(x)
         if x == 0:
             raise ZeroEvaluationPoint("cannot evaluate at 0")
-        return sum((k * x ** e for e, k in self._c.items()), Fraction(0))
+        if not self._c:
+            return Fraction(0)
+        n, d = x.numerator, x.denominator
+        lo, hi = self.min_exp, self.max_exp
+        total = sum(k * n ** (e - lo) * d ** (hi - e)
+                    for e, k in self._c.items())
+        if lo >= 0:
+            return Fraction(total * n ** lo, d ** hi)
+        return Fraction(total * d ** -lo, d ** (hi - lo) * n ** -lo)
 
     def unit_normalize(self) -> "LaurentPoly":
         """Canonical representative modulo units +-t^k.

@@ -20,7 +20,7 @@ from math import gcd
 
 from .errors import BlowupgateError
 from .invariants import link_invariants
-from .links import LinkDiagram, _integer, sublink
+from .links import LinkDiagram, _integer, _integers, sublink
 
 
 class LabelLengthMismatch(BlowupgateError, ValueError):
@@ -119,8 +119,8 @@ class HomologyElement:
     torsion: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "free", tuple(map(_integer, self.free)))
-        object.__setattr__(self, "torsion", tuple(map(_integer, self.torsion)))
+        object.__setattr__(self, "free", _integers(self.free))
+        object.__setattr__(self, "torsion", _integers(self.torsion))
 
     @property
     def is_zero(self) -> bool:
@@ -136,7 +136,7 @@ class HomologyModel:
 
     def __post_init__(self):
         object.__setattr__(self, "rank", _integer(self.rank))
-        object.__setattr__(self, "torsion", tuple(map(_integer, self.torsion)))
+        object.__setattr__(self, "torsion", _integers(self.torsion))
         if self.rank < 0:
             raise ValueError("homology rank must be >= 0")
         for d in self.torsion:
@@ -173,9 +173,7 @@ class FlowGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _integer(self.vertices))
-        object.__setattr__(self, "edges",
-                           tuple((_integer(a), _integer(b))
-                                 for a, b in self.edges))
+        object.__setattr__(self, "edges", _integers(self.edges, _integers))
         for a, b in self.edges:
             if not (0 <= a < self.vertices and 0 <= b < self.vertices):
                 raise ValueError(f"edge ({a}, {b}) references a missing vertex")

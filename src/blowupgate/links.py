@@ -43,6 +43,15 @@ def _integer(x) -> int:
     return int(x)
 
 
+def _integers(seq, item=_integer) -> tuple:
+    """tuple(map(item, seq)), refusing a string, which would otherwise be
+    iterated character by character (and "" pass as an empty array).
+    Pass item=_integers for an array of integer arrays."""
+    if isinstance(seq, str):
+        raise ValueError(f"{seq!r} is a string, not an array")
+    return tuple(map(item, seq))
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group B_n; letter +-i is the i-th generator."""
@@ -52,7 +61,7 @@ class BraidWord:
 
     def __post_init__(self):
         object.__setattr__(self, "strands", _integer(self.strands))
-        object.__setattr__(self, "word", tuple(_integer(w) for w in self.word))
+        object.__setattr__(self, "word", _integers(self.word))
         if self.strands < 1:
             raise InvalidLetter("strand count must be >= 1")
         for w in self.word:
@@ -148,8 +157,7 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relators",
-                           tuple(tuple(_integer(x) for x in r)
-                                 for r in self.relators))
+                           _integers(self.relators, _integers))
         n = len(self.generators)
         if len(set(self.generators)) != n:
             raise ValueError("generator names must be distinct")
@@ -158,8 +166,8 @@ class Presentation:
                 if letter == 0 or abs(letter) > n:
                     raise ValueError(f"relator letter {letter} out of range")
         if self.meridian_markers is not None:
-            markers = tuple(_integer(x) for x in self.meridian_markers)
-            object.__setattr__(self, "meridian_markers", markers)
+            object.__setattr__(self, "meridian_markers",
+                               _integers(self.meridian_markers))
 
     def exponent_matrix(self) -> IntMatrix:
         rows = []
@@ -249,7 +257,7 @@ def parse_pd(code) -> LinkDiagram:
 
     The empty code is the one-component zero-crossing unknot.
     """
-    code = [tuple(_integer(x) for x in row) for row in code]
+    code = _integers(code, _integers)
     if not code:
         return LinkDiagram(crossings=(), components=((1,),), origin="pd")
     seen = {}

@@ -307,6 +307,39 @@ def test_repeated_runs_byte_identical(trefoil_file, graph_file):
         assert first == second
 
 
+def test_parser_reuse_leaves_no_state(tmp_path):
+    from blowupgate.psl2r import fuchsian_genus2
+    hopf = tmp_path / "hopf.json"
+    hopf.write_text(json.dumps({"braid": {"strands": 2, "word": [1, 1]}}))
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"matrices": {
+        name: m.matrix_rows() for name, m in fuchsian_genus2().items()}}))
+    # each option is followed by a call that omits it, in one process
+    sequence = [["gate", str(hopf), "--monodromy", "1,0"],
+                ["gate", str(hopf)],
+                ["euler", str(rep), "--genus", "1"],
+                ["euler", str(rep)],
+                ["--format", "text", "brieskorn", "2", "3", "7"],
+                ["brieskorn", "2", "3"],
+                ["--format", "json", "mw-admissible", "--genera", "2,3"]]
+    for argv in sequence:
+        fresh = subprocess.run([sys.executable, "-m", "blowupgate.cli", *argv],
+                               capture_output=True, text=True)
+        assert invoke(argv) == (fresh.returncode, fresh.stdout), argv
+    assert [invoke(argv)[0] for argv in sequence[-2:]] == [2, 0]
+
+
+def test_run_never_rebuilds_the_parser(monkeypatch):
+    import blowupgate.cli as cli
+
+    def rebuilt():
+        raise AssertionError("run rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    assert invoke(["mw-admissible", "--genera", "2"])[0] == 0
+    assert invoke(["not-a-command"])[0] == 2
+
+
 def test_console_entry_point(trefoil_file):
     proc = subprocess.run(
         [sys.executable, "-m", "blowupgate.cli", "invariants", trefoil_file],
@@ -387,6 +420,16 @@ def test_euler_error_paths(tmp_path):
     ("flow", dict(GRAPH, model={"rank": 1, "torsion": "3"})),
     ("flow", dict(GRAPH, model={"rank": -1})),
     ("flow", dict(GRAPH, weights=["1/0", 1, 1])),
+    # "" iterates as an empty array, so it was read as one
+    ("invariants", {"pd": ""}),
+    ("invariants", {"braid": {"strands": 2, "word": ""}}),
+    ("solve", {"generators": ["a", "b"], "relators": ""}),
+    ("flow", dict(GRAPH, edges=[dict(e, label={"free": ""})
+                                for e in GRAPH["edges"]])),
+    ("flow", dict(GRAPH, model={"rank": 1, "torsion": ""})),
+    ("flow", dict(GRAPH, edges="", weights=[], orientations=[])),
+    ("flow", dict(GRAPH, weights="211")),
+    ("flow", dict(GRAPH, admissible="")),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"

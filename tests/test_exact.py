@@ -217,6 +217,18 @@ def test_eval_at_examples():
         p.eval_at(0)
 
 
+def test_eval_at_matches_termwise_sum():
+    rng = random.Random(13)
+    points = [Fraction(v) for v in (-1, 1, 2, -2, "3/5", "-3/5", "7/2")]
+    for _ in range(60):
+        p = LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9)
+                         for _ in range(rng.randint(0, 5))})
+        for x in points:
+            termwise = sum((k * x ** e for e, k in p.items()), Fraction(0))
+            value = p.eval_at(x)
+            assert type(value) is Fraction and value == termwise
+
+
 def test_unit_normalize_examples():
     p = LaurentPoly({3: -1, 4: 1})
     assert p.unit_normalize() == LaurentPoly({0: -1, 1: 1})
