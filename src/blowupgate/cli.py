@@ -181,6 +181,8 @@ def _element_from_json(obj) -> HomologyElement:
 
 def _cmd_flow(args):
     data = _load_json(args.graph)
+    if not isinstance(data, dict):
+        raise InputError("flow graph JSON must be an object")
     with _input_errors("malformed flow graph JSON"):
         for key in ("edges", "weights", "admissible"):
             if not isinstance(data.get(key, []), list):

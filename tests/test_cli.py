@@ -430,6 +430,11 @@ def test_euler_error_paths(tmp_path):
     ("flow", dict(GRAPH, edges="", weights=[], orientations=[])),
     ("flow", dict(GRAPH, weights="211")),
     ("flow", dict(GRAPH, admissible="")),
+    # a flow graph that is not an object
+    ("flow", [1, 2]),
+    ("flow", None),
+    ("flow", "x"),
+    ("flow", 3),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"
