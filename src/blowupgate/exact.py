@@ -62,9 +62,9 @@ class IntMatrix:
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j)
-                               for j in range(self.cols) for i in range(self.rows)))
+        e, c = self.entries, self.cols
+        return IntMatrix(c, self.rows,
+                         tuple(x for j in range(c) for x in e[j::c]))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -153,37 +153,30 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(m: IntMatrix):
-    """Diagonalize m over Z.
+def _eliminate(a: list, r: int, c: int) -> None:
+    """Diagonalize the leading r x c block of the row list a in place.
 
-    Returns (U, D, V) with U @ m @ V == D, U and V unimodular, and D
-    diagonal with a nonnegative divisor chain d_1 | d_2 | ...  Pivots are
-    chosen by minimal absolute value to keep intermediate growth down.
+    Rows may be longer than c and a may hold rows below the first r: row
+    operations act on whole rows among the first r, column operations on
+    the first c entries of every row, so identities bordering the block
+    record the operations.  Pivots are chosen by minimal absolute value
+    to keep intermediate growth down; the diagonal ends as a nonnegative
+    divisor chain d_1 | d_2 | ...
     """
-    r, c = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(r).to_rows()
-    v = IntMatrix.identity(c).to_rows()
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
         # row dst += q * row src
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, q):
         for row in a:
-            row[dst] += q * row[src]
-        for row in v:
             row[dst] += q * row[src]
 
     t = 0
@@ -251,26 +244,45 @@ def smith_normal_form(m: IntMatrix):
     for i in range(min(r, c)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
 
-    return (IntMatrix.from_rows(u) if r else IntMatrix(0, 0, ()),
-            IntMatrix.from_rows(a) if r else IntMatrix(0, c, ()),
-            IntMatrix.from_rows(v) if c else IntMatrix(0, 0, ()))
+
+def smith_normal_form(m: IntMatrix):
+    """Diagonalize m over Z.
+
+    Returns (U, D, V) with U @ m @ V == D, U and V unimodular, and D
+    diagonal with a nonnegative divisor chain d_1 | d_2 | ...  U and V
+    are read off the bordered matrix [[m, I_r], [I_c]]: the elimination
+    that diagonalizes m applies its row operations to I_r and its column
+    operations to I_c.  Use cokernel or invariant_factors when U and V
+    are not needed; they eliminate the bare matrix.
+    """
+    r, c = m.rows, m.cols
+    a = [row + e
+         for row, e in zip(m.to_rows(), IntMatrix.identity(r).to_rows())]
+    a += IntMatrix.identity(c).to_rows()
+    _eliminate(a, r, c)
+    return (IntMatrix.from_rows(row[c:] for row in a[:r]),
+            IntMatrix.from_rows(row[:c] for row in a[:r]) if r
+            else IntMatrix(0, c, ()),
+            IntMatrix.from_rows(a[r:]))
 
 
 def invariant_factors(m: IntMatrix) -> list:
-    """Nonzero diagonal entries of the Smith normal form, in chain order."""
-    _, d, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(d.rows, d.cols)):
-        e = d.at(i, i)
-        if e != 0:
-            out.append(e)
-    return out
+    """Nonzero diagonal entries of the Smith normal form, in chain order.
+
+    Integer-only and without the transforms: the bare matrix is
+    eliminated, so no U or V is built.
+    """
+    a = m.to_rows()
+    _eliminate(a, m.rows, m.cols)
+    return [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i] != 0]
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:
-    """Z^cols modulo the row span of m, from the Smith normal form."""
+    """Z^cols modulo the row span of m, from its invariant factors.
+
+    Integer-only; no unimodular transforms are built.
+    """
     facs = invariant_factors(m)
     return AbelianGroup(rank=m.cols - len(facs),
                         torsion=tuple(d for d in facs if d >= 2))
@@ -453,6 +465,7 @@ def laurent_det(mat) -> LaurentPoly:
     bits = (2 * bound).bit_length()
     value = IntMatrix(n, n, tuple(
         sum(k << (bits * (e - low)) for e, k in entry._c.items())
+        if entry._c else 0
         for row, low in zip(mat, lows) for entry in row)).det()
     base = 1 << bits
     coeffs = {}

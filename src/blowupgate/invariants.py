@@ -36,10 +36,13 @@ class LinkInvariants:
 
 def alexander_seifert(v: SeifertMatrix) -> LaurentPoly:
     """det(V - t V^T), unit-normalized."""
-    m = v.matrix
-    n = m.rows
-    mat = [[LaurentPoly({0: m.at(i, j), 1: -m.at(j, i)}) for j in range(n)]
-           for i in range(n)]
+    # split closures leave most cells with V_ij = V_ji = 0; they share one
+    # zero polynomial
+    zero = LaurentPoly.zero()
+    mat = [[LaurentPoly({0: a, 1: -b}) if a or b else zero
+            for a, b in zip(row, col)]
+           for row, col in zip(v.matrix.to_rows(),
+                               v.matrix.transpose().to_rows())]
     return laurent_det(mat).unit_normalize()
 
 
@@ -53,16 +56,38 @@ def fox_jacobian(p: Presentation) -> list:
     rows = []
     for rel in p.relators:
         cols = [dict() for _ in range(n)]
-        exp = 0
-        for letter in rel:
-            g = abs(letter) - 1
-            if letter > 0:
-                cols[g][exp] = cols[g].get(exp, 0) + 1
-                exp += 1
-            else:
-                exp -= 1
-                cols[g][exp] = cols[g].get(exp, 0) - 1
+        for g, exp, sign in _fox_terms(rel):
+            cols[g][exp] = cols[g].get(exp, 0) + sign
         rows.append([LaurentPoly(c) for c in cols])
+    return rows
+
+
+def _fox_terms(rel):
+    """The terms sign * t^exp of the free derivatives of one relator.
+
+    Yields (generator index, exp, sign) per letter: a letter +g adds t^e
+    to the derivative by g and a letter -g adds -t^(e-1), where e is the
+    exponent sum of the letters before it.
+    """
+    exp = 0
+    for letter in rel:
+        if letter > 0:
+            yield letter - 1, exp, 1
+            exp += 1
+        else:
+            exp -= 1
+            yield -letter - 1, exp, -1
+
+
+def _fox_matrix_at_minus_one(p: Presentation) -> list:
+    """Integer rows of fox_jacobian(p) evaluated at t = -1."""
+    n = len(p.generators)
+    rows = []
+    for rel in p.relators:
+        row = [0] * n
+        for g, exp, sign in _fox_terms(rel):
+            row[g] += -sign if exp & 1 else sign
+        rows.append(row)
     return rows
 
 
@@ -108,15 +133,17 @@ def branched_cover_h1_fox(p: Presentation) -> AbelianGroup:
     """Branched double-cover homology from the Jacobian at t = -1.
 
     Used for diagrams without a braid word; cross-checked against the
-    Seifert route on braid closures.
+    Seifert route on braid closures.  Integer-only: the Jacobian at
+    t = -1 is built from the relator words directly, with no Laurent
+    polynomials or fractions, and its cokernel needs no unimodular
+    transforms.
     """
     if p.meridian_markers is None:
         raise NotWirtinger("presentation has no meridian markers")
     n = len(p.generators)
     if n <= 1:
         return AbelianGroup(rank=0)
-    jac = fox_jacobian(p)
-    rows = [[int(entry.eval_at(-1)) for entry in row[1:]] for row in jac]
+    rows = [row[1:] for row in _fox_matrix_at_minus_one(p)]
     if not rows:
         return AbelianGroup(rank=n - 1)
     return cokernel(IntMatrix.from_rows(rows))

@@ -82,6 +82,21 @@ def test_invariants_pd_input(tmp_path):
     assert data["h1_branched"] == {"rank": 0, "torsion": [3]}
 
 
+def test_invariants_thousand_strand_braid(tmp_path):
+    # the most strands accepted: the split closure of four crossings has a
+    # 995 x 995 zero Seifert matrix
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"braid": {"strands": 1000, "word": [1, 2, 3, 4]}}))
+    code, out = invoke(["invariants", str(path)])
+    assert code == 0
+    data = json.loads(out)
+    assert data["components"] == 996
+    assert data["alexander"]["coeffs"] == []
+    assert data["det"] == 0
+    assert data["h1_branched"] == {"rank": 995, "torsion": []}
+
+
 def test_gate_subcommand_matches_library(trefoil_file):
     code, out = invoke(["gate", trefoil_file, "--monodromy", "1"])
     assert code == 0

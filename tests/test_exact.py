@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
-                              ZeroEvaluationPoint, cokernel, laurent_det,
-                              laurent_gcd, smith_normal_form)
+                              ZeroEvaluationPoint, cokernel, invariant_factors,
+                              laurent_det, laurent_gcd, smith_normal_form)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -93,6 +93,17 @@ def test_snf_random_vs_minor_oracle(seed):
         m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)]
                                  for _ in range(rows)])
         assert check_snf(m) == gcd_of_minors_factors(m)
+        assert invariant_factors(m) == gcd_of_minors_factors(m)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (2, 3), (3, 2)])
+def test_invariant_factors_of_empty_and_zero_shapes(rows, cols):
+    m = IntMatrix.zero(rows, cols)
+    assert invariant_factors(m) == gcd_of_minors_factors(m) == []
+    assert cokernel(m) == AbelianGroup(rank=cols)
+    u, d, v = smith_normal_form(m)
+    assert (u.rows, u.cols, v.rows, v.cols) == (rows, rows, cols, cols)
+    assert (u @ m) @ v == d == m
 
 
 def test_cokernel_examples():
@@ -298,3 +309,4 @@ def test_snf_larger_random_matrices():
         m = IntMatrix.from_rows([[rng.randint(-999, 999) for _ in range(cols)]
                                  for _ in range(rows)])
         check_snf(m)
+        assert invariant_factors(m) == gcd_of_minors_factors(m)

@@ -6,8 +6,9 @@ run must exit 0, 1 or 2 without an exception escaping, and on exit 0 or
 1 print strict JSON.  Count fields (strands, vertices, rank, genus) also
 draw 2**70 and 1e308, which must be refused or answered without an
 allocation of that size.  Their other values stay at magnitude <= 1000,
-and strands at <= 100, as a 1000-strand braid takes seconds in dense
-matrices.
+and strands at <= 100: a braid near the 1000-strand limit still builds
+a dense Seifert matrix of about a million cells, over half a second a
+run, and test_cli checks that limit once.
 """
 
 import copy

@@ -1,15 +1,17 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly,
+from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly, cokernel,
                               laurent_det, laurent_gcd)
 from blowupgate.invariants import (NotWirtinger, alexander_fox,
                                    alexander_seifert, braid_invariants,
                                    branched_cover_h1, branched_cover_h1_fox,
                                    determinant_at_minus_one, fox_jacobian,
                                    link_invariants)
+from blowupgate.invariants import _fox_matrix_at_minus_one
 from blowupgate.links import (BraidWord, Presentation, SeifertMatrix,
                               from_braid, parse_pd, seifert_matrix, sublink,
                               wirtinger)
@@ -107,6 +109,47 @@ def test_fox_h1_route_matches_seifert_route(corpus):
         h_seifert = branched_cover_h1(seifert_matrix(braid))
         h_fox = branched_cover_h1_fox(wirtinger(from_braid(braid)))
         assert h_seifert == h_fox, name
+
+
+def fox_at_minus_one_oracle(p: Presentation) -> list:
+    return [[int(e.eval_at(-1)) for e in row] for row in fox_jacobian(p)]
+
+
+def random_presentations(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        relators = []
+        for _ in range(rng.randint(0, 5)):
+            word = []
+            for _ in range(rng.randint(0, 12)):
+                letter = rng.choice([1, -1]) * rng.randint(1, n)
+                word += [letter] * rng.choice([1, 1, 2, 3])
+            relators.append(tuple(word))
+        yield Presentation(tuple(f"x{i}" for i in range(n)), tuple(relators),
+                           meridian_markers=(1,))
+
+
+def test_fox_matrix_at_minus_one_matches_jacobian(corpus):
+    # d/dx and d/dy of x y x^-1 y^-1 are 1 - x y x^-1 and x - x y x^-1 y^-1,
+    # that is 1 - t and t - 1; d/dx x^-1 x^-1 = -x^-1 - x^-2 -> -t^-1 - t^-2;
+    # d/dx y x x = y + y x -> t + t^2 and d/dy y x x = 1
+    hand = Presentation(("x", "y"), ((1, 2, -1, -2), (-1, -1), (2, 1, 1)))
+    assert _fox_matrix_at_minus_one(hand) == [[2, -2], [0, 0], [0, 1]]
+    presentations = [Presentation(("x",), ()), Presentation(("x", "y"), ((),))]
+    for _name, braid in corpus:
+        d = from_braid(braid)
+        presentations += [wirtinger(d), wirtinger(parse_pd(d.to_pd()))]
+    presentations += random_presentations(15, 400)
+    for p in presentations:
+        rows = fox_at_minus_one_oracle(p)
+        assert _fox_matrix_at_minus_one(p) == rows, p
+        if p.meridian_markers is None:
+            continue
+        n = len(p.generators)
+        if n > 1 and rows:
+            assert branched_cover_h1_fox(p) == \
+                cokernel(IntMatrix.from_rows([row[1:] for row in rows])), p
 
 
 def test_oracle_equivalence_on_corpus(corpus):
