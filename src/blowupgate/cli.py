@@ -34,10 +34,13 @@ from blowupgate.repvar import (BrieskornData, InvalidParameter,
 
 SCHEMA = "1"
 # Limits on counts in the input, checked before anything of that size is
-# built: from_braid makes arcs per strand (1000 strands already take
-# seconds), and mw-admissible lists all prod(4 g_j - 3) vectors.
+# built: a split braid closure on n strands has a dense (n - 1)^2 Seifert
+# matrix (about 0.45 s for the whole process at 1000 strands on a 2-vCPU
+# host), mw-admissible lists all prod(4 g_j - 3) vectors, and brieskorn
+# tries all (p - 1)(q - 1)(r - 1) angle triples at about 34 us each.
 MAX_STRANDS = 1000
 MAX_MW_VECTORS = 10 ** 6
+MAX_CENSUS_TRIPLES = 10 ** 6
 
 
 class InputError(BlowupgateError, ValueError):
@@ -253,6 +256,8 @@ def _cmd_solve(args):
 
 def _cmd_brieskorn(args):
     data = BrieskornData(args.p, args.q, args.r)
+    if (args.p - 1) * (args.q - 1) * (args.r - 1) > MAX_CENSUS_TRIPLES:
+        raise InputError(f"more than {MAX_CENSUS_TRIPLES} angle triples")
     census = brieskorn_enumerate(data, tol=args.tol)
     classes = []
     for cls in census:

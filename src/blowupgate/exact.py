@@ -139,10 +139,6 @@ class AbelianGroup:
             return None
         return prod(self.torsion) if self.torsion else 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
     def __str__(self):
         parts = []
         if self.rank == 1:
@@ -382,10 +378,6 @@ class LaurentPoly:
         return LaurentPoly(c)
 
     __rmul__ = __mul__
-
-    def inverted_variable(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
-        return LaurentPoly({-e: k for e, k in self._c.items()})
 
     def eval_at(self, x) -> Fraction:
         """Exact value at a nonzero rational point.

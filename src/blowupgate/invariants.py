@@ -116,12 +116,11 @@ def alexander_fox(p: Presentation) -> LaurentPoly:
 def determinant_at_minus_one(a: LaurentPoly):
     """(signed value, absolute integer value) of the polynomial at -1.
 
-    The absolute value is taken after unit normalization, so it is a
-    genuine integer invariant.
+    Unit normalization multiplies the value at -1 by +-1, so the
+    absolute value of the one evaluation is the integer invariant.
     """
     signed = a.eval_at(-1)
-    normalized = a.unit_normalize().eval_at(-1)
-    return signed, abs(int(normalized))
+    return signed, abs(int(signed))
 
 
 def branched_cover_h1(v: SeifertMatrix) -> AbelianGroup:

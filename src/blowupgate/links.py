@@ -15,6 +15,7 @@ single free arcs that appear in no crossing record.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, replace
 from itertools import count
 
@@ -338,77 +339,51 @@ def from_braid(b: BraidWord) -> LinkDiagram:
 # Seifert matrices for braid closures
 
 
-def _braid_loops(b: BraidWord):
-    """Basis loops of the disk-and-band surface of a braid closure.
-
-    Bands hang between consecutive disks at the positions of the braid
-    letters; one loop per consecutive pair of bands at the same level.
-    Levels with no letters get a pair of parallel untwisted connector
-    bands (one zero loop each) so the surface is connected; this keeps
-    the closure type while making the determinant vanish and the
-    homology pick up a free summand for split closures.
-    """
-    n = b.strands
-    by_level = {i: [] for i in range(1, n)}
-    for pos, w in enumerate(b.word, start=1):
-        by_level[abs(w)].append((pos, 1 if w > 0 else -1))
-    loops = []
-    big = len(b.word) + 1
-    for level in range(1, n):
-        bands = by_level[level]
-        if not bands:
-            loops.append((level, big + 2 * level, big + 2 * level + 1, 0, 0))
-            continue
-        for (p1, s1), (p2, s2) in zip(bands, bands[1:]):
-            loops.append((level, p1, p2, s1, s2))
-    return loops
-
-
-def _seifert_entry_pair(e, f):
-    """(lk(e, f+), lk(f, e+)) for two distinct basis loops."""
-    lev_e, u, v, su, sv = e
-    lev_f, a, b2, sa, sb = f
-    if lev_e == lev_f:
-        if v == a:           # e left, shared band a with sign sa
-            return (1, 0) if sa > 0 else (0, -1)
-        if b2 == u:          # f left, shared band u with sign su
-            pair = (1, 0) if su > 0 else (0, -1)
-            return pair[1], pair[0]
-        return 0, 0
-    if abs(lev_e - lev_f) != 1:
-        return 0, 0
-    lo, hi = (e, f) if lev_e < lev_f else (f, e)
-    _, lu, lv, _, _ = lo
-    _, hu, hv, _, _ = hi
-    if lu < hu < lv < hv:    # lower-level loop starts left
-        pair = (0, 1)
-    elif hu < lu < hv < lv:  # higher-level loop starts left
-        pair = (0, -1)
-    else:
-        return 0, 0
-    if lev_e < lev_f:
-        return pair
-    return pair[1], pair[0]
-
-
 def seifert_matrix(b: BraidWord) -> SeifertMatrix:
     """Seifert matrix of the braid closure from disk-and-band loops.
+
+    Bands hang between consecutive disks at the positions of the braid
+    letters; there is one loop per consecutive pair of bands at the same
+    level, taken level by level from left to right.  A level with no
+    letters gets one zero loop (a pair of parallel untwisted connector
+    bands) so the surface is connected; this keeps the closure type
+    while making the determinant vanish and the homology pick up a free
+    summand for split closures.  A loop links only its neighbours on
+    the same level and the loops one level down whose band interval
+    crosses its own.
 
     det(V - t V^T) is the one-variable Alexander polynomial up to units,
     and V + V^T presents the first homology of the double branched cover.
     """
-    loops = _braid_loops(b)
-    m = len(loops)
+    bands = [[] for _ in range(b.strands - 1)]  # (position, sign) per level
+    for pos, w in enumerate(b.word):
+        bands[abs(w) - 1].append((pos, 1 if w > 0 else -1))
+    sizes = [len(level) - 1 if level else 1 for level in bands]
+    m = sum(sizes)
     rows = [[0] * m for _ in range(m)]
-    for i, e in enumerate(loops):
-        rows[i][i] = -(e[3] + e[4]) // 2
-        for j in range(i + 1, m):
-            vij, vji = _seifert_entry_pair(e, loops[j])
-            rows[i][j] = vij
-            rows[j][i] = vji
-    comps = len(b.strand_cycles())
-    matrix = IntMatrix.from_rows(rows) if m else IntMatrix(0, 0, ())
-    return SeifertMatrix(matrix=matrix, boundary_components=comps)
+    first, below, below_first = 0, [], 0
+    for level, size in zip(bands, sizes):
+        for k in range(1, len(level)):  # loop i runs from band k-1 to band k
+            i = first + k - 1
+            (u, su), (v, sv) = level[k - 1], level[k]
+            rows[i][i] = -(su + sv) // 2
+            if k > 1:  # shares band k-1 with the loop to its left
+                if su > 0:
+                    rows[i - 1][i] = 1
+                else:
+                    rows[i][i - 1] = -1
+            # a loop one level down from below[j-1] to below[j] crosses
+            # (u, v) when it holds just one of its ends
+            j = bisect(below, u)
+            if 0 < j < len(below) and below[j] < v:
+                rows[i][below_first + j - 1] = 1
+            j = bisect(below, v)
+            if 0 < j < len(below) and below[j - 1] > u:
+                rows[i][below_first + j - 1] = -1
+        below, below_first = [p for p, _s in level], first
+        first += size
+    return SeifertMatrix(matrix=IntMatrix.from_rows(rows),
+                         boundary_components=len(b.strand_cycles()))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,10 @@ def test_brieskorn_ignores_restarts_and_seed():
     (["euler", "PRES", "--tol", "nan"], "InvalidParameter"),
     # 3997 ** 3 vectors, refused before any is built
     (["mw-admissible", "--genera", "1000,1000,1000"], "InputError"),
+    # about 1.0e9 angle triples, refused before any is tried; the
+    # exponents are validated first
+    (["brieskorn", "997", "1009", "1013"], "InputError"),
+    (["brieskorn", "998", "1009", "1012"], "NotCoprime"),
 ])
 def test_bad_option_values_are_input_errors(tmp_path, argv, error):
     path = tmp_path / "pres.json"

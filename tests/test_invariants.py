@@ -88,6 +88,15 @@ def test_determinant_examples():
     assert determinant_at_minus_one(fig8_s)[1] == 5
     split = alexander_fox(wirtinger(from_braid(BraidWord(2, ()))))
     assert determinant_at_minus_one(split) == (Fraction(0), 0)
+    # random polynomials with shifted exponents and either top sign,
+    # against evaluating the normalized polynomial a second time
+    rng = random.Random(91)
+    for _ in range(300):
+        lo = rng.randint(-6, 6)
+        p = LaurentPoly({lo + e: rng.randint(-9, 9)
+                         for e in range(rng.randint(0, 6))})
+        old = (p.eval_at(-1), abs(int(p.unit_normalize().eval_at(-1))))
+        assert determinant_at_minus_one(p) == old, p
 
 
 def test_branched_cover_h1_examples():
@@ -182,7 +191,7 @@ def test_knot_determinant_odd_nonzero(corpus):
 def test_alexander_symmetry(corpus):
     for name, braid in corpus:
         p = alexander_seifert(seifert_matrix(braid))
-        assert p.unit_equal(p.inverted_variable()), name
+        assert p.unit_equal(LaurentPoly({-e: k for e, k in p.items()})), name
 
 
 def test_link_invariants_bundles_pd_and_braid():

@@ -60,6 +60,72 @@ def cycle_count_oracle(strands, word):
     return cycles
 
 
+def _braid_loops(b: BraidWord):
+    """Basis loops of the disk-and-band surface of a braid closure.
+
+    Bands hang between consecutive disks at the positions of the braid
+    letters; one loop per consecutive pair of bands at the same level.
+    Levels with no letters get a pair of parallel untwisted connector
+    bands (one zero loop each) so the surface is connected; this keeps
+    the closure type while making the determinant vanish and the
+    homology pick up a free summand for split closures.
+    """
+    n = b.strands
+    by_level = {i: [] for i in range(1, n)}
+    for pos, w in enumerate(b.word, start=1):
+        by_level[abs(w)].append((pos, 1 if w > 0 else -1))
+    loops = []
+    big = len(b.word) + 1
+    for level in range(1, n):
+        bands = by_level[level]
+        if not bands:
+            loops.append((level, big + 2 * level, big + 2 * level + 1, 0, 0))
+            continue
+        for (p1, s1), (p2, s2) in zip(bands, bands[1:]):
+            loops.append((level, p1, p2, s1, s2))
+    return loops
+
+
+def _seifert_entry_pair(e, f):
+    """(lk(e, f+), lk(f, e+)) for two distinct basis loops."""
+    lev_e, u, v, su, sv = e
+    lev_f, a, b2, sa, sb = f
+    if lev_e == lev_f:
+        if v == a:           # e left, shared band a with sign sa
+            return (1, 0) if sa > 0 else (0, -1)
+        if b2 == u:          # f left, shared band u with sign su
+            pair = (1, 0) if su > 0 else (0, -1)
+            return pair[1], pair[0]
+        return 0, 0
+    if abs(lev_e - lev_f) != 1:
+        return 0, 0
+    lo, hi = (e, f) if lev_e < lev_f else (f, e)
+    _, lu, lv, _, _ = lo
+    _, hu, hv, _, _ = hi
+    if lu < hu < lv < hv:    # lower-level loop starts left
+        pair = (0, 1)
+    elif hu < lu < hv < lv:  # higher-level loop starts left
+        pair = (0, -1)
+    else:
+        return 0, 0
+    if lev_e < lev_f:
+        return pair
+    return pair[1], pair[0]
+
+
+def seifert_rows_all_pairs(b: BraidWord):
+    """Seifert matrix rows by testing every pair of disk-and-band loops,
+    with placeholder band positions past the word for empty levels."""
+    loops = _braid_loops(b)
+    m = len(loops)
+    rows = [[0] * m for _ in range(m)]
+    for i, e in enumerate(loops):
+        rows[i][i] = -(e[3] + e[4]) // 2
+        for j in range(i + 1, m):
+            rows[i][j], rows[j][i] = _seifert_entry_pair(e, loops[j])
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # parse_pd
 
@@ -219,6 +285,32 @@ def test_seifert_fox_agreement_random_braids():
         b = BraidWord(n, word)
         assert alexander_seifert(seifert_matrix(b)).unit_equal(
             alexander_fox(wirtinger(from_braid(b)))), (n, word)
+
+
+def test_seifert_matches_all_pairs_oracle_random_braids():
+    rng = random.Random(2024)
+    empty_levels = single_letter_levels = 0
+    for _ in range(2500):
+        n = rng.randint(1, 7)
+        levels = [lvl for lvl in range(1, n) if rng.random() < 0.7]
+        word = tuple(rng.choice((1, -1)) * rng.choice(levels)
+                     for _ in range(rng.randint(0, 12) if levels else 0))
+        b = BraidWord(n, word)
+        used = [sum(abs(w) == lvl for w in word) for lvl in range(1, n)]
+        empty_levels += used.count(0)
+        single_letter_levels += used.count(1)
+        v = seifert_matrix(b)
+        assert v.matrix.to_rows() == seifert_rows_all_pairs(b), (n, word)
+        assert v.boundary_components == cycle_count_oracle(n, word), (n, word)
+    assert empty_levels > 1000 and single_letter_levels > 1000
+
+
+def test_seifert_matches_all_pairs_oracle_wide_split_braid():
+    b = BraidWord(1000, (1, 2, 3, 4))
+    v = seifert_matrix(b)
+    assert v.size == 995
+    assert v.matrix.to_rows() == seifert_rows_all_pairs(b)
+    assert v.boundary_components == cycle_count_oracle(1000, b.word) == 996
 
 
 # ---------------------------------------------------------------------------
