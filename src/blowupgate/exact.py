@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, prod
+from operator import add
 
 from .errors import BlowupgateError
 
@@ -43,7 +45,7 @@ class IntMatrix:
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
-        return IntMatrix(rows, cols, tuple(int(x) for row in data for x in row))
+        return IntMatrix(rows, cols, tuple(map(int, chain.from_iterable(data))))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -64,13 +66,13 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         e, c = self.entries, self.cols
         return IntMatrix(c, self.rows,
-                         tuple(x for j in range(c) for x in e[j::c]))
+                         tuple(chain.from_iterable(e[j::c] for j in range(c))))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntMatrix(self.rows, self.cols,
-                         tuple(a + b for a, b in zip(self.entries, other.entries)))
+                         tuple(map(add, self.entries, other.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -14,10 +15,12 @@ from blowupgate.psl2r import (IDENTITY, PSL2, SL2, CircleLift, commutator,
                               psl_dist_sq, rotation, translation_number)
 from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
                                RepAssignment, UnassignedGenerator,
-                               _damped_solve, _random_params,
+                               _class_key, _damped_solve, _dedup,
+                               _normal_system, _random_params,
                                _residual_and_jacobian,
                                _residual_vector, _restart,
                                _rotation_numbers_verify, _rotation_solve,
+                               _step,
                                brieskorn_enumerate,
                                brieskorn_presentation, connected_sum_family,
                                free_product, is_abelian, is_irreducible,
@@ -93,6 +96,52 @@ def test_trace_coordinates_conjugation_invariant():
             conj = rep.conjugated(random_psl2(rng))
             key2 = trace_coordinates(TREFOIL_GROUP, conj)
             assert math.dist(key, key2) < 1e-7
+
+
+def hyperbolic(trace):
+    t = math.acosh(trace / 2.0)
+    return PSL2(SL2(math.exp(t), 0.0, 0.0, math.exp(-t)))
+
+
+def test_dedup_keeps_swapped_traces_apart():
+    # two classes of Z^2 whose sorted |trace| vectors are equal
+    p = surface_presentation(1)
+    a, b = hyperbolic(3.0), hyperbolic(4.0)
+    reps = [RepAssignment({"a1": a, "b1": b}, residual=0.0),
+            RepAssignment({"a1": b, "b1": a}, residual=0.0)]
+    assert all(residual(p, rep) < 1e-28 for rep in reps)
+    assert trace_coordinates(p, reps[0]) == trace_coordinates(p, reps[1])
+    assert len(_dedup(p, reps)) == 2
+
+
+def test_dedup_keeps_classes_apart_when_a_trace_vanishes():
+    # tr(x) = 0 zeroes tr(x) tr(y) tr(xy); tr(xy) = 0 and 8/3 tell them apart
+    p = Presentation(("x", "y"), ())
+    x = PSL2(SL2(*rotation(math.pi / 2)))
+    reps = [RepAssignment({"x": x, "y": y}, residual=0.0)
+            for y in (hyperbolic(3.0), PSL2(SL2(1.0, 3.0, 1.0 / 3.0, 2.0)))]
+    assert len(_dedup(p, reps)) == 2
+
+
+def test_dedup_merges_one_class_found_twice():
+    # large traces: the key coordinates reach about 3e9 and differ by up
+    # to about 1 between conjugates, so only a tolerance relative to their
+    # size merges them
+    rng = random.Random(21)
+    p = Presentation(("x", "y", "z"), ())
+    base = RepAssignment({g: PSL2(SL2(*mat_mul(mat_mul(
+        rotation(rng.uniform(0, math.pi)), hyperbolic(40.0 + 9 * i).tuple()),
+        rotation(rng.uniform(0, math.pi)))))
+        for i, g in enumerate(p.generators)}, residual=0.0)
+    copies = [base] + [base.conjugated(random_psl2(rng)) for _ in range(6)]
+    kept = _dedup(p, copies)
+    assert len(kept) == 1
+    swapped = RepAssignment({"x": base["y"], "y": base["x"], "z": base["z"]},
+                            residual=0.0)
+    assert len(_dedup(p, copies + [swapped])) == 2
+    mats = [m.tuple() for m in base.matrices.values()]
+    flipped = [tuple(-v for v in mats[0])] + mats[1:]
+    assert _class_key(flipped) == _class_key(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +235,7 @@ def test_jacobian_matches_central_differences(name):
 # restarts of seed 123 out of 40 that the central-difference Jacobian
 # brought below 1e-10
 @pytest.mark.parametrize("name, converged", [
-    ("surface1", 40), ("surface2", 38), ("surface1xS1", 40),
+    ("surface1", 40), ("surface2", 40), ("surface1xS1", 40),
     ("surface1*surface1", 40), ("trefoil", 35),
 ])
 def test_restarts_converge_as_often_as_central_differences(name, converged):
@@ -209,8 +258,9 @@ def test_damped_solve_residual(rows, cols, scale, lam):
         a = [[sum(u * v for u, v in zip(ci, cj)) for cj in jac]
              for ci in jac]
         b = [rng.gauss(0.0, 1.0) for _ in range(cols)]
-        x = _damped_solve([row[:i + 1] for i, row in enumerate(a)], lam, b)
-        damped = [[a[i][j] + (lam * a[i][i] + 1e-14 if i == j else 0.0)
+        shift = [lam * a[i][i] + 1e-14 for i in range(cols)]
+        x = _damped_solve([row[:i + 1] for i, row in enumerate(a)], shift, b)
+        damped = [[a[i][j] + (shift[i] if i == j else 0.0)
                    for j in range(cols)] for i in range(cols)]
         bound = 1e-12 * max(map(abs, x)) * max(
             sum(map(abs, row)) for row in damped)
@@ -223,7 +273,62 @@ def test_damped_solve_rejects_nan(i, j):
     jtj = [[2.0], [0.5, 3.0], [0.1, 0.2, 4.0]]
     jtj[i][j] = math.nan
     with pytest.raises(ZeroDivisionError):
-        _damped_solve(jtj, 1e-3, [1.0, 2.0, 3.0])
+        _damped_solve(jtj, [1e-3 * row[-1] + 1e-14 for row in jtj],
+                      [1.0, 2.0, 3.0])
+
+
+def test_damped_solve_rejects_nan_shift():
+    jtj = [[2.0], [0.5, 3.0], [0.1, 0.2, 4.0]]
+    with pytest.raises(ZeroDivisionError):
+        _damped_solve(jtj, [1e-14, math.nan, 1e-14], [1.0, 2.0, 3.0])
+
+
+def low_rank_jacobian(rng, m, n, rank):
+    """n columns of length m of a random m x n matrix of the given rank."""
+    u = [[rng.gauss(0.0, 1.0) for _ in range(rank)] for _ in range(m)]
+    v = [[rng.gauss(0.0, 1.0) for _ in range(rank)] for _ in range(n)]
+    return [[sum(map(mul, ui, vj), 0.0) for ui in u] for vj in v]
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("m, n, rank", [
+    (4, 6, 4), (4, 12, 4), (8, 12, 8),   # the surface and free-product shapes
+    (6, 12, 3),                          # rank deficient: J J^T is singular
+    (4, 12, 0),                          # J = 0
+])
+def test_dual_step_matches_isotropic_primal_step(m, n, rank, lam):
+    # J^T (J J^T + mu' I)^-1 (-r) = (J^T J + mu' I)^-1 (-J^T r)
+    rng = random.Random(f"dual:{m}:{n}:{rank}:{lam}")
+    for _ in range(5):
+        jac = low_rank_jacobian(rng, m, n, rank)
+        r = [rng.gauss(0.0, 1.0) for _ in range(m)]
+        neg_grad = [-sum(map(mul, col, r)) for col in jac]
+        lower, rhs = _normal_system(jac, r, neg_grad)
+        assert len(lower) == m
+        step = _step(jac, lower, rhs, lam)
+        mu = lam * sum(v * v for col in jac for v in col) / n
+        jtj = [[sum(map(mul, ci, cj)) for cj in jac[:i + 1]]
+               for i, ci in enumerate(jac)]
+        ref = _damped_solve(jtj, [mu + 1e-14] * n, neg_grad)
+        bound = 1e-10 * max(map(abs, ref))
+        assert len(step) == n
+        assert all(abs(a - b) <= bound for a, b in zip(step, ref)), (step, ref)
+        if rank == 0:
+            assert step == [0.0] * n
+
+
+@pytest.mark.parametrize("m, n", [(12, 9), (16, 12), (28, 12), (4, 4)])
+def test_primal_step_damps_the_diagonal(m, n):
+    rng = random.Random(f"primal:{m}:{n}")
+    jac = low_rank_jacobian(rng, m, n, min(m, n))
+    r = [rng.gauss(0.0, 1.0) for _ in range(m)]
+    neg_grad = [-sum(map(mul, col, r)) for col in jac]
+    lower, rhs = _normal_system(jac, r, neg_grad)
+    assert rhs is neg_grad
+    assert lower == [[sum(map(mul, ci, cj)) for cj in jac[:i + 1]]
+                     for i, ci in enumerate(jac)]
+    shift = [0.5 * row[i] + 1e-14 for i, row in enumerate(lower)]
+    assert _step(jac, lower, rhs, 0.5) == _damped_solve(lower, shift, rhs)
 
 
 # ---------------------------------------------------------------------------
