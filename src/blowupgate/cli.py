@@ -35,9 +35,10 @@ from blowupgate.repvar import (BrieskornData, InvalidParameter,
 SCHEMA = "1"
 # Limits on counts in the input, checked before anything of that size is
 # built: a split braid closure on n strands has a dense (n - 1)^2 Seifert
-# matrix (about 0.45 s for the whole process at 1000 strands on a 2-vCPU
-# host), mw-admissible lists all prod(4 g_j - 3) vectors, and brieskorn
-# tries all (p - 1)(q - 1)(r - 1) angle triples at about 34 us each.
+# matrix (about 0.26 s for the whole process at 1000 strands on a shared
+# 2-vCPU host), mw-admissible lists all prod(4 g_j - 3) vectors, and
+# brieskorn tries all (p - 1)(q - 1)(r - 1) angle triples at about 34 us
+# each.
 MAX_STRANDS = 1000
 MAX_MW_VECTORS = 10 ** 6
 MAX_CENSUS_TRIPLES = 10 ** 6
@@ -77,6 +78,8 @@ def _input_errors(what: str):
 def _diagram_from_json(data) -> LinkDiagram:
     if not isinstance(data, dict):
         raise InputError("link JSON must be an object")
+    if "pd" in data and "braid" in data:
+        raise InputError('link JSON has both a "pd" and a "braid" field')
     if "pd" in data:
         with _input_errors("malformed pd code"):
             return parse_pd(data["pd"])

@@ -86,14 +86,21 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant: unit pivots first, then Bareiss elimination.
+
+        _peel_units expands along every entry +-1 it can find, which
+        costs one multiply-subtract per touched entry; fraction-free
+        (Bareiss) elimination, which rescales every remaining row with
+        two multiplications and an exact division per step, takes the
+        rest.
+        """
         if self.rows != self.cols:
             raise NonSquare(f"{self.rows}x{self.cols} matrix")
-        n = self.rows
-        if n == 0:
-            return 1
         a = self.to_rows()
-        sign = 1
+        sign = _peel_units(a)
+        n = len(a)
+        if n == 0:
+            return sign
         prev = 1
         for k in range(n - 1):
             if a[k][k] == 0:
@@ -110,6 +117,46 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+def _peel_units(a: list) -> int:
+    """Split the pivots +-1 off the row list a, in place; return the sign.
+
+    While some entry p = +-1 remains, at row i and column j of the
+    active rows, every other row with a nonzero entry x in column j has
+    x * p times row i subtracted from it (p is its own inverse, so no
+    division is needed), and row i and column j are removed.  The rows
+    left hold a matrix with the same Smith form as the input, less one
+    factor 1 per pivot; for a square input its determinant times the
+    returned sign, the product of (-1)^(i+j) * p over the pivots, is
+    the input's.  Rows before `start` are known to hold no unit.
+    """
+    sign = 1
+    start = 0
+    while True:
+        for i in range(start, len(a)):
+            row = a[i]
+            if 1 in row:
+                p = 1
+                break
+            if -1 in row:
+                p = -1
+                break
+        else:
+            return sign
+        j = row.index(p)
+        del a[i]
+        del row[j]
+        start = i
+        sign = sign * p if (i + j) % 2 == 0 else -sign * p
+        nz = [(c, y * p) for c, y in enumerate(row) if y]
+        for k, other in enumerate(a):
+            x = other.pop(j)
+            if x:
+                for c, y in nz:
+                    other[c] -= x * y
+                if k < start:
+                    start = k
 
 
 @dataclass(frozen=True)
@@ -268,18 +315,26 @@ def smith_normal_form(m: IntMatrix):
 def invariant_factors(m: IntMatrix) -> list:
     """Nonzero diagonal entries of the Smith normal form, in chain order.
 
-    Integer-only and without the transforms: the bare matrix is
-    eliminated, so no U or V is built.
+    Integer-only and without the transforms: the pivots +-1 are split
+    off first by _peel_units, one factor 1 each, and _eliminate
+    diagonalizes the bare matrix that is left, so no U or V is built.
     """
-    a = m.to_rows()
-    _eliminate(a, m.rows, m.cols)
-    return [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i] != 0]
+    # zero rows add no relation, and the unit search would scan them
+    a = [row for row in m.to_rows() if any(row)]
+    rows = len(a)
+    _peel_units(a)
+    units = rows - len(a)
+    r, c = len(a), m.cols - units
+    _eliminate(a, r, c)
+    return [1] * units + [a[i][i] for i in range(min(r, c)) if a[i][i] != 0]
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:
     """Z^cols modulo the row span of m, from its invariant factors.
 
-    Integer-only; no unimodular transforms are built.
+    Integer-only; no unimodular transforms are built, and the pivots
+    +-1, which add only factors 1, are split off before the Smith
+    elimination (see invariant_factors).
     """
     facs = invariant_factors(m)
     return AbelianGroup(rank=m.cols - len(facs),
@@ -299,6 +354,14 @@ class LaurentPoly:
                 if k != 0:
                     c[int(e)] = k
         self._c = c
+
+    @staticmethod
+    def _of(c: dict) -> "LaurentPoly":
+        """Wrap c itself, unchecked: c must map ints to nonzero ints and
+        must not be changed afterwards.  For dicts the package built."""
+        p = object.__new__(LaurentPoly)
+        p._c = c
+        return p
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -443,6 +506,11 @@ def laurent_det(mat) -> LaurentPoly:
     the sum of absolute coefficients in the row bounds every coefficient
     of the determinant, and 2**bits exceeds twice that bound, so the
     digits are exact.  The empty matrix has determinant 1.
+
+    An entry +-t^k at its row's least exponent becomes +-1, and
+    IntMatrix.det splits such pivots off before its Bareiss
+    elimination: Wirtinger Fox minors (entries 1 - t, t and -1) and
+    braid Seifert forms have one in most rows.
     """
     n = len(mat)
     for row in mat:

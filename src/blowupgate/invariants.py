@@ -39,7 +39,8 @@ def alexander_seifert(v: SeifertMatrix) -> LaurentPoly:
     # split closures leave most cells with V_ij = V_ji = 0; they share one
     # zero polynomial
     zero = LaurentPoly.zero()
-    mat = [[LaurentPoly({0: a, 1: -b}) if a or b else zero
+    mat = [[LaurentPoly._of({0: a, 1: -b} if a and b else {0: a} if a
+                            else {1: -b}) if a or b else zero
             for a, b in zip(row, col)]
            for row, col in zip(v.matrix.to_rows(),
                                v.matrix.transpose().to_rows())]
@@ -53,12 +54,18 @@ def fox_jacobian(p: Presentation) -> list:
     respect to generator g under the abelianization onto <t>.
     """
     n = len(p.generators)
+    # a relator touches few generators: the other entries share one zero
+    zero = LaurentPoly.zero()
     rows = []
     for rel in p.relators:
-        cols = [dict() for _ in range(n)]
+        cols = {}
         for g, exp, sign in _fox_terms(rel):
-            cols[g][exp] = cols[g].get(exp, 0) + sign
-        rows.append([LaurentPoly(c) for c in cols])
+            c = cols.setdefault(g, {})
+            c[exp] = c.get(exp, 0) + sign
+        row = [zero] * n
+        for g, c in cols.items():
+            row[g] = LaurentPoly._of({e: k for e, k in c.items() if k})
+        rows.append(row)
     return rows
 
 

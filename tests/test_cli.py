@@ -454,6 +454,9 @@ def test_euler_error_paths(tmp_path):
     ("flow", None),
     ("flow", "x"),
     ("flow", 3),
+    # one link given twice: the pd code used to win and the braid was dropped
+    ("invariants", {"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]],
+                    "braid": {"strands": 2, "word": [1]}}),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -10,6 +11,31 @@ from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def bareiss_det(rows) -> int:
+    """Determinant by plain fraction-free (Bareiss) elimination, with no
+    unit pivots split off first: the library's IntMatrix.det does that,
+    and so do invariant_factors and cokernel, so the oracles below keep
+    their own loop."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def gcd_of_minors_factors(m: IntMatrix):
@@ -22,9 +48,8 @@ def gcd_of_minors_factors(m: IntMatrix):
         g = 0
         for rows in combinations(range(m.rows), k):
             for cols in combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows(
-                    [[m.at(i, j) for j in cols] for i in rows])
-                g = gcd(g, abs(sub.det()))
+                g = gcd(g, abs(bareiss_det(
+                    [[m.at(i, j) for j in cols] for i in rows])))
         if g == 0:
             break
         out.append(g // prev)
@@ -49,8 +74,8 @@ def cofactor_det(mat):
 def check_snf(m: IntMatrix):
     u, d, v = smith_normal_form(m)
     assert (u @ m) @ v == d
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
+    assert abs(bareiss_det(u.to_rows())) == 1
+    assert abs(bareiss_det(v.to_rows())) == 1
     diag = [d.at(i, i) for i in range(min(d.rows, d.cols))]
     for i in range(d.rows):
         for j in range(d.cols):
@@ -104,6 +129,59 @@ def test_invariant_factors_of_empty_and_zero_shapes(rows, cols):
     u, d, v = smith_normal_form(m)
     assert (u.rows, u.cols, v.rows, v.cols) == (rows, rows, cols, cols)
     assert (u @ m) @ v == d == m
+
+
+def unit_dense_matrix(rng, rows, cols):
+    """Entries mostly +-1, with some zeros and a few larger values, and
+    now and then an all-zero row or column."""
+    a = [[rng.choice([1, -1, 1, -1, 0, 0, 2, -3, 5])
+          for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        a[rng.randrange(rows)] = [0] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = 0
+    return IntMatrix(rows, cols, tuple(x for row in a for x in row))
+
+
+def oracle_cokernel(m: IntMatrix) -> AbelianGroup:
+    facs = gcd_of_minors_factors(m)
+    return AbelianGroup(rank=m.cols - len(facs),
+                        torsion=tuple(d for d in facs if d >= 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unit_dense_matrices_vs_minor_oracle(seed):
+    rng = random.Random(1800 + seed)
+    shapes = [(0, 3), (3, 0), (0, 0)]
+    shapes += [(n, n) for n in range(1, 7)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(30)]
+    for rows, cols in shapes:
+        m = unit_dense_matrix(rng, rows, cols)
+        if rows == cols:
+            assert m.det() == bareiss_det(m.to_rows()), m
+        assert invariant_factors(m) == gcd_of_minors_factors(m), m
+        assert cokernel(m) == oracle_cokernel(m), m
+
+
+def test_unit_dense_determinants_vs_bareiss_oracle():
+    # sizes past the reach of the minor oracle, and signed permutation
+    # matrices, whose determinant is the sign of the permutation times
+    # the product of the entries
+    rng = random.Random(1810)
+    for n in range(1, 16):
+        m = unit_dense_matrix(rng, n, n)
+        assert m.det() == bareiss_det(m.to_rows()), m
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signs = [rng.choice([1, -1]) for _ in range(n)]
+        p = IntMatrix.from_rows([[signs[i] if j == perm[i] else 0
+                                  for j in range(n)] for i in range(n)])
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in combinations(range(n), 2))
+        assert p.det() == (-1) ** inversions * prod(signs), perm
+        assert invariant_factors(p) == [1] * n
 
 
 def test_cokernel_examples():

@@ -243,3 +243,21 @@ def test_granny_and_square_knots_composite_homology():
         assert inv.det == 9
         assert inv.h1_branched == AbelianGroup(rank=0, torsion=(3, 3))
         assert inv.alexander.unit_equal(trefoil_alex * trefoil_alex)
+
+
+@pytest.mark.parametrize("braid, coeffs, det", [
+    # the (2, 101) torus knot: Seifert matrix 100 x 100, 101 Wirtinger arcs
+    (BraidWord(2, (1,) * 101), [(-1) ** i for i in range(101)], 101),
+    # the (2, 60) torus link as the closure of (s_1 ... s_59)^2
+    (BraidWord(60, tuple(range(1, 60)) * 2), [(-1) ** (i + 1)
+                                               for i in range(60)], 60),
+], ids=["torus_2_101", "torus_2_60_on_60_strands"])
+def test_large_links_agree_on_both_routes(braid, coeffs, det):
+    d = from_braid(braid)
+    seifert = link_invariants(d)
+    fox = link_invariants(parse_pd(d.to_pd()))
+    assert (seifert.h1_method, fox.h1_method) == ("seifert", "fox")
+    for inv in (seifert, fox):
+        assert inv.alexander.coeff_list() == (coeffs, 0)
+        assert inv.det == det
+        assert inv.h1_branched == AbelianGroup(rank=0, torsion=(det,))
