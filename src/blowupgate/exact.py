@@ -204,91 +204,56 @@ def _eliminate(a: list, r: int, c: int) -> None:
     Rows may be longer than c and a may hold rows below the first r: row
     operations act on whole rows among the first r, column operations on
     the first c entries of every row, so identities bordering the block
-    record the operations.  Pivots are chosen by minimal absolute value
-    to keep intermediate growth down; the diagonal ends as a nonnegative
-    divisor chain d_1 | d_2 | ...
+    record the operations.
+
+    Each round moves a least nonzero entry to (t, t): after a round that
+    left remainders, the least of those; otherwise the least of the
+    trailing block, ties going to the first in row-major order.  The
+    round clears column t by row operations and, only once column t is
+    clear, row t by column operations.  A remainder is smaller than the
+    pivot, so the pivot shrinks from round to round.  With both clear, a
+    row whose entries the pivot does not all divide is added to row t,
+    so the pivot shrinks in the next rounds too; otherwise the pivot is
+    made positive and t advances.  Least pivots keep intermediate growth
+    down; the diagonal ends as a nonnegative divisor chain d_1 | d_2 ...
     """
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-
-    t = 0
+    t, rest = 0, []
     while t < r and t < c:
-        # locate a minimal-absolute-value pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                e = a[i][j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-
-        while True:
-            # clear column t with the current pivot, restarting whenever a
-            # remainder produces a smaller pivot
-            restart = False
-            for i in range(t + 1, r):
-                if a[i][t] == 0:
-                    continue
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
-                if a[i][t] != 0:
-                    swap_rows(t, i)
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(t + 1, c):
-                if a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                if a[t][j] != 0:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # pivot must divide the rest of the block for the divisor chain
-            offender = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
+        if not rest:
+            rest = [(abs(x), i, j) for i in range(t, r)
+                    for j, x in enumerate(a[i][t:c], t) if x]
+            if not rest:
+                return
+        _, i, j = min(rest)
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+        top = a[t]
+        p = top[t]
+        for i in range(t + 1, r):
+            if a[i][t]:
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+        rest = [(abs(a[i][t]), i, t) for i in range(t + 1, r) if a[i][t]]
+        if rest:
+            continue
+        for j in range(t + 1, c):
+            if top[j]:
+                q = top[j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+        rest = [(abs(x), t, j) for j, x in enumerate(top[t + 1:c], t + 1) if x]
+        if rest:
+            continue
+        offender = next((row for row in a[t + 1:r]
+                         if any(x % p for x in row[t + 1:c])), None)
+        if offender is not None:
+            a[t] = list(map(add, top, offender))
+            continue
+        if p < 0:
+            a[t] = [-x for x in top]
         t += 1
-
-    for i in range(min(r, c)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
 
 
 def smith_normal_form(m: IntMatrix):

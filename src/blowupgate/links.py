@@ -36,12 +36,17 @@ class EmptySelection(BlowupgateError, ValueError):
 
 
 def _integer(x) -> int:
-    """int(x), refusing a float that int() would truncate, such as 1.7,
-    and a string, which int() would parse, so that a string in place of
-    an integer array is not read digit by digit."""
-    if isinstance(x, str) or isinstance(x, float) and not x.is_integer():
-        raise ValueError(f"{x!r} is not an integer")
-    return int(x)
+    """x as an int: an int that is not a bool, or an integral float.
+    Anything else is refused with ValueError: a float or Fraction that
+    int() would truncate, such as 1.7, a string, which int() would
+    parse (so a string in place of an integer array is not read digit by
+    digit), and True and False, which int() reads as 1 and 0."""
+    if type(x) is int:
+        return x
+    if (isinstance(x, float) and x.is_integer()
+            or isinstance(x, int) and not isinstance(x, bool)):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
 
 
 def _integers(seq, item=_integer) -> tuple:
@@ -189,24 +194,29 @@ class Presentation:
 # diagram assembly
 
 
-def _traverse(crossings):
-    """Component cycles of arcs and the direction of each over strand.
-
-    Each arc fills two (crossing, slot) positions.  The walk leaves an
-    arc at slot s, arrives at slot s ^ 2 of the same crossing (the other
-    end of the under path 0-2 or the over path 1-3) and leaves the arc
-    found there through that arc's other position.  It alternates
-    between two perfect matchings of the positions, so it always comes
-    back to the arc it started from.  Under paths vote on the direction
-    of each component: the under strand runs slot 0 -> 2.  Returns
-    (components, over_forward) where over_forward[i] is True when the
-    over strand of crossing i runs slot 1 -> 3.
-    """
-    ends = {}  # arc -> its two (crossing, slot) positions
+def _arc_ends(crossings) -> dict:
+    """arc -> the (crossing, slot) positions it fills, in order."""
+    ends = {}
     for idx, (arcs, _sign) in enumerate(crossings):
         for slot, arc in enumerate(arcs):
             ends.setdefault(arc, []).append((idx, slot))
+    return ends
 
+
+def _traverse(crossings, ends):
+    """Component cycles of arcs and the direction of each over strand.
+
+    ends maps each arc to its two (crossing, slot) positions (see
+    _arc_ends); the walk uses it up.  The walk leaves an arc at slot s,
+    arrives at slot s ^ 2 of the same crossing (the other end of the
+    under path 0-2 or the over path 1-3) and leaves the arc found there
+    through that arc's other position.  It alternates between two
+    perfect matchings of the positions, so it always comes back to the
+    arc it started from.  Under paths vote on the direction of each
+    component: the under strand runs slot 0 -> 2.  Returns (components,
+    over_forward) where over_forward[i] is True when the over strand of
+    crossing i runs slot 1 -> 3.
+    """
     components, over_forward = [], {}
     for start in sorted(ends):
         if start not in ends:  # already walked
@@ -240,40 +250,84 @@ def _traverse(crossings):
     return components, over_forward
 
 
-def _assemble(signed_crossings, free_arcs, origin, derive_signs=False):
-    comps, over_forward = _traverse(signed_crossings)
-    crossings = []
-    for idx, (arcs, sign) in enumerate(signed_crossings):
-        if derive_signs:
-            # over strand running d -> b is a right-handed crossing
-            sign = -1 if over_forward[idx] else 1
-        crossings.append(Crossing(tuple(arcs), sign))
+def _check_planar(n: int, ends) -> None:
+    """Refuse a code with n crossings that no diagram on the sphere has.
+
+    The faces of the counterclockwise rotation system are the orbits of
+    one step: leave slot s along its arc, arrive at slot s' of the
+    crossing at its other end and go on from slot (s' + 1) % 4 there.
+    By Euler's formula a diagram on the sphere with n crossings, 2n arcs
+    and k connected pieces has n + 2k faces; with fewer, the code only
+    fits a surface of higher genus.  Two closed curves in the plane
+    cross an even number of times, which such a code need not respect.
+    """
+    step = [0] * (4 * n)  # position 4 * crossing + slot -> next position
+    for (i, s), (j, t) in ends.values():
+        step[4 * i + s] = 4 * j + (t + 1) % 4
+        step[4 * j + t] = 4 * i + (s + 1) % 4
+    faces = 0
+    seen = [False] * (4 * n)
+    for pos in range(4 * n):
+        if not seen[pos]:
+            faces += 1
+            while not seen[pos]:
+                seen[pos] = True
+                pos = step[pos]
+    pieces = 0
+    seen = [False] * n
+    for i in range(n):
+        if not seen[i]:
+            pieces += 1
+            seen[i] = True
+            stack = [i]
+            while stack:
+                k = stack.pop()
+                for pos in step[4 * k:4 * k + 4]:  # across each arc of k
+                    if not seen[pos // 4]:
+                        seen[pos // 4] = True
+                        stack.append(pos // 4)
+    if faces != n + 2 * pieces:
+        raise MalformedPD(f"no planar diagram has this code: {faces} faces, "
+                          f"{n} crossings, {pieces} connected pieces")
+
+
+def _assemble(signed_crossings, free_arcs, origin):
+    comps, _over = _traverse(signed_crossings, _arc_ends(signed_crossings))
+    crossings = tuple(Crossing(tuple(arcs), sign)
+                      for arcs, sign in signed_crossings)
     components = tuple(sorted(comps + [(a,) for a in free_arcs]))
-    return LinkDiagram(crossings=tuple(crossings), components=components,
+    return LinkDiagram(crossings=crossings, components=components,
                        origin=origin)
 
 
 def parse_pd(code) -> LinkDiagram:
     """Build a diagram from a PD code (list of 4-tuples of arc labels).
 
-    The empty code is the one-component zero-crossing unknot.
+    The empty code is the one-component zero-crossing unknot.  A code
+    that no planar diagram has raises MalformedPD (see _check_planar).
     """
     code = _integers(code, _integers)
     if not code:
         return LinkDiagram(crossings=(), components=((1,),), origin="pd")
-    seen = {}
     for row in code:
         if len(row) != 4:
             raise MalformedPD(f"crossing {row} does not have 4 arcs")
         for a in row:
             if a <= 0:
                 raise MalformedPD(f"arc label {a} is not a positive integer")
-            seen[a] = seen.get(a, 0) + 1
-    for a, n in seen.items():
-        if n != 2:
-            raise MalformedPD(f"arc {a} appears {n} times, expected 2")
     signed = [(row, 0) for row in code]
-    return _assemble(signed, free_arcs=(), origin="pd", derive_signs=True)
+    ends = _arc_ends(signed)
+    for a, where in ends.items():
+        if len(where) != 2:
+            raise MalformedPD(f"arc {a} appears {len(where)} times, "
+                              "expected 2")
+    _check_planar(len(code), ends)
+    comps, over_forward = _traverse(signed, ends)
+    # over strand running d -> b is a right-handed crossing
+    crossings = tuple(Crossing(row, -1 if over_forward[idx] else 1)
+                      for idx, row in enumerate(code))
+    return LinkDiagram(crossings=crossings, components=tuple(sorted(comps)),
+                       origin="pd")
 
 
 def _union_find(items):

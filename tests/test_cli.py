@@ -82,6 +82,18 @@ def test_invariants_pd_input(tmp_path):
     assert data["h1_branched"] == {"rank": 0, "torsion": [3]}
 
 
+@pytest.mark.parametrize("code", [[[1, 2, 1, 2]],
+                                  [[1, 2, 3, 4], [3, 4, 1, 2]]])
+def test_non_planar_pd_is_malformed(tmp_path, code):
+    # both used to answer: a 2-component link with det 2, and Alexander
+    # t^2 - 1 with det 0
+    path = tmp_path / "pd.json"
+    path.write_text(json.dumps({"pd": code}))
+    code, out = invoke(["invariants", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "MalformedPD"
+
+
 def test_invariants_thousand_strand_braid(tmp_path):
     # the most strands accepted: the split closure of four crossings has a
     # 995 x 995 zero Seifert matrix
@@ -457,6 +469,13 @@ def test_euler_error_paths(tmp_path):
     # one link given twice: the pd code used to win and the braid was dropped
     ("invariants", {"pd": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]],
                     "braid": {"strands": 2, "word": [1]}}),
+    # true used to pass as 1: a trefoil, one strand, a relator letter, an
+    # arc label and an orientation
+    ("invariants", {"braid": {"strands": 2, "word": [True, True, True]}}),
+    ("invariants", {"braid": {"strands": True}}),
+    ("solve", {"generators": ["a"], "relators": [[True]]}),
+    ("invariants", {"pd": [[True, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}),
+    ("flow", dict(GRAPH, orientations=[True, -1, -1])),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"

@@ -94,8 +94,20 @@ def check_snf(m: IntMatrix):
 
 
 def test_snf_example_2x2():
-    m = IntMatrix.from_rows([[2, 4], [6, 8]])
-    assert check_snf(m) == gcd_of_minors_factors(m) == [2, 4]
+    for rows, factors in (
+            ([[2, 4], [6, 8]], [2, 4]),
+            # the pivot 2 does not divide 3: a row is added to row 0
+            ([[2, 0], [0, 3]], [1, 6]),
+            # negative pivots, one in the wrong place
+            ([[-3, 0], [0, -6]], [3, 6]),
+            ([[0, -5], [-10, 0]], [5, 10]),
+            # consecutive Fibonacci numbers: each round leaves one
+            # remainder, the next round's pivot
+            ([[34, 21], [21, 13]], [1, 1]),
+            ([[89, 55], [55, 34]], [1, 1])):
+        m = IntMatrix.from_rows(rows)
+        assert check_snf(m) == gcd_of_minors_factors(m) == factors
+        assert invariant_factors(m) == factors
 
 
 def test_snf_identity():
@@ -377,6 +389,19 @@ def test_snf_arbitrary_precision_entries():
     assert factors == [1, 1]
     m2 = IntMatrix.from_rows([[2 * big, 0], [0, 3 * big]])
     assert check_snf(m2) == gcd_of_minors_factors(m2)
+    # bordered shapes with r != c: large Fibonacci entries give long
+    # chains of remainders along a row and along a column
+    f = [0, 1]
+    while len(f) < 150:
+        f.append(f[-1] + f[-2])
+    for rows in ([[f[149], f[148], 6 * f[100]]],
+                 [[f[149], f[147]], [f[148], -f[146]], [-f[120], 2]],
+                 [[6, 10, 15], [-4, 0, 9]],
+                 [[6, -10], [10, 15], [-15, 6]]):
+        for m3 in (IntMatrix.from_rows(rows),
+                   IntMatrix.from_rows(rows).transpose()):
+            assert check_snf(m3) == gcd_of_minors_factors(m3) \
+                == invariant_factors(m3)
 
 
 def test_snf_larger_random_matrices():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -209,7 +210,9 @@ def test_braid_letter_validation():
     # a float is an integer only when int() would not truncate it
     assert BraidWord(2.0, (1.0, -1)) == BraidWord(2, (1, -1))
     for strands, word in ((2, (1.7,)), (2.9, (1,)), (2, (float("inf"),)),
-                          (2, (float("nan"),))):
+                          (2, (float("nan"),)), (2, (Fraction(7, 2),)),
+                          (2, (Fraction(1),)), (True, ()),
+                          (2, (True, True, True))):
         with pytest.raises(ValueError):
             BraidWord(strands, word)
 
@@ -436,19 +439,56 @@ def test_all_over_component_orientation():
 @pytest.mark.parametrize("code, components, signs", [
     ([[1, 2, 2, 1]], ((1, 2),), [-1]),
     ([[2, 1, 1, 2]], ((1, 2),), [-1]),
-    # one-arc component that only goes over
-    ([[1, 2, 1, 2]], ((1,), (2,)), [-1]),
-    # two-arc all-over component, oriented by the label rule
-    ([[1, 5, 2, 6], [2, 6, 3, 5], [3, 1, 4, 4]], ((1, 2, 3, 4), (5, 6)),
-     [-1, -1, 1]),
-    # three-arc all-over component: the label rule sets its direction
-    ([[5, 6, 5, 2], [4, 6, 4, 3], [1, 2, 1, 3]], ((1,), (2, 3, 6), (4,), (5,)),
-     [-1, 1, -1]),
+    # two split pieces: the planarity check allows two faces for each
+    ([[1, 2, 2, 1], [3, 4, 4, 3]], ((1, 2), (3, 4)), [-1, -1]),
+    # two-arc all-over component, run from its first position, as the
+    # label rule leaves it: it lies over the other one, so its two
+    # crossings have opposite signs
+    ([[1, 5, 2, 6], [2, 5, 3, 6], [3, 1, 4, 4]], ((1, 2, 3, 4), (5, 6)),
+     [-1, 1, 1]),
+    # four-arc all-over component (the closure of s1 s2 s2^-1 s1^-1),
+    # walked 1, 8, 7, 5 from its first position: the label rule turns it
+    # round, and each other component crosses it with signs -1 and +1
+    ([[2, 8, 4, 1], [3, 7, 6, 8], [6, 7, 3, 5], [4, 5, 2, 1]],
+     ((1, 5, 7, 8), (2, 4), (3, 6)), [-1, -1, 1, 1]),
 ])
 def test_traversal_edge_cases(code, components, signs):
     d = parse_pd(code)
     assert d.components == components
     assert [c.sign for c in d.crossings] == signs
+
+
+@pytest.mark.parametrize("code", [
+    # two circles crossing once; a one-arc component always crosses the
+    # other strand of its crossing just once
+    [[1, 2, 1, 2]],
+    # the two-arc all-over component crossing with one sign only
+    [[1, 5, 2, 6], [2, 6, 3, 5], [3, 1, 4, 4]],
+    # one-arc components, and a three-arc all-over one, which needs an
+    # odd number of crossings with the rest
+    [[5, 6, 5, 2], [4, 6, 4, 3], [1, 2, 1, 3]],
+    # Alexander t^2 - 1 and det 0, which no 2-crossing diagram has
+    [[1, 2, 3, 4], [3, 4, 1, 2]],
+])
+def test_parse_pd_rejects_non_planar_codes(code):
+    with pytest.raises(MalformedPD, match="^no planar diagram"):
+        parse_pd(code)
+
+
+def test_braid_closure_codes_are_planar():
+    # from_braid and sublink build planar diagrams, so parse_pd takes
+    # their codes back
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(0, 12) if n > 1 else 0)]
+        d = from_braid(BraidWord(n, word))
+        again = parse_pd(d.to_pd())
+        assert len(again.crossings) == len(d.crossings)
+        keep = rng.sample(range(len(again.components)),
+                          rng.randint(1, len(again.components)))
+        parse_pd(sublink(again, keep).to_pd())
 
 
 def test_traversal_inconsistent_orientation():
