@@ -22,7 +22,7 @@ from .invariants import (LinkInvariants, NotWirtinger, alexander_fox,
 from .links import (BraidWord, Crossing, EmptySelection, InvalidLetter,
                     LinkDiagram, MalformedPD, Presentation, SeifertMatrix,
                     from_braid, parse_pd, seifert_matrix, sublink, wirtinger)
-from .psl2r import (PSL2, SL2, CircleLift, GenusZero, ResidualTooLarge,
+from .psl2r import (PSL2, CircleLift, GenusZero, ResidualTooLarge,
                     RoundingAmbiguous, act_rp1, classify, euler_number,
                     fuchsian_genus2, milnor_wood_admissible,
                     translation_number)

@@ -240,6 +240,10 @@ def _matrix_json(m: PSL2):
     return [[round(x, 15) + 0.0 for x in row] for row in m.matrix_rows()]
 
 
+def _traces_json(coords):
+    return [round(t, 9) + 0.0 for t in coords]
+
+
 def _cmd_solve(args):
     pres = _presentation_from_json(_load_json(args.presentation))
     sols = solve(pres, restarts=args.restarts, tol=args.tol, seed=args.seed)
@@ -247,7 +251,7 @@ def _cmd_solve(args):
     for rep in sols:
         out.append({
             "residual": rep.residual,
-            "traces": [round(t, 9) for t in trace_coordinates(pres, rep)],
+            "traces": _traces_json(trace_coordinates(pres, rep)),
             "irreducible": is_irreducible(rep),
             "abelian": is_abelian(rep),
             "metabelian": is_metabelian(rep),
@@ -268,7 +272,7 @@ def _cmd_brieskorn(args):
             "angles": list(cls.angles),
             "irreducible": cls.irreducible,
             "residual": cls.residual,
-            "traces": [round(t, 9) for t in cls.traces],
+            "traces": _traces_json(cls.traces),
             "matrices": {g: _matrix_json(m)
                          for g, m in cls.assignment.matrices.items()},
         })

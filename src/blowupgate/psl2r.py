@@ -1,11 +1,11 @@
 """SL(2,R) / PSL(2,R) arithmetic and circle dynamics.
 
-Matrices are plain 4-tuples of floats in hot paths; the SL2 and PSL2
-wrappers normalize determinants and signs.  The projective line RP^1 is
-parametrized by the angle of a line in [0, pi), so the full circle has
-length pi and deck translations of lifts are multiples of pi.  With this
-normalization the Euler number of a Fuchsian genus-g representation is
-+-(2g - 2).
+Matrices are plain 4-tuples of floats in hot paths; PSL2 wraps one
+such tuple, rescaled to determinant one by SL2 and with its sign fixed.
+The projective line RP^1 is parametrized by the angle of a line in
+[0, pi), so the full circle has length pi and deck translations of
+lifts are multiples of pi.  With this normalization the Euler number of
+a Fuchsian genus-g representation is +-(2g - 2).
 """
 
 from __future__ import annotations
@@ -79,82 +79,65 @@ def sym_exp(x: float, y: float):
     return (ch + sh * x, sh * y, sh * y, ch - sh * x)
 
 
-@dataclass(frozen=True)
-class SL2:
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        # a NaN or infinite entry makes det NaN or infinite, and a finite
-        # det is needed for the rescale below
-        if not 0 < det < math.inf:
-            raise ValueError(f"determinant {det} is not positive and finite")
-        if abs(det - 1.0) > 1e-15:
-            s = 1.0 / math.sqrt(det)
-            object.__setattr__(self, "a", self.a * s)
-            object.__setattr__(self, "b", self.b * s)
-            object.__setattr__(self, "c", self.c * s)
-            object.__setattr__(self, "d", self.d * s)
-
-    def tuple(self):
-        return (self.a, self.b, self.c, self.d)
-
-    @property
-    def trace(self) -> float:
-        return self.a + self.d
-
-    def __matmul__(self, other: "SL2") -> "SL2":
-        return SL2(*mat_mul(self.tuple(), other.tuple()))
-
-    def inv(self) -> "SL2":
-        return SL2(self.d, -self.b, -self.c, self.a)
+def SL2(a, b, c, d) -> tuple:
+    """(a, b, c, d) rescaled to determinant one.  Raises ValueError unless
+    the determinant is positive and finite; a NaN or infinite entry makes
+    it NaN or infinite."""
+    det = a * d - b * c
+    if not 0 < det < math.inf:
+        raise ValueError(f"determinant {det} is not positive and finite")
+    if abs(det - 1.0) > 1e-15:
+        s = 1.0 / math.sqrt(det)
+        return (a * s, b * s, c * s, d * s)
+    return (a, b, c, d)
 
 
-@dataclass(frozen=True)
+def _positive(t):
+    """t or -t, whichever has its first entry above 1e-12 in size positive."""
+    for x in t:
+        if abs(x) > 1e-12:
+            return t if x > 0 else (-t[0], -t[1], -t[2], -t[3])
+    return t
+
+
+@dataclass(frozen=True, init=False)
 class PSL2:
-    """SL2 modulo sign, stored with the first nonzero entry positive."""
+    """A determinant-one 4-tuple modulo sign, stored with its first entry
+    above 1e-12 in size positive.  The constructor, from_matrix and @
+    rescale their matrix by SL2, once; inv keeps the determinant and
+    builds its result unchecked."""
 
-    rep: SL2
+    _t: tuple
 
-    def __post_init__(self):
-        t = self.rep.tuple()
-        for x in t:
-            if abs(x) > 1e-12:
-                if x < 0:
-                    object.__setattr__(self, "rep", SL2(-t[0], -t[1], -t[2], -t[3]))
-                break
+    def __init__(self, m):
+        object.__setattr__(self, "_t", _positive(SL2(*m)))
 
     @staticmethod
     def from_matrix(rows) -> "PSL2":
         (a, b), (c, d) = rows
-        return PSL2(SL2(a, b, c, d))
+        return PSL2((a, b, c, d))
 
     @staticmethod
     def identity() -> "PSL2":
-        return PSL2(SL2(1.0, 0.0, 0.0, 1.0))
+        return PSL2(IDENTITY)
 
     def tuple(self):
-        return self.rep.tuple()
+        return self._t
 
     def matrix_rows(self):
-        t = self.rep.tuple()
-        return [[t[0], t[1]], [t[2], t[3]]]
-
-    @property
-    def trace_abs(self) -> float:
-        return abs(self.rep.trace)
+        a, b, c, d = self._t
+        return [[a, b], [c, d]]
 
     def __matmul__(self, other: "PSL2") -> "PSL2":
-        return PSL2(self.rep @ other.rep)
+        return PSL2(mat_mul(self._t, other._t))
 
     def inv(self) -> "PSL2":
-        return PSL2(self.rep.inv())
+        g = object.__new__(PSL2)
+        object.__setattr__(g, "_t", _positive(mat_inv(self._t)))
+        return g
 
     def is_identity(self, tol: float = 1e-9) -> bool:
-        return psl_dist_sq(self.tuple(), IDENTITY) < tol * tol
+        return psl_dist_sq(self._t, IDENTITY) < tol * tol
 
 
 ELLIPTIC = "elliptic"
@@ -166,7 +149,8 @@ IDENTITY_CLASS = "identity"
 def classify(g: PSL2, tol: float = 1e-8) -> str:
     """Conjugacy type by |trace|: <2 elliptic, =2 parabolic or identity,
     >2 hyperbolic."""
-    t = g.trace_abs
+    a, _, _, d = g.tuple()
+    t = abs(a + d)
     if t < 2.0 - tol:
         return ELLIPTIC
     if t > 2.0 + tol:
@@ -195,8 +179,6 @@ class CircleLift:
         self.g = g
         self.offset = int(offset)
         self._f0 = act_rp1(g, 0.0)
-        self._inv_g = g.inv()
-        self._inv_f0 = act_rp1(self._inv_g, 0.0)
         self._inv_shift = None
 
     def _base(self, x: float, g: PSL2, f0: float) -> float:
@@ -218,6 +200,8 @@ class CircleLift:
     def apply_inverse(self, y: float) -> float:
         """Functional inverse of apply (a particular lift of g^{-1})."""
         if self._inv_shift is None:
+            self._inv_g = self.g.inv()
+            self._inv_f0 = act_rp1(self._inv_g, 0.0)
             d = self._base(self._base(0.0, self.g, self._f0),
                            self._inv_g, self._inv_f0)
             self._inv_shift = round(d / math.pi)
@@ -346,8 +330,8 @@ def fuchsian_genus2():
     A2 = mat_mul(mat_mul(J, A), mat_inv(J))
     B2 = mat_mul(mat_mul(J, B), mat_inv(J))
     return {
-        "a1": PSL2(SL2(*A)),
-        "b1": PSL2(SL2(*B)),
-        "a2": PSL2(SL2(*A2)),
-        "b2": PSL2(SL2(*B2)),
+        "a1": PSL2(A),
+        "b1": PSL2(B),
+        "a2": PSL2(A2),
+        "b2": PSL2(B2),
     }

@@ -9,11 +9,10 @@ and suffix products around the derivative of every letter.  Each
 Levenberg-Marquardt step factors the smaller normal matrix: J^T J with
 Marquardt's diagonal damping when there are at least as many relator
 entries as parameters, else J J^T with isotropic damping (_levmar).
-solve merges two solutions when their ordered trace coordinates, which
-are invariant under conjugation and under the sign of each matrix,
-agree (_class_key), and sorts the classes by their sorted absolute-trace
-vectors (trace_coordinates); the Brieskorn census names each class by
-rotation numbers.
+solve sorts its solutions by their ordered trace coordinates, which are
+invariant under conjugation and under the sign of each matrix, and
+merges two solutions when those agree (trace_coordinates); the
+Brieskorn census names each class by rotation numbers.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from operator import mul
 
 from .errors import BlowupgateError
 from .links import Presentation
-from .psl2r import (PSL2, SL2, CircleLift, commutator, mat_inv, mat_mul,
+from .psl2r import (PSL2, CircleLift, commutator, mat_inv, mat_mul,
                     psl_dist_sq, psl_sign, rotation, surface_generator_names,
                     sym_exp, translation_number, IDENTITY)
 
@@ -101,19 +100,24 @@ def residual(p: Presentation, rep: RepAssignment) -> float:
 
 
 def trace_coordinates(p: Presentation, rep: RepAssignment) -> tuple:
-    """Sorted |trace| values over generators, pairwise products, and the
-    leading triple product."""
+    """Ordered trace coordinates that are invariant under conjugation and
+    under the sign of each matrix (Goldman, "Trace coordinates on Fricke
+    spaces", 2009): tr(g_i)^2, tr(g_i) tr(g_j) tr(g_i g_j) for i < j and
+    tr(g_i) tr(g_j) tr(g_k) tr(g_i g_j g_k) for i < j < k, each product
+    followed by the square of its last factor, which keeps it when a
+    generator has trace 0."""
     mats = _generator_mats(p, rep)
-    vals = [abs(m[0] + m[3]) for m in mats]
-    n = len(mats)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = mat_mul(mats[i], mats[j])
-            vals.append(abs(m[0] + m[3]))
-    if n >= 3:
-        m = mat_mul(mat_mul(mats[0], mats[1]), mats[2])
-        vals.append(abs(m[0] + m[3]))
-    return tuple(sorted(vals))
+    tr = [m[0] + m[3] for m in mats]
+    key = [t * t for t in tr]
+    for i, j in combinations(range(len(mats)), 2):
+        m = mat_mul(mats[i], mats[j])
+        t = m[0] + m[3]
+        key += (tr[i] * tr[j] * t, t * t)
+    for i, j, k in combinations(range(len(mats)), 3):
+        m = mat_mul(mat_mul(mats[i], mats[j]), mats[k])
+        t = m[0] + m[3]
+        key += (tr[i] * tr[j] * tr[k] * t, t * t)
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -371,50 +375,25 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
         params, cost = _restart(p, seed, index)
         if not cost < tol:      # a NaN cost is rejected too
             continue
-        found.append(_assignment(p, _params_to_mats(params, n), cost))
+        mats = _params_to_mats(params, n)
+        found.append(RepAssignment(
+            {name: PSL2(m) for name, m in zip(p.generators, mats)},
+            residual=cost))
     return _dedup(p, found)
-
-
-def _assignment(p: Presentation, mats, cost) -> RepAssignment:
-    matrices = {name: PSL2(SL2(*m)) for name, m in zip(p.generators, mats)}
-    return RepAssignment(matrices=matrices, residual=cost)
-
-
-def _class_key(mats) -> list:
-    """Ordered trace coordinates that are invariant under conjugation and
-    under the sign of each matrix (Goldman, "Trace coordinates on Fricke
-    spaces", 2009): tr(g_i)^2, tr(g_i) tr(g_j) tr(g_i g_j) for i < j and
-    tr(g_i) tr(g_j) tr(g_k) tr(g_i g_j g_k) for i < j < k, each product
-    followed by the square of its last factor, which keeps it when a
-    generator has trace 0."""
-    tr = [m[0] + m[3] for m in mats]
-    key = [t * t for t in tr]
-    for i, j in combinations(range(len(mats)), 2):
-        m = mat_mul(mats[i], mats[j])
-        t = m[0] + m[3]
-        key += (tr[i] * tr[j] * t, t * t)
-    for i, j, k in combinations(range(len(mats)), 3):
-        m = mat_mul(mat_mul(mats[i], mats[j]), mats[k])
-        t = m[0] + m[3]
-        key += (tr[i] * tr[j] * tr[k] * t, t * t)
-    return key
 
 
 def _dedup(p: Presentation, assignments) -> list:
     """assignments sorted by (trace_coordinates, residual), keeping the
-    first of each class: a later one is dropped when every coordinate of
-    its _class_key is within DEDUP_TOL, relative to the coordinate's
-    size, of a kept one."""
-    ordered = sorted(assignments,
-                     key=lambda rep: (trace_coordinates(p, rep), rep.residual))
-    out = []
-    kept_keys = []
-    for rep in ordered:
-        key = _class_key(_generator_mats(p, rep))
-        if any(_close(key, k) for k in kept_keys):
-            continue
-        kept_keys.append(key)
-        out.append(rep)
+    first of each class: a later one is dropped when every trace
+    coordinate is within DEDUP_TOL, relative to the coordinate's size, of
+    a kept one."""
+    keyed = sorted(((trace_coordinates(p, rep), rep) for rep in assignments),
+                   key=lambda kr: (kr[0], kr[1].residual))
+    out, kept_keys = [], []
+    for key, rep in keyed:
+        if not any(_close(key, k) for k in kept_keys):
+            kept_keys.append(key)
+            out.append(rep)
     return out
 
 
@@ -706,7 +685,7 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
         if whole <= total <= 2 * whole or (p1 - l1, p2 - l2, p3 - l3) < angles:
             continue
         for mats in _rotation_solve(angles, data.exponents):
-            matrices = {f"x{i+1}": PSL2(SL2(*m)) for i, m in enumerate(mats)}
+            matrices = {f"x{i+1}": PSL2(m) for i, m in enumerate(mats)}
             matrices["h"] = eye
             res = residual(pres, RepAssignment(matrices))
             if not res < tol:

@@ -4,13 +4,13 @@ closed form in psl2r.translation_number."""
 
 import math
 
-from blowupgate.psl2r import PSL2, SL2, mat_mul, rotation, sym_exp
+from blowupgate.psl2r import PSL2, mat_mul, rotation, sym_exp
 
 
 def random_psl2(rng):
     m = mat_mul(rotation(rng.uniform(-3, 3)),
                 sym_exp(rng.gauss(0, 1), rng.gauss(0, 1)))
-    return PSL2(SL2(*m))
+    return PSL2(m)
 
 
 def windowed_translation_number(lift, iterations):

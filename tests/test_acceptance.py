@@ -20,7 +20,7 @@ from blowupgate.gate import (ADMISSIBLE, OBSTRUCTED, Flow, HomologyElement,
 from blowupgate.invariants import (alexander_fox, alexander_seifert,
                                    braid_invariants)
 from blowupgate.links import BraidWord, from_braid, seifert_matrix, wirtinger
-from blowupgate.psl2r import (PSL2, SL2, CircleLift, euler_number,
+from blowupgate.psl2r import (PSL2, CircleLift, euler_number,
                               fuchsian_genus2, milnor_wood_admissible,
                               translation_number)
 from blowupgate.repvar import (BrieskornData, RepAssignment,
@@ -158,7 +158,7 @@ def test_criterion_7_connected_sum_noncompactness():
         keys = []
         final_trace = 0.0
         for k in range(2, 65):
-            a_k = PSL2(SL2(float(k), 0.0, 0.0, 1.0 / k))
+            a_k = PSL2((float(k), 0.0, 0.0, 1.0 / k))
             family = connected_sum_family(pres, rep, pres, rep, a_k)
             assert residual(product, family) < 1e-9
             keys.append(trace_coordinates(product, family))

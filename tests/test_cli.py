@@ -277,6 +277,17 @@ def test_brieskorn_subcommand():
     assert json.loads(out)["error"]["code"] == "NotCoprime"
 
 
+def test_brieskorn_traces_print_no_negative_zero():
+    # tr x1 = 0 in class (1, 1, 1) of (2, 3, 7), so trace coordinates
+    # that are products with it round to zero of either sign
+    code, out = invoke(["brieskorn", "2", "3", "7"])
+    assert code == 0
+    traces = json.loads(out)["census"][1]["traces"]
+    assert 0.0 in traces
+    assert all(math.copysign(1.0, t) > 0 for t in traces if t == 0)
+    assert "-0.0" not in out
+
+
 @pytest.mark.parametrize("triple, tol", [
     # class (1, 1, 1) of (2, 3, 7) has residual 2.45e-30
     (("2", "3", "7"), "1e-30"), (("7", "9", "11"), "1e-31")])

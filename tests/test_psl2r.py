@@ -11,7 +11,7 @@ from blowupgate.psl2r import (CircleLift, GenusZero, IDENTITY, PSL2,
 
 from circle_helpers import random_psl2, windowed_translation_number
 
-B = PSL2(SL2(0.0, -1.0, 1.0, 0.0))
+B = PSL2((0.0, -1.0, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -19,17 +19,27 @@ B = PSL2(SL2(0.0, -1.0, 1.0, 0.0))
 
 
 def test_classify_examples():
-    assert classify(PSL2(SL2(*rotation(0.3)))) == "elliptic"
-    assert classify(PSL2(SL2(math.e ** 0.5, 0, 0, math.e ** -0.5))) == "hyperbolic"
-    assert classify(PSL2(SL2(1.0, 1.0, 0.0, 1.0))) == "parabolic"
+    assert classify(PSL2(rotation(0.3))) == "elliptic"
+    assert classify(PSL2((math.e ** 0.5, 0, 0, math.e ** -0.5))) == "hyperbolic"
+    assert classify(PSL2((1.0, 1.0, 0.0, 1.0))) == "parabolic"
     assert classify(PSL2.identity()) == "identity"
 
 
+# rescaling this matrix twice moves its last digits, so a sign flip that
+# rescaled again made PSL2 of m and of -m differ
+M_RESCALED = (29.5503048780488, -81.6711128048781, 9.654878048780494,
+              -26.650304878048797)
+
+
 def test_sl2_normalizes_determinant():
-    m = SL2(2.0, 0.0, 0.0, 2.0)
-    assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-12
+    a, b, c, d = SL2(2.0, 0.0, 0.0, 2.0)
+    assert abs(a * d - b * c - 1.0) < 1e-12
     with pytest.raises(ValueError):
         SL2(1.0, 0.0, 0.0, -1.0)
+    g = PSL2(M_RESCALED)
+    assert g.tuple()[0] > 0
+    assert g == PSL2(tuple(-x for x in M_RESCALED))
+    assert g.inv().inv() == g
 
 
 @pytest.mark.parametrize("entries", [
@@ -47,7 +57,7 @@ def test_act_rp1_examples():
     for theta in (0.0, 0.7, 1.5, 3.0):
         assert abs(act_rp1(PSL2.identity(), theta) - theta % math.pi) < 1e-12
     assert abs(act_rp1(B, 0.0) - math.pi / 2) < 1e-12
-    diag = PSL2(SL2(2.0, 0.0, 0.0, 0.5))
+    diag = PSL2((2.0, 0.0, 0.0, 0.5))
     assert act_rp1(diag, 0.0) < 1e-12
     assert abs(act_rp1(diag, math.pi / 2) - math.pi / 2) < 1e-12
 
@@ -124,13 +134,13 @@ def test_translation_number_quarter_rotation():
 
 
 def test_translation_number_hyperbolic_zero():
-    hyp = PSL2(SL2(2.0, 0.0, 0.0, 0.5))
+    hyp = PSL2((2.0, 0.0, 0.0, 0.5))
     assert translation_number(CircleLift(hyp)) == 0.0
 
 
 def test_translation_number_rotation_matches_angle():
     for t in (1e-9, 0.2, 0.9, 2.4, math.pi - 1e-9):
-        lift = CircleLift(PSL2(SL2(*rotation(t))))
+        lift = CircleLift(PSL2(rotation(t)))
         assert abs(translation_number(lift) - t / math.pi) < 1e-12
 
 
@@ -156,13 +166,13 @@ def oracle_elements():
     out = []
     for _ in range(30):
         h = random_psl2(rng)
-        rot = PSL2(SL2(*rotation(rng.uniform(0.01, math.pi - 0.01))))
+        rot = PSL2(rotation(rng.uniform(0.01, math.pi - 0.01)))
         lam = math.exp(rng.uniform(0.05, 2.0))
-        par = PSL2(SL2(1.0, rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0),
-                       0.0, 1.0))
+        par = PSL2((1.0, rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0),
+                    0.0, 1.0))
         out.append(("elliptic", conjugate(h, rot)))
-        out.append(("hyperbolic", conjugate(h, PSL2(SL2(lam, 0.0, 0.0,
-                                                         1.0 / lam)))))
+        out.append(("hyperbolic", conjugate(h, PSL2((lam, 0.0, 0.0,
+                                                     1.0 / lam)))))
         out.append(("parabolic", conjugate(h, par)))
     return out
 
@@ -172,14 +182,14 @@ def tie_elements():
     elements with a fixed line within 1e-9 of pi (or of 0, the same line).
     Their lifts send 0 next to a multiple of pi, where CircleLift.apply
     resolves near-ties by a rule of its own."""
-    out = [PSL2.identity(), PSL2(SL2(1.0, 1.0, 0.0, 1.0)),
-           PSL2(SL2(1.0, 0.0, -1.0, 1.0))]
-    bases = [PSL2(SL2(2.0, 0.0, 0.0, 0.5)), PSL2(SL2(0.5, 0.0, 0.0, 2.0)),
-             PSL2(SL2(1.0 + 1e-4, 0.0, 0.0, 1.0 / (1.0 + 1e-4))),
-             PSL2(SL2(1.0, 1.0, 0.0, 1.0)), PSL2(SL2(1.0, -1.0, 0.0, 1.0)),
-             PSL2(SL2(1.0, 1e-6, 0.0, 1.0))]
+    out = [PSL2.identity(), PSL2((1.0, 1.0, 0.0, 1.0)),
+           PSL2((1.0, 0.0, -1.0, 1.0))]
+    bases = [PSL2((2.0, 0.0, 0.0, 0.5)), PSL2((0.5, 0.0, 0.0, 2.0)),
+             PSL2((1.0 + 1e-4, 0.0, 0.0, 1.0 / (1.0 + 1e-4))),
+             PSL2((1.0, 1.0, 0.0, 1.0)), PSL2((1.0, -1.0, 0.0, 1.0)),
+             PSL2((1.0, 1e-6, 0.0, 1.0))]
     for delta in (0.0, 1e-12, 1e-10, 3e-10, 1e-9, -1e-12, -1e-10, -1e-9):
-        r = PSL2(SL2(*rotation(math.pi - delta)))
+        r = PSL2(rotation(math.pi - delta))
         out.extend(conjugate(r, g) for g in bases)
     return out
 
@@ -255,7 +265,7 @@ def test_euler_abelian_rotations():
     for _ in range(10):
         rep = {}
         for name in ("a1", "b1", "a2", "b2"):
-            rep[name] = PSL2(SL2(*rotation(rng.uniform(0, math.pi))))
+            rep[name] = PSL2(rotation(rng.uniform(0, math.pi)))
         assert euler_number(rep, 2) == 0
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,12 +11,12 @@ from circle_helpers import random_psl2, windowed_translation_number
 
 from blowupgate.exact import AbelianGroup
 from blowupgate.links import BraidWord, Presentation, from_braid, wirtinger
-from blowupgate.psl2r import (IDENTITY, PSL2, SL2, CircleLift, commutator,
+from blowupgate.psl2r import (IDENTITY, PSL2, CircleLift, commutator,
                               euler_number, fuchsian_genus2, mat_inv, mat_mul,
                               psl_dist_sq, rotation, translation_number)
 from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
                                RepAssignment, UnassignedGenerator,
-                               _class_key, _damped_solve, _dedup,
+                               _damped_solve, _dedup,
                                _normal_system, _random_params,
                                _residual_and_jacobian,
                                _residual_vector, _restart,
@@ -55,7 +56,7 @@ def test_residual_trivial_assignment():
 
 
 def test_residual_meridians_to_common_elliptic():
-    m = PSL2(SL2(*rotation(0.7)))
+    m = PSL2(rotation(0.7))
     rep = RepAssignment({g: m for g in TREFOIL_GROUP.generators})
     assert residual(TREFOIL_GROUP, rep) < 1e-28
 
@@ -100,38 +101,39 @@ def test_trace_coordinates_conjugation_invariant():
 
 def hyperbolic(trace):
     t = math.acosh(trace / 2.0)
-    return PSL2(SL2(math.exp(t), 0.0, 0.0, math.exp(-t)))
+    return PSL2((math.exp(t), 0.0, 0.0, math.exp(-t)))
 
 
 def test_dedup_keeps_swapped_traces_apart():
-    # two classes of Z^2 whose sorted |trace| vectors are equal
+    # two classes of Z^2 whose sorted |trace| vectors are equal; the
+    # ordered trace coordinates tell them apart
     p = surface_presentation(1)
     a, b = hyperbolic(3.0), hyperbolic(4.0)
     reps = [RepAssignment({"a1": a, "b1": b}, residual=0.0),
             RepAssignment({"a1": b, "b1": a}, residual=0.0)]
     assert all(residual(p, rep) < 1e-28 for rep in reps)
-    assert trace_coordinates(p, reps[0]) == trace_coordinates(p, reps[1])
+    assert trace_coordinates(p, reps[0]) != trace_coordinates(p, reps[1])
     assert len(_dedup(p, reps)) == 2
 
 
 def test_dedup_keeps_classes_apart_when_a_trace_vanishes():
     # tr(x) = 0 zeroes tr(x) tr(y) tr(xy); tr(xy) = 0 and 8/3 tell them apart
     p = Presentation(("x", "y"), ())
-    x = PSL2(SL2(*rotation(math.pi / 2)))
+    x = PSL2(rotation(math.pi / 2))
     reps = [RepAssignment({"x": x, "y": y}, residual=0.0)
-            for y in (hyperbolic(3.0), PSL2(SL2(1.0, 3.0, 1.0 / 3.0, 2.0)))]
+            for y in (hyperbolic(3.0), PSL2((1.0, 3.0, 1.0 / 3.0, 2.0)))]
     assert len(_dedup(p, reps)) == 2
 
 
 def test_dedup_merges_one_class_found_twice():
-    # large traces: the key coordinates reach about 3e9 and differ by up
+    # large traces: the trace coordinates reach about 3e9 and differ by up
     # to about 1 between conjugates, so only a tolerance relative to their
     # size merges them
     rng = random.Random(21)
     p = Presentation(("x", "y", "z"), ())
-    base = RepAssignment({g: PSL2(SL2(*mat_mul(mat_mul(
+    base = RepAssignment({g: PSL2(mat_mul(mat_mul(
         rotation(rng.uniform(0, math.pi)), hyperbolic(40.0 + 9 * i).tuple()),
-        rotation(rng.uniform(0, math.pi)))))
+        rotation(rng.uniform(0, math.pi))))
         for i, g in enumerate(p.generators)}, residual=0.0)
     copies = [base] + [base.conjugated(random_psl2(rng)) for _ in range(6)]
     kept = _dedup(p, copies)
@@ -139,9 +141,12 @@ def test_dedup_merges_one_class_found_twice():
     swapped = RepAssignment({"x": base["y"], "y": base["x"], "z": base["z"]},
                             residual=0.0)
     assert len(_dedup(p, copies + [swapped])) == 2
-    mats = [m.tuple() for m in base.matrices.values()]
-    flipped = [tuple(-v for v in mats[0])] + mats[1:]
-    assert _class_key(flipped) == _class_key(mats)
+    # PSL2 would restore the sign, so the negated x goes in as an object
+    # that has only tuple()
+    negated = tuple(-v for v in base["x"].tuple())
+    flipped = RepAssignment({**base.matrices,
+                             "x": SimpleNamespace(tuple=lambda: negated)})
+    assert trace_coordinates(p, flipped) == trace_coordinates(p, base)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +341,15 @@ def test_primal_step_damps_the_diagonal(m, n):
 
 
 def test_is_irreducible_rotations_share_fixed_points():
-    rep = RepAssignment({"g1": PSL2(SL2(*rotation(0.4))),
-                         "g2": PSL2(SL2(*rotation(1.2)))})
+    rep = RepAssignment({"g1": PSL2(rotation(0.4)),
+                         "g2": PSL2(rotation(1.2))})
     assert not is_irreducible(rep)
     assert is_abelian(rep)
 
 
 def test_is_irreducible_diagonals_share_axis():
-    rep = RepAssignment({"g1": PSL2(SL2(2.0, 0.0, 0.0, 0.5)),
-                         "g2": PSL2(SL2(3.0, 0.0, 0.0, 1 / 3.0))})
+    rep = RepAssignment({"g1": PSL2((2.0, 0.0, 0.0, 0.5)),
+                         "g2": PSL2((3.0, 0.0, 0.0, 1 / 3.0))})
     assert not is_irreducible(rep)
     assert is_abelian(rep)
 
@@ -358,15 +363,15 @@ def test_is_irreducible_fuchsian():
 
 def test_metabelian_dihedral_like_example():
     c, s = math.cosh(1.0), math.sinh(1.0)
-    rep = RepAssignment({"g1": PSL2(SL2(c, s, s, c)),
-                         "g2": PSL2(SL2(0.0, -1.0, 1.0, 0.0))})
+    rep = RepAssignment({"g1": PSL2((c, s, s, c)),
+                         "g2": PSL2((0.0, -1.0, 1.0, 0.0))})
     assert is_metabelian(rep)
     assert not is_abelian(rep)
 
 
 def test_abelian_implies_metabelian():
-    rep = RepAssignment({"g1": PSL2(SL2(*rotation(0.4))),
-                         "g2": PSL2(SL2(*rotation(1.2)))})
+    rep = RepAssignment({"g1": PSL2(rotation(0.4)),
+                         "g2": PSL2(rotation(1.2))})
     assert is_metabelian(rep)
 
 
@@ -383,8 +388,8 @@ def test_free_group_is_not_metabelian():
 
 
 def test_nan_commutator_is_not_the_identity():
-    a = PSL2(SL2(1e200, 0.0, 0.0, 1e-200))
-    b = PSL2(SL2(1e200, 1.0, 0.0, 1e-200))
+    a = PSL2((1e200, 0.0, 0.0, 1e-200))
+    b = PSL2((1e200, 1.0, 0.0, 1e-200))
     assert any(math.isnan(x) for x in commutator(a.tuple(), b.tuple()))
     rep = RepAssignment({"a": a, "b": b})
     assert not is_abelian(rep)
@@ -474,10 +479,11 @@ def test_brieskorn_census_matches_jankins_neumann_count(exponents, count):
 def test_brieskorn_census_keeps_classes_with_equal_traces():
     census = {cls.angles: cls
               for cls in brieskorn_enumerate(BrieskornData(5, 7, 11))}
-    # x3 has rotation number 4/11 in one and 7/11 in the other, but the
-    # sorted |trace| vectors agree
+    # x3 has rotation number 4/11 in one and 7/11 in the other; their
+    # sorted |trace| vectors agree to 1e-6, but the ordered trace
+    # coordinates differ
     one, other = census[(1, 1, 4)], census[(1, 1, 7)]
-    assert math.dist(one.traces, other.traces) < 1e-6
+    assert math.dist(one.traces, other.traces) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +503,8 @@ def test_connected_sum_distinct_parameters_distinct_traces():
     p = surface_presentation(2)
     rep = RepAssignment(fuchsian_genus2(), residual=0.0)
     fp = free_product(p, p)
-    a = PSL2(SL2(2.0, 0.0, 0.0, 0.5))
-    b = PSL2(SL2(3.0, 0.0, 0.0, 1 / 3.0))
+    a = PSL2((2.0, 0.0, 0.0, 0.5))
+    b = PSL2((3.0, 0.0, 0.0, 1 / 3.0))
     fam_a = connected_sum_family(p, rep, p, rep, a)
     fam_b = connected_sum_family(p, rep, p, rep, b)
     ka = trace_coordinates(fp, fam_a)
@@ -512,7 +518,7 @@ def test_connected_sum_residual_additive():
     p = surface_presentation(2)
     rep = RepAssignment(fuchsian_genus2(), residual=0.0)
     fp = free_product(p, p)
-    fam = connected_sum_family(p, rep, p, rep, PSL2(SL2(5.0, 0.0, 0.0, 0.2)))
+    fam = connected_sum_family(p, rep, p, rep, PSL2((5.0, 0.0, 0.0, 0.2)))
     full = residual(fp, fam)
     assert abs(full - residual(p, rep) * 2) < 1e-15
 
@@ -550,7 +556,7 @@ def test_is_irreducible_conjugation_invariant():
     rng = random.Random(29)
     sols = solve(TREFOIL_GROUP, restarts=10, tol=1e-10, seed=6)
     reps = [r for r in sols][:4]
-    reps.append(RepAssignment({g: PSL2(SL2(*rotation(0.5)))
+    reps.append(RepAssignment({g: PSL2(rotation(0.5))
                                for g in TREFOIL_GROUP.generators}))
     for rep in reps:
         flag = is_irreducible(rep)
@@ -594,7 +600,7 @@ def test_rotation_certificate_agrees_with_windowed_oracle():
         for angles in itertools.product(range(1, p1), range(1, p2),
                                         range(1, p3)):
             for mats in _rotation_solve(angles, exponents):
-                matrices = {f"x{i + 1}": PSL2(SL2(*m))
+                matrices = {f"x{i + 1}": PSL2(m)
                             for i, m in enumerate(mats)}
                 matrices["h"] = eye
                 rep = RepAssignment(matrices)
