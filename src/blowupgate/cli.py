@@ -19,13 +19,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 
-from blowupgate.errors import BlowupgateError
+from blowupgate.errors import BlowupgateError, _integer, _integers
 from blowupgate.gate import gate as evaluate_gate
 from blowupgate.gate import (Flow, FlowGraph, HomologyElement, HomologyModel,
                              homology_class, is_flow, realizable_k)
 from blowupgate.invariants import link_invariants
-from blowupgate.links import (BraidWord, LinkDiagram, Presentation, _integer,
-                              _integers, from_braid, parse_pd)
+from blowupgate.links import (BraidWord, LinkDiagram, Presentation,
+                              from_braid, parse_pd)
 from blowupgate.psl2r import (PSL2, euler_number, milnor_wood_admissible,
                               surface_relator_residual)
 from blowupgate.repvar import (BrieskornData, InvalidParameter,
@@ -95,13 +95,19 @@ def _diagram_from_json(data) -> LinkDiagram:
     raise InputError('link JSON needs a "pd" or "braid" field')
 
 
-def _poly_json(p):
-    coeffs, min_exp = p.coeff_list()
-    return {"coeffs": coeffs, "min_exp": min_exp}
-
-
-def _group_json(g):
-    return {"rank": g.rank, "torsion": list(g.torsion)}
+def _invariants_json(inv) -> dict:
+    """The alexander, det, det_signed, h1_branched and h1_method fields of
+    inv, or for None (no labeled sublink) the same keys, each null."""
+    if inv is None:
+        return dict.fromkeys(("alexander", "det", "det_signed",
+                              "h1_branched", "h1_method"))
+    coeffs, min_exp = inv.alexander.coeff_list()
+    return {"alexander": {"coeffs": coeffs, "min_exp": min_exp},
+            "det": inv.det,
+            "det_signed": str(inv.det_signed),
+            "h1_branched": {"rank": inv.h1_branched.rank,
+                            "torsion": list(inv.h1_branched.torsion)},
+            "h1_method": inv.h1_method}
 
 
 def _emit(obj, out, fmt: str):
@@ -136,16 +142,8 @@ def _text_lines(obj, prefix: str):
 def _cmd_invariants(args):
     d = _diagram_from_json(_load_json(args.link))
     inv = link_invariants(d)
-    return {
-        "schema": SCHEMA,
-        "components": inv.components,
-        "alexander": _poly_json(inv.alexander),
-        "det": inv.det,
-        "det_signed": str(inv.det_signed),
-        "h1_branched": _group_json(inv.h1_branched),
-        "b1_positive": inv.b1_positive,
-        "h1_method": inv.h1_method,
-    }
+    return {"schema": SCHEMA, "components": inv.components,
+            "b1_positive": inv.b1_positive, **_invariants_json(inv)}
 
 
 def _monodromy_label(x) -> bool:
@@ -170,13 +168,14 @@ def _cmd_gate(args):
             raise InputError('"monodromy" must be an array')
     else:
         labels = [True] * len(d.components)
-    verdict = evaluate_gate(d, [_monodromy_label(x) for x in labels])
-    return {
-        "schema": SCHEMA,
-        "status": verdict.status,
-        "reasons": list(verdict.reasons),
-        "certificates": verdict.certificates,
-    }
+    labels = [_monodromy_label(x) for x in labels]
+    verdict = evaluate_gate(d, labels)
+    cert = _invariants_json(verdict.invariants)
+    cert["alexander_z1"] = cert.pop("alexander")
+    return {"schema": SCHEMA, "status": verdict.status,
+            "reasons": list(verdict.reasons),
+            "certificates": dict(cert, z_components=len(d.components),
+                                 z1_components=sum(labels))}
 
 
 def _element_from_json(obj) -> HomologyElement:
@@ -209,7 +208,9 @@ def _cmd_flow(args):
             model = HomologyModel(len(labels[0].free), ())
     out = {"schema": SCHEMA, "is_flow": is_flow(graph, flow),
            "class": None, "realizable_k": None}
-    if labels is not None and model is not None and flow.is_integral:
+    # a chain that is not a cycle has no homology class; labels come with
+    # a model, given or of their rank
+    if out["is_flow"] and labels is not None and flow.is_integral:
         cls = homology_class(graph, flow, model)
         out["class"] = {"free": list(cls.free), "torsion": list(cls.torsion)}
         if "admissible" in data:

@@ -1,7 +1,8 @@
-"""The common base of every error that blowupgate raises on bad input.
+"""The common base of every error that blowupgate raises on bad input,
+and the check that reads an integer from outside input.
 
-It lives in its own module, importing nothing, so that any module can
-derive from it without depending on another part of the package.
+They live in their own module, importing nothing, so that any module can
+use them without depending on another part of the package.
 """
 
 
@@ -9,3 +10,26 @@ class BlowupgateError(Exception):
     """Bad input to blowupgate.  Each subclass also keeps a builtin base
     (ValueError, KeyError or ArithmeticError), so callers may catch
     either."""
+
+
+def _integer(x) -> int:
+    """x as an int: an int that is not a bool, or an integral float.
+    Anything else is refused with ValueError: a float or Fraction that
+    int() would truncate, such as 1.7, a string, which int() would
+    parse (so a string in place of an integer array is not read digit by
+    digit), and True and False, which int() reads as 1 and 0."""
+    if type(x) is int:
+        return x
+    if (isinstance(x, float) and x.is_integer()
+            or isinstance(x, int) and not isinstance(x, bool)):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def _integers(seq, item=_integer) -> tuple:
+    """tuple(map(item, seq)), refusing a string, which would otherwise be
+    iterated character by character (and "" pass as an empty array).
+    Pass item=_integers for an array of integer arrays."""
+    if isinstance(seq, str):
+        raise ValueError(f"{seq!r} is a string, not an array")
+    return tuple(map(item, seq))

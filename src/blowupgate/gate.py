@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BlowupgateError
-from .invariants import link_invariants
-from .links import LinkDiagram, _integer, _integers, sublink
+from .errors import BlowupgateError, _integer, _integers
+from .invariants import LinkInvariants, link_invariants
+from .links import LinkDiagram, sublink
 
 
 class LabelLengthMismatch(BlowupgateError, ValueError):
@@ -46,9 +46,12 @@ REASON_EMPTY = "EmptyZ1"
 
 @dataclass(frozen=True)
 class Verdict:
+    """Outcome of gate: a status, its reason codes, and the invariants of
+    the labeled sublink, or None when no component is labeled."""
+
     status: str
     reasons: tuple
-    certificates: dict
+    invariants: LinkInvariants | None
 
     @property
     def obstructed(self) -> bool:
@@ -58,55 +61,32 @@ class Verdict:
 def gate(d: LinkDiagram, labels) -> Verdict:
     """Evaluate the necessary conditions on a link with monodromy labels.
 
-    labels[i] is True when the meridian monodromy of component i is
-    nontrivial.  A one-component link is always obstructed; a nonempty
+    labels[i] is True or 1 when the meridian monodromy of component i is
+    nontrivial, False or 0 when it is trivial; other labels raise
+    ValueError.  A one-component link is always obstructed; a nonempty
     labeled sublink with nonzero determinant is obstructed; an empty
-    labeled sublink leaves the test indeterminate.  Certificates carry
-    the computed invariants either way.
+    labeled sublink leaves the test indeterminate.
     """
-    labels = [bool(x) for x in labels]
+    labels = list(labels)
+    for x in labels:
+        if not (isinstance(x, int) and x in (0, 1)):  # bools are ints
+            raise ValueError(f"monodromy label {x!r} is not True, False, "
+                             "0 or 1")
     ncomp = len(d.components)
     if len(labels) != ncomp:
         raise LabelLengthMismatch(
             f"{len(labels)} labels for {ncomp} components")
 
     keep = [i for i, flag in enumerate(labels) if flag]
-    reasons = []
-    certificates = {
-        "z_components": ncomp,
-        "z1_components": len(keep),
-        "alexander_z1": None,
-        "det": None,
-        "det_signed": None,
-        "h1_branched": None,
-        "h1_method": None,
-    }
-    if ncomp == 1:
-        reasons.append(REASON_CONNECTED)
-
+    reasons = [REASON_CONNECTED] if ncomp == 1 else []
+    inv = None
     if keep:
-        part = d if len(keep) == ncomp else sublink(d, keep)
-        inv = link_invariants(part)
-        coeffs, min_exp = inv.alexander.coeff_list()
-        certificates.update({
-            "alexander_z1": {"coeffs": coeffs, "min_exp": min_exp},
-            "det": inv.det,
-            "det_signed": str(inv.det_signed),
-            "h1_branched": {"rank": inv.h1_branched.rank,
-                            "torsion": list(inv.h1_branched.torsion)},
-            "h1_method": inv.h1_method,
-        })
+        inv = link_invariants(d if len(keep) == ncomp else sublink(d, keep))
         if inv.det != 0:
             reasons.append(REASON_DETERMINANT)
-        status = OBSTRUCTED if reasons else ADMISSIBLE
-    elif reasons:
-        status = OBSTRUCTED
-    else:
-        reasons.append(REASON_EMPTY)
-        status = INDETERMINATE
-
-    return Verdict(status=status, reasons=tuple(reasons),
-                   certificates=certificates)
+    elif not reasons:
+        return Verdict(INDETERMINATE, (REASON_EMPTY,), None)
+    return Verdict(OBSTRUCTED if reasons else ADMISSIBLE, tuple(reasons), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +236,12 @@ def flow_add(f1: Flow, f2: Flow) -> Flow:
 def homology_class(g: FlowGraph, f: Flow, h: HomologyModel) -> HomologyElement:
     """Sum of signed edge labels, reduced in the model.
 
-    Requires integer weights: only integer multiples of a cycle carry a
-    homology class.
+    Requires a flow (see is_flow) with integer weights: only integer
+    multiples of cycles carry a homology class.  A chain that is not a
+    flow raises ValueError.
     """
-    _check_sizes(g, f)
+    if not is_flow(g, f):
+        raise ValueError("a chain that is not a flow has no homology class")
     if g.labels is None:
         raise ValueError("graph has no homology labels")
     if not f.is_integral:

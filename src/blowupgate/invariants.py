@@ -158,11 +158,11 @@ def branched_cover_h1_fox(p: Presentation) -> AbelianGroup:
 def link_invariants(d: LinkDiagram) -> LinkInvariants:
     """Full invariant bundle for a diagram.
 
-    Braid-origin diagrams use the Seifert route; PD-origin diagrams fall
-    back to the free-derivative route for both the polynomial and the
-    branched-cover homology.
+    A braid closure (d.braid is not None) takes the Seifert route; any
+    other diagram takes the free-derivative route for both the
+    polynomial and the branched-cover homology.
     """
-    if d.origin == "braid" and d.braid is not None:
+    if d.braid is not None:
         v = _seifert_of_braid(d.braid)
         alex = alexander_seifert(v)
         h1 = branched_cover_h1(v)

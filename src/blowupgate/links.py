@@ -16,10 +16,10 @@ single free arcs that appear in no crossing record.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 
-from .errors import BlowupgateError
+from .errors import BlowupgateError, _integer, _integers
 from .exact import IntMatrix, AbelianGroup, cokernel
 
 
@@ -33,29 +33,6 @@ class InvalidLetter(BlowupgateError, ValueError):
 
 class EmptySelection(BlowupgateError, ValueError):
     """Sublink extraction with no components selected."""
-
-
-def _integer(x) -> int:
-    """x as an int: an int that is not a bool, or an integral float.
-    Anything else is refused with ValueError: a float or Fraction that
-    int() would truncate, such as 1.7, a string, which int() would
-    parse (so a string in place of an integer array is not read digit by
-    digit), and True and False, which int() reads as 1 and 0."""
-    if type(x) is int:
-        return x
-    if (isinstance(x, float) and x.is_integer()
-            or isinstance(x, int) and not isinstance(x, bool)):
-        return int(x)
-    raise ValueError(f"{x!r} is not an integer")
-
-
-def _integers(seq, item=_integer) -> tuple:
-    """tuple(map(item, seq)), refusing a string, which would otherwise be
-    iterated character by character (and "" pass as an empty array).
-    Pass item=_integers for an array of integer arrays."""
-    if isinstance(seq, str):
-        raise ValueError(f"{seq!r} is a string, not an array")
-    return tuple(map(item, seq))
 
 
 @dataclass(frozen=True)
@@ -112,11 +89,15 @@ class Crossing:
 
 @dataclass(frozen=True)
 class LinkDiagram:
+    """A link diagram; braid is the word it is the closure of, or None.
+
+    braid alone marks the Seifert route.  On a closure, component i holds
+    the top arc of each strand in cycle i of braid.strand_cycles().
+    """
+
     crossings: tuple
     components: tuple  # tuples of arc labels in traversal order, sorted by min arc
-    origin: str        # "pd" or "braid"
     braid: BraidWord | None = None
-    braid_cycles: tuple | None = None  # strand cycles aligned with components
 
     @property
     def arcs(self) -> frozenset:
@@ -273,31 +254,22 @@ def _check_planar(n: int, ends) -> None:
             while not seen[pos]:
                 seen[pos] = True
                 pos = step[pos]
-    pieces = 0
-    seen = [False] * n
-    for i in range(n):
-        if not seen[i]:
-            pieces += 1
-            seen[i] = True
-            stack = [i]
-            while stack:
-                k = stack.pop()
-                for pos in step[4 * k:4 * k + 4]:  # across each arc of k
-                    if not seen[pos // 4]:
-                        seen[pos // 4] = True
-                        stack.append(pos // 4)
+    find, union = _union_find(range(n))
+    for (i, _s), (j, _t) in ends.values():  # the crossings at an arc's ends
+        union(i, j)
+    pieces = len({find(i) for i in range(n)})
     if faces != n + 2 * pieces:
         raise MalformedPD(f"no planar diagram has this code: {faces} faces, "
                           f"{n} crossings, {pieces} connected pieces")
 
 
-def _assemble(signed_crossings, free_arcs, origin):
+def _assemble(signed_crossings, free_arcs, braid=None):
     comps, _over = _traverse(signed_crossings, _arc_ends(signed_crossings))
     crossings = tuple(Crossing(tuple(arcs), sign)
                       for arcs, sign in signed_crossings)
     components = tuple(sorted(comps + [(a,) for a in free_arcs]))
     return LinkDiagram(crossings=crossings, components=components,
-                       origin=origin)
+                       braid=braid)
 
 
 def parse_pd(code) -> LinkDiagram:
@@ -308,7 +280,7 @@ def parse_pd(code) -> LinkDiagram:
     """
     code = _integers(code, _integers)
     if not code:
-        return LinkDiagram(crossings=(), components=((1,),), origin="pd")
+        return LinkDiagram(crossings=(), components=((1,),))
     for row in code:
         if len(row) != 4:
             raise MalformedPD(f"crossing {row} does not have 4 arcs")
@@ -326,8 +298,7 @@ def parse_pd(code) -> LinkDiagram:
     # over strand running d -> b is a right-handed crossing
     crossings = tuple(Crossing(row, -1 if over_forward[idx] else 1)
                       for idx, row in enumerate(code))
-    return LinkDiagram(crossings=crossings, components=tuple(sorted(comps)),
-                       origin="pd")
+    return LinkDiagram(crossings=crossings, components=tuple(sorted(comps)))
 
 
 def _union_find(items):
@@ -383,10 +354,9 @@ def from_braid(b: BraidWord) -> LinkDiagram:
     find, union = _union_find(arcs)
     for first, last in enumerate(occ, 1):
         union(first, last)
-    d = _assemble(*_relabel(raw, arcs, find), origin="braid")
     # arc pos + 1 is the least arc of its class and keeps its label, so the
     # components come in the order of the strand cycles
-    return replace(d, braid=b, braid_cycles=b.strand_cycles())
+    return _assemble(*_relabel(raw, arcs, find), braid=b)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +466,13 @@ def _delete_strands(b: BraidWord, keep_positions) -> BraidWord:
 
 
 def sublink(d: LinkDiagram, keep) -> LinkDiagram:
-    """Diagram of the selected components.
+    """Diagram of the components with the integer indices in keep.
 
-    Crossings between kept and removed components disappear and the cut
-    arcs are respliced; braid-origin diagrams stay braid closures by
-    deleting the removed strands from the word.
+    A braid closure stays one, with the strands of the removed components
+    deleted from its word; otherwise crossings with removed components
+    disappear and the cut arcs are respliced into a diagram without one.
     """
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted(set(_integers(keep)))
     if not keep:
         raise EmptySelection("no components selected")
     nc = len(d.components)
@@ -510,10 +480,9 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
         if i < 0 or i >= nc:
             raise IndexError(f"component index {i} out of range")
 
-    if d.origin == "braid" and d.braid is not None and d.braid_cycles is not None:
-        positions = []
-        for i in keep:
-            positions.extend(d.braid_cycles[i])
+    if d.braid is not None:
+        cycles = d.braid.strand_cycles()
+        positions = [s for i in keep for s in cycles[i]]
         return from_braid(_delete_strands(d.braid, positions))
 
     kept_arcs = set()
@@ -536,4 +505,4 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
 
     signed, free = _relabel([(c.arcs, c.sign) for c in survivors], kept_arcs,
                             find)
-    return _assemble(signed, free, origin="pd")
+    return _assemble(signed, free)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BlowupgateError
+from .errors import BlowupgateError, _integer, _integers
 
 
 class ResidualTooLarge(BlowupgateError, ValueError):
@@ -177,7 +177,7 @@ class CircleLift:
 
     def __init__(self, g: PSL2, offset: int = 0):
         self.g = g
-        self.offset = int(offset)
+        self.offset = _integer(offset)
         self._f0 = act_rp1(g, 0.0)
         self._inv_shift = None
 
@@ -291,7 +291,7 @@ def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
 
 def milnor_wood_admissible(genera) -> list:
     """All integer vectors (n_1, ..., n_b) with |n_j| <= 2 g_j - 2."""
-    genera = [int(g) for g in genera]
+    genera = _integers(genera)
     for g in genera:
         if g < 1:
             raise GenusZero(f"genus {g} < 1 gives a negative bound")

@@ -70,8 +70,8 @@ def test_criterion_2_gate_mechanism(corpus):
         unlink = from_braid(BraidWord(2, ()))
         verdict = gate(unlink, [True, True])
         assert verdict.status == ADMISSIBLE
-        assert verdict.certificates["det"] == 0
-        assert verdict.certificates["h1_branched"]["rank"] == 1
+        assert verdict.invariants.det == 0
+        assert verdict.invariants.h1_branched.rank == 1
 
 
 def test_criterion_3_branched_cover_consistency(corpus):

@@ -159,6 +159,20 @@ def test_flow_subcommand(graph_file):
     assert data["realizable_k"] == {"finite": True, "values": [0, 1, 2]}
 
 
+def test_flow_reports_no_class_for_a_non_flow(tmp_path):
+    # one edge 0 -> 1 is a chain but not a cycle, so it has no class
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({
+        "vertices": 2,
+        "edges": [{"from": 0, "to": 1, "label": {"free": [1]}}],
+        "weights": [3], "orientations": [1],
+        "admissible": [{"free": [3]}]}))
+    code, out = invoke(["flow", str(path)])
+    assert code == 0
+    assert json.loads(out) == {"schema": "1", "is_flow": False,
+                               "class": None, "realizable_k": None}
+
+
 def test_flow_large_torsion_modulus(tmp_path):
     modulus = 10 ** 18 + 9
     path = tmp_path / "graph.json"

@@ -8,6 +8,7 @@ from blowupgate.gate import (ADMISSIBLE, INDETERMINATE, OBSTRUCTED, Flow,
                              LabelLengthMismatch, NonIntegerWeights,
                              SizeMismatch, flow_add, gate, homology_class,
                              is_flow, realizable_k)
+from blowupgate.exact import AbelianGroup
 from blowupgate.links import BraidWord, from_braid
 
 TREFOIL = from_braid(BraidWord(2, (1, 1, 1)))
@@ -24,45 +25,50 @@ def test_gate_trefoil_obstructed_both_reasons():
     v = gate(TREFOIL, [True])
     assert v.status == OBSTRUCTED
     assert set(v.reasons) == {"ConnectedZ", "DeterminantNonzero"}
-    assert v.certificates["det"] == 3
-    assert v.certificates["z_components"] == 1
+    assert v.invariants.det == 3
+    assert v.invariants.components == 1
 
 
 def test_gate_two_unlink_admissible():
     v = gate(UNLINK2, [True, True])
     assert v.status == ADMISSIBLE
     assert v.reasons == ()
-    assert v.certificates["det"] == 0
-    assert v.certificates["h1_branched"] == {"rank": 1, "torsion": []}
+    assert v.invariants.det == 0
+    assert v.invariants.h1_branched == AbelianGroup(rank=1)
 
 
 def test_gate_hopf_obstructed():
     v = gate(HOPF, [True, True])
     assert v.status == OBSTRUCTED
     assert v.reasons == ("DeterminantNonzero",)
-    assert v.certificates["det"] == 2
+    assert v.invariants.det == 2
 
 
 def test_gate_empty_sublink_indeterminate():
-    v = gate(HOPF, [False, False])
-    assert v.status == INDETERMINATE
-    assert v.reasons == ("EmptyZ1",)
-    assert v.certificates["alexander_z1"] is None
+    for labels in ([False, False], [0, 0]):
+        v = gate(HOPF, labels)
+        assert v.status == INDETERMINATE
+        assert v.reasons == ("EmptyZ1",)
+        assert v.invariants is None
 
 
 def test_gate_partial_labels_use_sublink():
     v = gate(TREFOIL_UNKNOT, [True, False])
     assert v.status == OBSTRUCTED
     assert v.reasons == ("DeterminantNonzero",)
-    assert v.certificates["det"] == 3
-    v2 = gate(TREFOIL_UNKNOT, [False, True])
+    assert v.invariants.det == 3
+    v2 = gate(TREFOIL_UNKNOT, [0, 1])
     assert v2.status == OBSTRUCTED
-    assert v2.certificates["det"] == 1
+    assert v2.invariants.det == 1
 
 
 def test_gate_label_mismatch():
     with pytest.raises(LabelLengthMismatch):
         gate(HOPF, [True])
+    # bool("0") is True, so a string label used to count as nontrivial
+    for labels in (["0", "0"], [2, 0], [0.7, True], [None, False]):
+        with pytest.raises(ValueError, match="^monodromy label "):
+            gate(HOPF, labels)
 
 
 def test_gate_single_component_always_obstructed(corpus):
@@ -83,7 +89,7 @@ def test_gate_admissible_implies_positive_betti(corpus):
         v = gate(d, [True] * len(d.components))
         if v.status == ADMISSIBLE:
             seen_admissible += 1
-            assert v.certificates["h1_branched"]["rank"] > 0, name
+            assert v.invariants.h1_branched.rank > 0, name
     assert seen_admissible >= 3  # the split unions
 
 
@@ -165,6 +171,12 @@ def test_homology_class_rejects_rationals():
     loop = FlowGraph(1, ((0, 0),), (HomologyElement((1,)),))
     with pytest.raises(NonIntegerWeights):
         homology_class(loop, Flow((Fraction(1, 2),)), h)
+
+
+def test_homology_class_refuses_a_non_flow():
+    g = FlowGraph(2, ((0, 1),), (HomologyElement((1,)),))
+    with pytest.raises(ValueError, match="not a flow"):
+        homology_class(g, Flow.from_weights((3,), (1,)), HomologyModel(1))
 
 
 def test_homology_class_torsion_reduction():
@@ -318,11 +330,11 @@ def test_flow_from_weights_validation():
 def test_gate_on_pd_origin_diagram():
     from blowupgate.links import parse_pd
     d = parse_pd(from_braid(BraidWord(2, (1, 1))).to_pd())
-    assert d.origin == "pd"
+    assert d.braid is None
     v = gate(d, [True, True])
     assert v.status == OBSTRUCTED
-    assert v.certificates["det"] == 2
-    assert v.certificates["h1_method"] == "fox"
+    assert v.invariants.det == 2
+    assert v.invariants.h1_method == "fox"
     v2 = gate(d, [True, False])
     assert v2.status == OBSTRUCTED
-    assert v2.certificates["det"] == 1
+    assert v2.invariants.det == 1

@@ -76,7 +76,7 @@ def test_one_fox_minor_matches_gcd_of_all_minors(corpus):
                 for keep in combinations(range(nc), k):
                     pres = wirtinger(sublink(d, keep))
                     assert alexander_fox(pres) == gcd_of_maximal_minors(pres), \
-                        (braid, d.origin, keep)
+                        (braid, d.braid, keep)
 
 
 def test_determinant_examples():

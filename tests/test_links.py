@@ -380,6 +380,10 @@ def test_sublink_empty_selection():
         sublink(d, [])
     with pytest.raises(IndexError):
         sublink(d, [5])
+    # int() used to truncate 0.7 to 0 and read True as 1
+    for keep in ([0.7], [True], ["1"], "01"):
+        with pytest.raises(ValueError):
+            sublink(d, keep)
 
 
 def test_sublink_pd_resplices_arcs():
@@ -498,9 +502,15 @@ def test_traversal_inconsistent_orientation():
 
 
 def test_braid_cycles_align_with_components():
-    assert from_braid(BraidWord(4, (1, 1, 1, 3, 3))).braid_cycles == \
-        ((0, 1), (2,), (3,))
-    assert from_braid(BraidWord(3, (1, 1))).braid_cycles == ((0,), (1,), (2,))
+    for braid, cycles in (
+            (BraidWord(4, (1, 1, 1, 3, 3)), ((0, 1), (2,), (3,))),
+            (BraidWord(3, (1, 1)), ((0,), (1,), (2,)))):
+        d = from_braid(braid)
+        assert d.braid.strand_cycles() == cycles
+        assert len(d.components) == len(cycles)
+        # arc s + 1 is the top arc of strand s
+        for comp, cycle in zip(d.components, cycles):
+            assert {s + 1 for s in cycle} <= set(comp)
 
 
 def test_seifert_fox_agreement_exhaustive_small_braids():

@@ -245,6 +245,10 @@ def test_b_squared_is_identity_but_lift_translates():
 def test_translation_number_single_iteration():
     lift = CircleLift(PSL2.identity(), offset=2)
     assert lift.apply(0.0) == 2 * math.pi
+    # int() used to truncate 1.7 to an offset of 1
+    for offset in (1.7, True, "2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            CircleLift(PSL2.identity(), offset)
     assert translation_number(lift) == 2.0
     with pytest.raises(TypeError):
         translation_number(lift, 0)
@@ -320,3 +324,7 @@ def test_milnor_wood_genus_zero():
         milnor_wood_admissible([0])
     with pytest.raises(GenusZero):
         milnor_wood_admissible([2, 0])
+    # int() used to truncate 2.9 to genus 2
+    for genera in ([2.9], [True], ["2"], "2"):
+        with pytest.raises(ValueError, match="not an integer|string"):
+            milnor_wood_admissible(genera)
