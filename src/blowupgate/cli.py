@@ -19,10 +19,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 
-from blowupgate.errors import BlowupgateError, _integer, _integers
+from blowupgate.errors import BlowupgateError, InputError, _integer, _integers
+from blowupgate.exact import AbelianGroup
 from blowupgate.gate import gate as evaluate_gate
-from blowupgate.gate import (Flow, FlowGraph, HomologyElement, HomologyModel,
-                             homology_class, is_flow, realizable_k)
+from blowupgate.gate import (Flow, FlowGraph, HomologyElement, homology_class,
+                             is_flow, realizable_k)
 from blowupgate.invariants import link_invariants
 from blowupgate.links import (BraidWord, LinkDiagram, Presentation,
                               from_braid, parse_pd)
@@ -42,10 +43,6 @@ SCHEMA = "1"
 MAX_STRANDS = 1000
 MAX_MW_VECTORS = 10 ** 6
 MAX_CENSUS_TRIPLES = 10 ** 6
-
-
-class InputError(BlowupgateError, ValueError):
-    """Bad input file, JSON shape, or option value."""
 
 
 class NonFiniteResult(BlowupgateError, ValueError):
@@ -193,19 +190,20 @@ def _cmd_flow(args):
             if not isinstance(data.get(key, []), list):
                 raise InputError(f'"{key}" must be an array')
         edges = tuple((e["from"], e["to"]) for e in data["edges"])
-        labels = None
-        if data["edges"] and "label" in data["edges"][0]:
-            labels = tuple(_element_from_json(e["label"]) for e in data["edges"])
+        labels = tuple(_element_from_json(e["label"])
+                       for e in data["edges"] if "label" in e) or None
+        if labels and len(labels) != len(edges):
+            raise InputError("either every edge has a label or none has")
         graph = FlowGraph(data["vertices"], edges, labels)
         weights = [Fraction(str(w)) for w in data["weights"]]
         orientations = _integers(data["orientations"])
         flow = Flow.from_weights(weights, orientations)
         model = None
         if "model" in data:
-            model = HomologyModel(data["model"]["rank"],
-                                  data["model"].get("torsion", ()))
+            model = AbelianGroup(data["model"]["rank"],
+                                 data["model"].get("torsion", ()))
         elif labels is not None:
-            model = HomologyModel(len(labels[0].free), ())
+            model = AbelianGroup(len(labels[0].free))
     out = {"schema": SCHEMA, "is_flow": is_flow(graph, flow),
            "class": None, "realizable_k": None}
     # a chain that is not a cycle has no homology class; labels come with

@@ -1,5 +1,5 @@
 """The common base of every error that blowupgate raises on bad input,
-and the check that reads an integer from outside input.
+InputError, and the check that reads an integer from outside input.
 
 They live in their own module, importing nothing, so that any module can
 use them without depending on another part of the package.
@@ -12,9 +12,13 @@ class BlowupgateError(Exception):
     either."""
 
 
+class InputError(BlowupgateError, ValueError):
+    """Bad input file, JSON shape, option value or field value."""
+
+
 def _integer(x) -> int:
     """x as an int: an int that is not a bool, or an integral float.
-    Anything else is refused with ValueError: a float or Fraction that
+    Anything else is refused with InputError: a float or Fraction that
     int() would truncate, such as 1.7, a string, which int() would
     parse (so a string in place of an integer array is not read digit by
     digit), and True and False, which int() reads as 1 and 0."""
@@ -23,7 +27,7 @@ def _integer(x) -> int:
     if (isinstance(x, float) and x.is_integer()
             or isinstance(x, int) and not isinstance(x, bool)):
         return int(x)
-    raise ValueError(f"{x!r} is not an integer")
+    raise InputError(f"{x!r} is not an integer")
 
 
 def _integers(seq, item=_integer) -> tuple:
@@ -31,5 +35,5 @@ def _integers(seq, item=_integer) -> tuple:
     iterated character by character (and "" pass as an empty array).
     Pass item=_integers for an array of integer arrays."""
     if isinstance(seq, str):
-        raise ValueError(f"{seq!r} is a string, not an array")
+        raise InputError(f"{seq!r} is a string, not an array")
     return tuple(map(item, seq))

@@ -13,7 +13,7 @@ from itertools import chain
 from math import gcd, prod
 from operator import add
 
-from .errors import BlowupgateError
+from .errors import BlowupgateError, InputError, _integer, _integers
 
 
 class NonSquare(BlowupgateError, ValueError):
@@ -171,15 +171,16 @@ class AbelianGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", _integer(self.rank))
+        object.__setattr__(self, "torsion", _integers(self.torsion))
         if self.rank < 0:
-            raise ValueError("negative rank")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+            raise InputError("negative rank")
         for d in self.torsion:
             if d < 2:
-                raise ValueError("torsion divisors must be >= 2")
+                raise InputError("torsion divisors must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
-                raise ValueError("divisor chain violated")
+                raise InputError("divisor chain violated")
 
     @property
     def order(self):

@@ -9,7 +9,8 @@ meridian monodromy must have vanishing determinant (Alexander value at
 Flows assign positive rational weights and orientations to graph edges
 subject to conservation at every vertex; integer flows map to first
 homology by summing edge labels, and the multiples of a class that land
-in a finite admissible set are enumerated.
+in a finite admissible set are enumerated, in an exact.AbelianGroup such
+as link_invariants(d).h1_branched.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BlowupgateError, _integer, _integers
+from .errors import BlowupgateError, InputError, _integer, _integers
+from .exact import AbelianGroup
 from .invariants import LinkInvariants, link_invariants
 from .links import LinkDiagram, sublink
 
@@ -63,14 +65,14 @@ def gate(d: LinkDiagram, labels) -> Verdict:
 
     labels[i] is True or 1 when the meridian monodromy of component i is
     nontrivial, False or 0 when it is trivial; other labels raise
-    ValueError.  A one-component link is always obstructed; a nonempty
+    InputError.  A one-component link is always obstructed; a nonempty
     labeled sublink with nonzero determinant is obstructed; an empty
     labeled sublink leaves the test indeterminate.
     """
     labels = list(labels)
     for x in labels:
         if not (isinstance(x, int) and x in (0, 1)):  # bools are ints
-            raise ValueError(f"monodromy label {x!r} is not True, False, "
+            raise InputError(f"monodromy label {x!r} is not True, False, "
                              "0 or 1")
     ncomp = len(d.components)
     if len(labels) != ncomp:
@@ -90,11 +92,13 @@ def gate(d: LinkDiagram, labels) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# homology models
+# elements of a homology group
 
 
 @dataclass(frozen=True)
 class HomologyElement:
+    """Coordinates in an AbelianGroup: the free part, then torsion residues."""
+
     free: tuple
     torsion: tuple = ()
 
@@ -107,40 +111,18 @@ class HomologyElement:
         return not any(self.free) and not any(self.torsion)
 
 
-@dataclass(frozen=True)
-class HomologyModel:
-    """H_1 presented as Z^rank plus cyclic factors with a divisor chain."""
+def reduce_element(h: AbelianGroup, el: HomologyElement) -> HomologyElement:
+    """el with each torsion coordinate reduced modulo its divisor in h."""
+    if len(el.free) != h.rank or len(el.torsion) != len(h.torsion):
+        raise SizeMismatch("element does not fit the homology group")
+    return HomologyElement(el.free,
+                           tuple(r % d for r, d in zip(el.torsion, h.torsion)))
 
-    rank: int
-    torsion: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", _integer(self.rank))
-        object.__setattr__(self, "torsion", _integers(self.torsion))
-        if self.rank < 0:
-            raise ValueError("homology rank must be >= 0")
-        for d in self.torsion:
-            if d < 2:
-                raise ValueError("torsion divisors must be >= 2")
-
-    def zero(self) -> HomologyElement:
-        return HomologyElement((0,) * self.rank, (0,) * len(self.torsion))
-
-    def reduce(self, el: HomologyElement) -> HomologyElement:
-        if len(el.free) != self.rank or len(el.torsion) != len(self.torsion):
-            raise SizeMismatch("element does not fit the homology model")
-        return HomologyElement(el.free,
-                               tuple(r % d for r, d in zip(el.torsion, self.torsion)))
-
-    def add(self, a: HomologyElement, b: HomologyElement) -> HomologyElement:
-        return self.reduce(HomologyElement(
-            tuple(x + y for x, y in zip(a.free, b.free)),
-            tuple(x + y for x, y in zip(a.torsion, b.torsion))))
-
-    def scale(self, k: int, a: HomologyElement) -> HomologyElement:
-        return self.reduce(HomologyElement(
-            tuple(k * x for x in a.free),
-            tuple(k * x for x in a.torsion)))
+def scale_element(h: AbelianGroup, k: int, el: HomologyElement) -> HomologyElement:
+    """k times el, reduced in h."""
+    return reduce_element(h, HomologyElement(tuple(k * x for x in el.free),
+                                             tuple(k * x for x in el.torsion)))
 
 
 @dataclass(frozen=True)
@@ -233,30 +215,32 @@ def flow_add(f1: Flow, f2: Flow) -> Flow:
     return Flow(tuple(a + b for a, b in zip(f1.signed, f2.signed)))
 
 
-def homology_class(g: FlowGraph, f: Flow, h: HomologyModel) -> HomologyElement:
-    """Sum of signed edge labels, reduced in the model.
+def homology_class(g: FlowGraph, f: Flow, h: AbelianGroup) -> HomologyElement:
+    """Sum of signed edge labels, reduced in the homology group h, such as
+    link_invariants(d).h1_branched or Presentation.abelianization().
 
     Requires a flow (see is_flow) with integer weights: only integer
     multiples of cycles carry a homology class.  A chain that is not a
-    flow raises ValueError.
+    flow, or a graph without labels, raises InputError.
     """
     if not is_flow(g, f):
-        raise ValueError("a chain that is not a flow has no homology class")
+        raise InputError("a chain that is not a flow has no homology class")
     if g.labels is None:
-        raise ValueError("graph has no homology labels")
+        raise InputError("graph has no homology labels")
     if not f.is_integral:
         raise NonIntegerWeights("homology classes need integer weights")
-    # reduce first: a rank the labels lack is a SizeMismatch, not a
-    # zero element of that rank
-    labels = [h.reduce(label) for label in g.labels]
+    # check the shapes first: a rank the labels lack is a SizeMismatch,
+    # not a zero element of that rank
+    labels = [reduce_element(h, label) for label in g.labels]
     try:
-        acc = h.zero()
+        total = [0] * (h.rank + len(h.torsion))
     except (OverflowError, MemoryError) as exc:
         # only a graph without edges reaches this with an unchecked rank
-        raise SizeMismatch(f"model rank {h.rank} is too large") from exc
+        raise SizeMismatch(f"rank {h.rank} is too large") from exc
     for label, w in zip(labels, f.signed):
-        acc = h.add(acc, h.scale(int(w), label))
-    return acc
+        total = [t + int(w) * x
+                 for t, x in zip(total, label.free + label.torsion)]
+    return reduce_element(h, HomologyElement(total[:h.rank], total[h.rank:]))
 
 
 @dataclass(frozen=True)
@@ -274,9 +258,10 @@ class RealizableK:
     modulus: int = 0
 
 
-def realizable_k(c: HomologyElement, admissible, h: HomologyModel) -> RealizableK:
-    admissible = [h.reduce(a) for a in admissible]
-    c = h.reduce(c)
+def realizable_k(c: HomologyElement, admissible, h: AbelianGroup) -> RealizableK:
+    """The k with k*c in admissible, elements of h (see RealizableK)."""
+    admissible = [reduce_element(h, a) for a in admissible]
+    c = reduce_element(h, c)
     if any(c.free):
         pivot = next(i for i, x in enumerate(c.free) if x)
         ks = set()
@@ -284,7 +269,7 @@ def realizable_k(c: HomologyElement, admissible, h: HomologyModel) -> Realizable
             q, r = divmod(a.free[pivot], c.free[pivot])
             if r != 0:
                 continue
-            if h.scale(q, c) == a:
+            if scale_element(h, q, c) == a:
                 ks.add(q)
         return RealizableK(finite=True, values=tuple(sorted(ks)))
     # torsion class: k*c only depends on k modulo the order of c

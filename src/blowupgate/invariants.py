@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import BlowupgateError
 from .exact import AbelianGroup, IntMatrix, LaurentPoly, cokernel, laurent_det
-from .links import LinkDiagram, Presentation, SeifertMatrix, from_braid
+from .links import LinkDiagram, Presentation, from_braid
 from .links import seifert_matrix as _seifert_of_braid
 from .links import wirtinger as _wirtinger
 
@@ -34,16 +34,15 @@ class LinkInvariants:
     h1_method: str                # "seifert" or "fox"
 
 
-def alexander_seifert(v: SeifertMatrix) -> LaurentPoly:
-    """det(V - t V^T), unit-normalized."""
+def alexander_seifert(v: IntMatrix) -> LaurentPoly:
+    """det(V - t V^T) of a Seifert matrix V, unit-normalized."""
     # split closures leave most cells with V_ij = V_ji = 0; they share one
     # zero polynomial
     zero = LaurentPoly.zero()
     mat = [[LaurentPoly._of({0: a, 1: -b} if a and b else {0: a} if a
                             else {1: -b}) if a or b else zero
             for a, b in zip(row, col)]
-           for row, col in zip(v.matrix.to_rows(),
-                               v.matrix.transpose().to_rows())]
+           for row, col in zip(v.to_rows(), v.transpose().to_rows())]
     return laurent_det(mat).unit_normalize()
 
 
@@ -130,9 +129,9 @@ def determinant_at_minus_one(a: LaurentPoly):
     return signed, abs(int(signed))
 
 
-def branched_cover_h1(v: SeifertMatrix) -> AbelianGroup:
-    """First homology of the double cover branched over the closure."""
-    return cokernel(v.matrix + v.matrix.transpose())
+def branched_cover_h1(v: IntMatrix) -> AbelianGroup:
+    """H_1 of the double branched cover of a closure: coker(V + V^T)."""
+    return cokernel(v + v.transpose())
 
 
 def branched_cover_h1_fox(p: Presentation) -> AbelianGroup:

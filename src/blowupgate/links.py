@@ -118,22 +118,6 @@ class LinkDiagram:
 
 
 @dataclass(frozen=True)
-class SeifertMatrix:
-    """Linking form of a spanning-surface basis for a braid closure."""
-
-    matrix: IntMatrix
-    boundary_components: int
-
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def genus(self) -> int:
-        return (self.size - (self.boundary_components - 1)) // 2
-
-
-@dataclass(frozen=True)
 class Presentation:
     """Finitely presented group; relators are words of signed 1-based indices."""
 
@@ -363,8 +347,9 @@ def from_braid(b: BraidWord) -> LinkDiagram:
 # Seifert matrices for braid closures
 
 
-def seifert_matrix(b: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of the braid closure from disk-and-band loops.
+def seifert_matrix(b: BraidWord) -> IntMatrix:
+    """Seifert matrix V of the braid closure from disk-and-band loops:
+    the linking form of a basis of the first homology of the surface.
 
     Bands hang between consecutive disks at the positions of the braid
     letters; there is one loop per consecutive pair of bands at the same
@@ -378,6 +363,7 @@ def seifert_matrix(b: BraidWord) -> SeifertMatrix:
 
     det(V - t V^T) is the one-variable Alexander polynomial up to units,
     and V + V^T presents the first homology of the double branched cover.
+    The surface has genus (V.rows - len(b.strand_cycles()) + 1) // 2.
     """
     bands = [[] for _ in range(b.strands - 1)]  # (position, sign) per level
     for pos, w in enumerate(b.word):
@@ -406,8 +392,7 @@ def seifert_matrix(b: BraidWord) -> SeifertMatrix:
                 rows[i][below_first + j - 1] = -1
         below, below_first = [p for p, _s in level], first
         first += size
-    return SeifertMatrix(matrix=IntMatrix.from_rows(rows),
-                         boundary_components=len(b.strand_cycles()))
+    return IntMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ built from spanning-forest fundamental cycles."""
 
 from fractions import Fraction
 
-from blowupgate.gate import Flow, FlowGraph, HomologyElement, HomologyModel, flow_add
+from blowupgate.exact import AbelianGroup
+from blowupgate.gate import (Flow, FlowGraph, HomologyElement, flow_add,
+                             reduce_element)
 
 
 def random_graph(rng, max_vertices=8):
@@ -13,7 +15,17 @@ def random_graph(rng, max_vertices=8):
         edges.append((rng.randrange(n), rng.randrange(n)))
     labels = tuple(HomologyElement((rng.randint(-3, 3), rng.randint(-3, 3)))
                    for _ in edges)
-    return FlowGraph(n, tuple(edges), labels), HomologyModel(2)
+    return FlowGraph(n, tuple(edges), labels), AbelianGroup(2)
+
+
+def zero_element(h):
+    return HomologyElement((0,) * h.rank, (0,) * len(h.torsion))
+
+
+def add_elements(h, a, b):
+    return reduce_element(h, HomologyElement(
+        tuple(x + y for x, y in zip(a.free, b.free)),
+        tuple(x + y for x, y in zip(a.torsion, b.torsion))))
 
 
 def spanning_forest(g):

@@ -189,6 +189,23 @@ def test_flow_large_torsion_modulus(tmp_path):
         "finite": False, "residues": [5], "modulus": modulus}
 
 
+def test_flow_model_is_an_h1_branched_as_printed(tmp_path):
+    hopf = tmp_path / "hopf.json"
+    hopf.write_text(json.dumps({"braid": {"strands": 2, "word": [1, 1]}}))
+    code, out = invoke(["invariants", str(hopf)])
+    assert code == 0
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({
+        "vertices": 1,
+        "edges": [{"from": 0, "to": 0,
+                   "label": {"free": [], "torsion": [1]}}],
+        "weights": [3], "orientations": [1],
+        "model": json.loads(out)["h1_branched"]}))
+    code, out = invoke(["flow", str(graph)])
+    assert code == 0
+    assert json.loads(out)["class"] == {"free": [], "torsion": [1]}
+
+
 def test_solve_subcommand(tmp_path):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps({"generators": ["x"], "relators": [[1]]}))
@@ -501,6 +518,15 @@ def test_euler_error_paths(tmp_path):
     ("solve", {"generators": ["a"], "relators": [[True]]}),
     ("invariants", {"pd": [[True, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}),
     ("flow", dict(GRAPH, orientations=[True, -1, -1])),
+    # either every edge has a label or none has: the labels after an
+    # unlabeled first edge used to be dropped, printing "class": null
+    ("flow", dict(GRAPH, edges=[{"from": 0, "to": 1}] + GRAPH["edges"][1:])),
+    # torsion that is not a divisor chain: Z/2 + Z/3 is to be given as Z/6
+    ("flow", {"vertices": 1,
+              "edges": [{"from": 0, "to": 0,
+                         "label": {"free": [1], "torsion": [1, 1]}}],
+              "weights": [1], "orientations": [1],
+              "model": {"rank": 1, "torsion": [2, 3]}}),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"
@@ -536,6 +562,24 @@ def test_every_exception_class_derives_from_blowupgate_error():
     for name, cls in found.items():
         assert issubclass(cls, blowupgate.BlowupgateError), name
         assert issubclass(cls, BUILTIN_BASES.get(name, Exception)), name
+
+
+def test_library_input_checks_raise_blowupgate_errors():
+    from blowupgate import (AbelianGroup, BraidWord, Flow, FlowGraph,
+                            HomologyElement, from_braid, gate, homology_class,
+                            milnor_wood_admissible, sublink)
+    hopf = from_braid(BraidWord(2, (1, 1)))
+    path = FlowGraph(2, ((0, 1),), (HomologyElement((1,)),))
+    calls = [lambda: sublink(hopf, [0.7]),
+             lambda: milnor_wood_admissible([2.9]),
+             lambda: gate(hopf, ["0", "0"]),
+             lambda: BraidWord(2, [1.5]),
+             lambda: AbelianGroup(1, (2.7,)),
+             lambda: homology_class(path, Flow.from_weights((1,), (1,)),
+                                    AbelianGroup(1))]
+    for call in calls:
+        with pytest.raises(blowupgate.BlowupgateError):
+            call()
 
 
 def test_gate_pd_input_with_sublink(tmp_path):

@@ -223,6 +223,10 @@ def test_abelian_group_validation():
         AbelianGroup(rank=0, torsion=(3, 4))
     with pytest.raises(ValueError):
         AbelianGroup(rank=0, torsion=(1,))
+    # int() would truncate 2.7 and 1.5, parse "3" and read True as 1
+    for rank, torsion in ((1, (2.7,)), (1.5, ()), (0, ("3",)), (True, ())):
+        with pytest.raises(ValueError):
+            AbelianGroup(rank, torsion)
     g = AbelianGroup(rank=2, torsion=(2, 6))
     assert str(g) == "Z^2 + Z/2 + Z/6"
     assert g.order is None

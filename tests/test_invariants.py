@@ -12,24 +12,22 @@ from blowupgate.invariants import (NotWirtinger, alexander_fox,
                                    determinant_at_minus_one, fox_jacobian,
                                    link_invariants)
 from blowupgate.invariants import _fox_matrix_at_minus_one
-from blowupgate.links import (BraidWord, Presentation, SeifertMatrix,
-                              from_braid, parse_pd, seifert_matrix, sublink,
-                              wirtinger)
+from blowupgate.links import (BraidWord, Presentation, from_braid, parse_pd,
+                              seifert_matrix, sublink, wirtinger)
 
 TREFOIL = BraidWord(2, (1, 1, 1))
 FIG8 = BraidWord(3, (1, -2, 1, -2))
 HOPF = BraidWord(2, (1, 1))
 
 
-def mk_seifert(rows, components=1):
-    m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0, ())
-    return SeifertMatrix(matrix=m, boundary_components=components)
+def mk_seifert(rows):
+    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0, ())
 
 
 def test_alexander_seifert_examples():
     assert alexander_seifert(mk_seifert([[-1, 1], [0, -1]])).coeff_list() == \
         ([1, -1, 1], 0)
-    hopf = alexander_seifert(mk_seifert([[1]], components=2))
+    hopf = alexander_seifert(mk_seifert([[1]]))
     assert hopf.unit_equal(LaurentPoly({0: 1, 1: -1}))
     assert alexander_seifert(mk_seifert([])).coeff_list() == ([1], 0)
 
@@ -104,7 +102,7 @@ def test_branched_cover_h1_examples():
         AbelianGroup(rank=0, torsion=(3,))
     assert branched_cover_h1(seifert_matrix(HOPF)) == \
         AbelianGroup(rank=0, torsion=(2,))
-    annulus = mk_seifert([[0]], components=2)
+    annulus = mk_seifert([[0]])
     assert branched_cover_h1(annulus) == AbelianGroup(rank=1)
 
 

@@ -233,24 +233,25 @@ def test_from_braid_component_count_matches_cycle_oracle():
 
 
 def test_seifert_trefoil_matrix():
-    v = seifert_matrix(BraidWord(2, (1, 1, 1)))
-    assert v.matrix.to_rows() == [[-1, 1], [0, -1]]
+    b = BraidWord(2, (1, 1, 1))
+    v = seifert_matrix(b)
+    assert v.to_rows() == [[-1, 1], [0, -1]]
     assert alexander_seifert(v).coeff_list() == ([1, -1, 1], 0)
-    assert v.genus == 1
-    assert v.boundary_components == 1
+    assert (v.rows - len(b.strand_cycles()) + 1) // 2 == 1
+    assert len(b.strand_cycles()) == 1
 
 
 def test_seifert_hopf():
     v = seifert_matrix(BraidWord(2, (1, 1)))
-    assert v.size == 1
-    assert abs(v.matrix.at(0, 0)) == 1
+    assert v.rows == 1
+    assert abs(v.at(0, 0)) == 1
     assert alexander_seifert(v).unit_equal(
         alexander_fox(wirtinger(from_braid(BraidWord(2, (1, 1))))))
 
 
 def test_seifert_unknot_empty():
     v = seifert_matrix(BraidWord(1, ()))
-    assert v.size == 0
+    assert v.rows == 0
     assert alexander_seifert(v).coeff_list() == ([1], 0)
 
 
@@ -259,14 +260,14 @@ def test_seifert_size_formula_connected():
     for strands, word in ((2, (1, 1, 1)), (3, (1, -2, 1, -2)),
                           (3, (1, 2, 1, 2, 1, 2)), (4, (1, 2, 3, 1, 2, 3))):
         v = seifert_matrix(BraidWord(strands, word))
-        assert v.size == len(word) - (strands - 1)
+        assert v.rows == len(word) - (strands - 1)
 
 
 def test_seifert_split_closure_connectors():
     # empty level -> one zero loop; determinant route sees a split link
     v = seifert_matrix(BraidWord(3, (1, 1, 1)))
-    assert v.size == 3
-    rows = v.matrix.to_rows()
+    assert v.rows == 3
+    rows = v.to_rows()
     assert rows[2] == [0, 0, 0]
     assert [rows[i][2] for i in range(3)] == [0, 0, 0]
     assert alexander_seifert(v).is_zero
@@ -303,17 +304,18 @@ def test_seifert_matches_all_pairs_oracle_random_braids():
         empty_levels += used.count(0)
         single_letter_levels += used.count(1)
         v = seifert_matrix(b)
-        assert v.matrix.to_rows() == seifert_rows_all_pairs(b), (n, word)
-        assert v.boundary_components == cycle_count_oracle(n, word), (n, word)
+        assert v.to_rows() == seifert_rows_all_pairs(b), (n, word)
+        assert len(b.strand_cycles()) == cycle_count_oracle(n, word), \
+            (n, word)
     assert empty_levels > 1000 and single_letter_levels > 1000
 
 
 def test_seifert_matches_all_pairs_oracle_wide_split_braid():
     b = BraidWord(1000, (1, 2, 3, 4))
     v = seifert_matrix(b)
-    assert v.size == 995
-    assert v.matrix.to_rows() == seifert_rows_all_pairs(b)
-    assert v.boundary_components == cycle_count_oracle(1000, b.word) == 996
+    assert v.rows == 995
+    assert v.to_rows() == seifert_rows_all_pairs(b)
+    assert len(b.strand_cycles()) == cycle_count_oracle(1000, b.word) == 996
 
 
 # ---------------------------------------------------------------------------
