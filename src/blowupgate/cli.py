@@ -298,12 +298,8 @@ def _cmd_euler(args):
         genus = max(indices)
     with _input_errors("malformed matrix data"):
         matrices = {name: PSL2.from_matrix(rows) for name, rows in mats.items()}
-    for i in range(1, genus + 1):
-        for name in (f"a{i}", f"b{i}"):
-            if name not in matrices:
-                raise InputError(f"missing generator {name}")
-    res = surface_relator_residual(matrices, genus)
     e = euler_number(matrices, genus, tol=args.tol)
+    res = surface_relator_residual(matrices, genus)
     return {"schema": SCHEMA, "euler": e, "residual": res, "genus": genus}
 
 

@@ -31,9 +31,14 @@ def _integer(x) -> int:
 
 
 def _integers(seq, item=_integer) -> tuple:
-    """tuple(map(item, seq)), refusing a string, which would otherwise be
-    iterated character by character (and "" pass as an empty array).
+    """tuple(map(item, seq)), refusing with InputError a seq that is not
+    iterable, and a string, which would otherwise be iterated character
+    by character (and "" pass as an empty array).
     Pass item=_integers for an array of integer arrays."""
     if isinstance(seq, str):
         raise InputError(f"{seq!r} is a string, not an array")
-    return tuple(map(item, seq))
+    try:
+        items = map(item, seq)
+    except TypeError:           # seq is not iterable
+        raise InputError(f"{seq!r} is not an array") from None
+    return tuple(items)

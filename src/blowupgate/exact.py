@@ -34,9 +34,13 @@ class IntMatrix:
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
+            raise InputError("negative dimensions")
+        # one type test over the tuple: _integers per entry would cost
+        # about 130 ns each on every matrix the package builds
+        if not set(map(type, self.entries)) <= {int}:
+            object.__setattr__(self, "entries", _integers(self.entries))
         if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
+            raise InputError("entry count does not match dimensions")
 
     @staticmethod
     def from_rows(data) -> "IntMatrix":
@@ -44,8 +48,8 @@ class IntMatrix:
         rows = len(data)
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
-            raise ValueError("ragged rows")
-        return IntMatrix(rows, cols, tuple(map(int, chain.from_iterable(data))))
+            raise InputError("ragged rows")
+        return IntMatrix(rows, cols, tuple(chain.from_iterable(data)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -313,13 +317,10 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, k in coeffs.items():
-                k = int(k)
-                if k != 0:
-                    c[int(e)] = k
-        self._c = c
+        coeffs = coeffs or {}
+        if not {*map(type, coeffs), *map(type, coeffs.values())} <= {int}:
+            coeffs = {_integer(e): _integer(k) for e, k in coeffs.items()}
+        self._c = {e: k for e, k in coeffs.items() if k}
 
     @staticmethod
     def _of(c: dict) -> "LaurentPoly":

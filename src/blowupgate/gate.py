@@ -138,7 +138,7 @@ class FlowGraph:
         object.__setattr__(self, "edges", _integers(self.edges, _integers))
         for a, b in self.edges:
             if not (0 <= a < self.vertices and 0 <= b < self.vertices):
-                raise ValueError(f"edge ({a}, {b}) references a missing vertex")
+                raise InputError(f"edge ({a}, {b}) references a missing vertex")
         if self.labels is not None and len(self.labels) != len(self.edges):
             raise SizeMismatch("one label per edge required")
 
@@ -162,11 +162,11 @@ class Flow:
             raise SizeMismatch("weights and orientations differ in length")
         signed = []
         for w, o in zip(weights, orientations):
-            w = Fraction(w)
+            w, o = Fraction(w), _integer(o)
             if w < 0:
-                raise ValueError("weights must be positive")
+                raise InputError("weights must be positive")
             if o not in (1, -1):
-                raise ValueError("orientations must be +-1")
+                raise InputError("orientations must be +-1")
             signed.append(w * o)
         return Flow(tuple(signed))
 

@@ -19,7 +19,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import BlowupgateError, _integer, _integers
+from .errors import BlowupgateError, InputError, _integer, _integers
 from .exact import IntMatrix, AbelianGroup, cokernel
 
 
@@ -131,11 +131,11 @@ class Presentation:
                            _integers(self.relators, _integers))
         n = len(self.generators)
         if len(set(self.generators)) != n:
-            raise ValueError("generator names must be distinct")
+            raise InputError("generator names must be distinct")
         for r in self.relators:
             for letter in r:
                 if letter == 0 or abs(letter) > n:
-                    raise ValueError(f"relator letter {letter} out of range")
+                    raise InputError(f"relator letter {letter} out of range")
         if self.meridian_markers is not None:
             object.__setattr__(self, "meridian_markers",
                                _integers(self.meridian_markers))
@@ -463,7 +463,7 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     nc = len(d.components)
     for i in keep:
         if i < 0 or i >= nc:
-            raise IndexError(f"component index {i} out of range")
+            raise InputError(f"component index {i} out of range")
 
     if d.braid is not None:
         cycles = d.braid.strand_cycles()

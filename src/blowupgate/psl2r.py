@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BlowupgateError, _integer, _integers
+from .errors import BlowupgateError, InputError, _integer, _integers
 
 
 class ResidualTooLarge(BlowupgateError, ValueError):
@@ -168,45 +168,40 @@ def act_rp1(g: PSL2, theta: float) -> float:
 class CircleLift:
     """Lift to R of the action of a PSL2 element on RP^1.
 
-    The base lift sends 0 into [0, pi); the winding offset shifts by
-    whole deck translations (multiples of pi).  Lifts are strictly
-    increasing and commute with x -> x + pi.
+    The base lift sends 0 into [0, pi); the offset adds whole deck
+    translations (multiples of pi).  Lifts increase strictly, commute
+    with x -> x + pi, and are closed under inverse().
     """
 
-    __slots__ = ("g", "offset", "_f0", "_inv_g", "_inv_f0", "_inv_shift")
+    __slots__ = ("g", "offset", "_f0")
 
     def __init__(self, g: PSL2, offset: int = 0):
         self.g = g
         self.offset = _integer(offset)
         self._f0 = act_rp1(g, 0.0)
-        self._inv_shift = None
 
-    def _base(self, x: float, g: PSL2, f0: float) -> float:
+    def _base(self, x: float) -> float:
         k = math.floor(x / math.pi)
         x0 = x - k * math.pi
         if x0 >= math.pi:
             x0 -= math.pi
             k += 1
-        d = (act_rp1(g, x0) - f0) % math.pi
+        d = (act_rp1(self.g, x0) - self._f0) % math.pi
         # the base lift increases from f0 to f0 + pi as x0 sweeps a period,
         # so a near-tie in d belongs to whichever end x0 is close to
         if d < 1e-9 or d > math.pi - 1e-9:
             d = 0.0 if x0 < math.pi / 2 else math.pi
-        return f0 + d + k * math.pi
+        return self._f0 + d + k * math.pi
 
     def apply(self, x: float) -> float:
-        return self._base(x, self.g, self._f0) + self.offset * math.pi
+        return self._base(x) + self.offset * math.pi
 
-    def apply_inverse(self, y: float) -> float:
-        """Functional inverse of apply (a particular lift of g^{-1})."""
-        if self._inv_shift is None:
-            self._inv_g = self.g.inv()
-            self._inv_f0 = act_rp1(self._inv_g, 0.0)
-            d = self._base(self._base(0.0, self.g, self._f0),
-                           self._inv_g, self._inv_f0)
-            self._inv_shift = round(d / math.pi)
-        return (self._base(y, self._inv_g, self._inv_f0)
-                - (self._inv_shift + self.offset) * math.pi)
+    def inverse(self) -> "CircleLift":
+        """The lift of g^-1 whose apply is the inverse of this apply."""
+        inv = CircleLift(self.g.inv())
+        inv.offset = -(round(inv._base(self._base(0.0)) / math.pi)
+                       + self.offset)
+        return inv
 
 
 def translation_number(lift: CircleLift) -> float:
@@ -268,20 +263,22 @@ def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
     the result is an exact deck translation up to solver noise and is
     rounded with a strict 0.1 guard.
     """
+    genus = _integer(genus)
     if genus < 1:
         raise GenusZero("genus must be >= 1")
-    gens = surface_generator_names(genus)
+    for name in surface_generator_names(genus):
+        if name not in matrices:
+            raise InputError(f"missing generator {name}")
     res = surface_relator_residual(matrices, genus)
     if not res <= tol:          # a NaN residual fails this test too
         raise ResidualTooLarge(f"relator residual {res:.3e} exceeds {tol:.3e}")
 
-    lifts = {name: CircleLift(matrices[name]) for name in gens}
-    word = []
-    for i in range(1, genus + 1):
-        word.extend([(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)])
+    # prod [a_i, b_i] applied to 0 from the right: b_i^-1, a_i^-1, b_i, a_i
     x = 0.0
-    for name, sign in reversed(word):
-        x = lifts[name].apply(x) if sign > 0 else lifts[name].apply_inverse(x)
+    for i in range(genus, 0, -1):
+        a, b = CircleLift(matrices[f"a{i}"]), CircleLift(matrices[f"b{i}"])
+        for lift in (b.inverse(), a.inverse(), b, a):
+            x = lift.apply(x)
     e = x / math.pi
     rounded = round(e)
     if abs(e - rounded) >= 0.1:

@@ -3,12 +3,13 @@
 Representations are found by damped least squares on the polar
 parametrization R(alpha) * exp(symmetric traceless) of SL(2,R), three
 parameters per generator.  Relator signs are minimized pointwise, so a
-word is considered trivial when its image is +-identity.  The Jacobian
-of the relator entries is exact: each relator word contributes prefix
-and suffix products around the derivative of every letter.  Each
-Levenberg-Marquardt step factors the smaller normal matrix: J^T J with
-Marquardt's diagonal damping when there are at least as many relator
-entries as parameters, else J J^T with isotropic damping (_levmar).
+word is trivial when its image is +-identity; residual sums the squares
+of those relator entries.  Levenberg-Marquardt evaluates each point
+once, with the exact Jacobian of the entries (prefix and suffix products
+around the derivative of every letter), and each step factors the
+smaller normal matrix: J^T J with Marquardt's diagonal damping when
+there are at least as many relator entries as parameters, else J J^T
+with isotropic damping (_levmar).
 solve sorts its solutions by their ordered trace coordinates, which are
 invariant under conjugation and under the sign of each matrix, and
 merges two solutions when those agree (trace_coordinates); the
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from operator import mul
 
-from .errors import BlowupgateError
+from .errors import BlowupgateError, InputError, _integer
 from .links import Presentation
 from .psl2r import (PSL2, CircleLift, commutator, mat_inv, mat_mul,
                     psl_dist_sq, psl_sign, rotation, surface_generator_names,
@@ -81,8 +82,10 @@ def _word_image(word, mats):
     return out
 
 
-def _relator_residual(word, mats) -> float:
-    return psl_dist_sq(_word_image(word, mats), IDENTITY)
+def _signed_entries(img):
+    """Entries of a relator image minus the nearer of +-identity."""
+    sign = psl_sign(img, IDENTITY)
+    return [img[0] - sign, img[1], img[2], img[3] - sign]
 
 
 def _generator_mats(p: Presentation, rep: RepAssignment) -> list:
@@ -94,9 +97,10 @@ def _generator_mats(p: Presentation, rep: RepAssignment) -> list:
 
 def residual(p: Presentation, rep: RepAssignment) -> float:
     """Sum over relators of the squared Frobenius distance of the relator
-    image to +-identity, minimized over the sign."""
+    image to +-identity, the sum of squares that _levmar minimizes."""
     mats = _generator_mats(p, rep)
-    return sum(_relator_residual(w, mats) for w in p.relators)
+    return sum(sum(v * v for v in _signed_entries(_word_image(w, mats)))
+               for w in p.relators)
 
 
 def trace_coordinates(p: Presentation, rep: RepAssignment) -> tuple:
@@ -189,8 +193,9 @@ def _step(jac, lower, rhs, lam):
 def _levmar(p: Presentation, x0):
     """Minimize the squared relator residual of p by Levenberg-Marquardt.
 
-    The Jacobian is exact (_residual_and_jacobian) and is taken once per
-    accepted point; trial points evaluate the residual only.  Each step
+    Every point, the start and each trial, is evaluated once by
+    _residual_and_jacobian, which gives the residual with its exact
+    Jacobian; an accepted trial keeps both for the next step.  Each step
     is a Cholesky solve (_damped_solve) in the smaller of the parameter
     space (n = 3 per generator) and the residual space (m = 4 per
     relator), chosen by the shape of p alone.  For m >= n the matrix is
@@ -204,13 +209,13 @@ def _levmar(p: Presentation, x0):
     damping converges on 40 of 40 seeded restarts against 38.
     """
     x = list(x0)
+    r, jac = _residual_and_jacobian(p, x)
     # start at 0.0, so that a presentation without relators costs a float
-    cost = sum((v * v for v in _residual_vector(p, x)), 0.0)
+    cost = sum((v * v for v in r), 0.0)
     lam = 1e-3
     for _ in range(LM_MAX_ITER):
         if cost < LM_COST_TARGET:
             break
-        r, jac = _residual_and_jacobian(p, x)
         neg_grad = [-sum(map(mul, col, r)) for col in jac]
         if max(map(abs, neg_grad), default=0.0) < 1e-17:
             break
@@ -223,11 +228,12 @@ def _levmar(p: Presentation, x0):
                 continue
             xn = [xi + di for xi, di in zip(x, delta)]
             try:
-                cn = sum(v * v for v in _residual_vector(p, xn))
+                rn, jn = _residual_and_jacobian(p, xn)
+                cn = sum(v * v for v in rn)
             except OverflowError:    # a step too long for cosh in sym_exp
                 cn = math.inf
             if cn < cost:
-                x, cost = xn, cn
+                x, r, jac, cost = xn, rn, jn, cn
                 lam = max(lam / 3.0, 1e-14)
                 break
             lam *= 4.0
@@ -236,20 +242,12 @@ def _levmar(p: Presentation, x0):
     return x, cost
 
 
-def _params_to_mats(params, n_gens):
-    mats = []
-    for i in range(n_gens):
-        alpha, sx, sy = params[3 * i:3 * i + 3]
-        mats.append(mat_mul(rotation(alpha), sym_exp(sx, sy)))
-    return mats
-
-
 JET_SERIES_R = 1e-2
 
 
 def _generator_jet(alpha, x, y):
-    """M = R(alpha) E(x, y), as _params_to_mats builds it, and its partial
-    derivatives in alpha, x and y.
+    """The generator matrix M = R(alpha) E(x, y) of one parameter triple,
+    and its partial derivatives in alpha, x and y.
 
     dR/dalpha = R(alpha + pi/2).  With r = |(x, y)|, S = ((x, y), (y, -x)),
     f = sinh r / r and g = (cosh r - f) / r^2, E = cosh r I + f S, so
@@ -284,24 +282,9 @@ def _random_params(rng, n_gens):
     return out
 
 
-def _signed_entries(img):
-    """Entries of a relator image minus the nearer of +-identity."""
-    sign = psl_sign(img, IDENTITY)
-    return [img[0] - sign, img[1], img[2], img[3] - sign]
-
-
-def _residual_vector(p: Presentation, params) -> list:
-    """The relator entries that _levmar drives to zero, four per relator."""
-    mats = _params_to_mats(params, len(p.generators))
-    out = []
-    for w in p.relators:
-        out.extend(_signed_entries(_word_image(w, mats)))
-    return out
-
-
 def _residual_and_jacobian(p: Presentation, params):
-    """_residual_vector(p, params) and its exact Jacobian, as a list of
-    columns, one per parameter.
+    """The relator entries that _levmar drives to zero (_signed_entries)
+    and their exact Jacobian, as a list of columns, one per parameter.
 
     A relator word N_1 ... N_L with prefix products P_k and suffix
     products S_k has the derivative sum_k P_{k-1} dN_k S_{k+1}.  An
@@ -364,20 +347,19 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
     results are reproducible.  Returns assignments with residual below
     tol, sorted by trace coordinates.
     """
-    if restarts < 1:
+    if _integer(restarts) < 1:
         raise InvalidParameter("restarts must be >= 1")
     if not tol > 0:          # unlike tol <= 0, this also rejects NaN
         raise InvalidParameter("tol must be positive")
-    n = len(p.generators)
     found = []
     # without relators every start is a solution, so one is enough
     for index in range(restarts if p.relators else 1):
         params, cost = _restart(p, seed, index)
         if not cost < tol:      # a NaN cost is rejected too
             continue
-        mats = _params_to_mats(params, n)
         found.append(RepAssignment(
-            {name: PSL2(m) for name, m in zip(p.generators, mats)},
+            {name: PSL2(_generator_jet(*params[3 * i:3 * i + 3])[0])
+             for i, name in enumerate(p.generators)},
             residual=cost))
     return _dedup(p, found)
 
@@ -516,8 +498,9 @@ def is_metabelian(rep: RepAssignment) -> bool:
 
 def surface_presentation(genus: int) -> Presentation:
     """<a1, b1, ..., ag, bg | prod [ai, bi]>."""
+    genus = _integer(genus)
     if genus < 1:
-        raise ValueError("genus must be >= 1")
+        raise InputError("genus must be >= 1")
     rel = []
     for ai in range(1, 2 * genus, 2):
         rel.extend([ai, ai + 1, -ai, -ai - 1])
@@ -527,8 +510,6 @@ def surface_presentation(genus: int) -> Presentation:
 
 def surface_times_circle_presentation(genus: int) -> Presentation:
     """Surface group times a central circle factor."""
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
     base = surface_presentation(genus)
     gens = base.generators + ("z",)
     z = len(gens)
@@ -587,7 +568,9 @@ class BrieskornData:
     b0 = 0
 
     def __post_init__(self):
-        p, q, r = self.p, self.q, self.r
+        for name in ("p", "q", "r"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
+        p, q, r = self.exponents
         for x in (p, q, r):
             if x < 2:
                 raise NotCoprime("exponents must be >= 2")

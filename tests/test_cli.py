@@ -582,6 +582,53 @@ def test_library_input_checks_raise_blowupgate_errors():
             call()
 
 
+def _library_checks():
+    """Library calls on bad input, each with its id.  Each of them once
+    raised a builtin error, or ran on a bool."""
+    from blowupgate import (BraidWord, BrieskornData, Flow, FlowGraph,
+                            IntMatrix, Presentation, euler_number, from_braid,
+                            fuchsian_genus2, solve, sublink,
+                            surface_presentation,
+                            surface_times_circle_presentation)
+    circle = Presentation(("x",), ((1,),))
+    hopf = from_braid(BraidWord(2, (1, 1)))
+    return {
+        "edge-to-missing-vertex": lambda: FlowGraph(1, ((0, 5),)),
+        "negative-weight": lambda: Flow.from_weights((-1,), (1,)),
+        "orientation-2": lambda: Flow.from_weights((1,), (2,)),
+        "orientation-true": lambda: Flow.from_weights((1,), (True,)),
+        "negative-rows": lambda: IntMatrix(-1, 0, ()),
+        "ragged-rows": lambda: IntMatrix.from_rows([[1, 2], [3]]),
+        "word-not-an-array": lambda: BraidWord(2, 5),
+        "surface-genus-0": lambda: surface_presentation(0),
+        "surface-x-circle-genus-0":
+            lambda: surface_times_circle_presentation(0),
+        "brieskorn-2.5": lambda: BrieskornData(2.5, 3, 5),
+        "brieskorn-string": lambda: BrieskornData("2", 3, 5),
+        "euler-no-matrices": lambda: euler_number({}, 1),
+        "euler-genus-1.5": lambda: euler_number(fuchsian_genus2(), 1.5),
+        "euler-genus-true": lambda: euler_number(fuchsian_genus2(), True),
+        "restarts-2.5": lambda: solve(circle, restarts=2.5),
+        "restarts-true": lambda: solve(circle, restarts=True),
+        "sublink-index": lambda: sublink(hopf, [5]),
+        "repeated-generator": lambda: Presentation(("a", "a"), ()),
+        "letter-out-of-range": lambda: Presentation(("a",), ((2,),)),
+    }
+
+
+@pytest.mark.parametrize("check", sorted(_library_checks()))
+def test_library_check_raises_blowupgate_error(check):
+    with pytest.raises(blowupgate.BlowupgateError):
+        _library_checks()[check]()
+
+
+def test_integral_floats_read_as_integers():
+    # the package's integer rule: an integral float is its integer
+    from blowupgate import BrieskornData, euler_number, fuchsian_genus2
+    assert BrieskornData(2.0, 3, 5) == BrieskornData(2, 3, 5)
+    assert euler_number(fuchsian_genus2(), 2.0) == -2
+
+
 def test_gate_pd_input_with_sublink(tmp_path):
     from blowupgate.links import BraidWord, from_braid
     code_pd = from_braid(BraidWord(3, (1, 1, 2, 2))).to_pd()

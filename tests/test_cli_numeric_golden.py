@@ -12,11 +12,12 @@ Integers, strings, booleans and null must match exactly.  Floats must
 agree to 1e-9 relative; a difference below 1e-15, the last digit that
 matrix entries are printed with, also passes, so residuals near 1e-30
 and entries that round to zero do not depend on the last bits of libm.
-`solve` floats differ between Python versions (3.12 sums floats with
-compensation), so a `solve` record is compared only by its count, the
-flags of its solutions (as a multiset, since their order follows the
-floats) and residual < tol.  The corpus also keeps the full `solve`
-output, so a change that moves it shows in the rebuilt file.
+`solve` floats differ between Python versions: CPython 3.12 sums
+floats with compensation, and the search amplifies those last bits.
+The corpus is built on CPython 3.10 or 3.11, where a `solve` record is
+compared field by field like every other.  From 3.12 on it is compared
+only by its count, the flags of its solutions (as a multiset, since
+their order follows the floats) and residual < tol.
 
 The module needs only the standard library and the package, so the
 replay also runs without pytest:
@@ -32,6 +33,7 @@ import io
 import itertools
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,6 +48,8 @@ GOLDEN = Path(__file__).with_name("data") / "cli_numeric_golden.jsonl"
 REL_TOL = 1e-9
 ABS_TOL = 1e-15
 SOLVE_TOL = 1e-10
+# the Python versions whose float sums the corpus's solve records follow
+SOLVE_FLOATS_PINNED = sys.version_info < (3, 12)
 FLAGS = ("irreducible", "abelian", "metabelian")
 
 SOLVE_GROUPS = [
@@ -149,7 +153,8 @@ def test_numeric_cli_matches_golden(tmp_path=None):
     mismatched = []
     for case in cases:
         code, output = _run(case["argv"], case["input"], tmp_path)
-        if case["argv"][0] == "solve" and case["exit"] == 0:
+        if (case["argv"][0] == "solve" and case["exit"] == 0
+                and not SOLVE_FLOATS_PINNED):
             ok = (_solve_summary(code, output)
                   == _solve_summary(case["exit"], case["output"]))
         else:

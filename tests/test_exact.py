@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from blowupgate.errors import InputError
 from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
                               ZeroEvaluationPoint, cokernel, invariant_factors,
                               laurent_det, laurent_gcd, smith_normal_form)
@@ -383,6 +384,31 @@ def test_intmatrix_shape_errors():
         IntMatrix.from_rows([[1, 2]]).det()
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntMatrix.from_rows([[2.7]]),
+    lambda: IntMatrix.from_rows([[True]]),
+    lambda: IntMatrix(1, 1, (2.5,)),
+    lambda: IntMatrix(1, 1, "5"),
+    lambda: LaurentPoly({0: 1.5}),
+    lambda: LaurentPoly({0: "3"}),
+    lambda: LaurentPoly({0.5: 1, 0: 1}),
+    lambda: LaurentPoly({True: 1}),
+], ids=["float-row", "bool-row", "float-entry", "string-entries",
+        "float-coeff", "string-coeff", "float-exponent", "bool-exponent"])
+def test_exact_entries_are_integers(build):
+    # int() used to truncate 2.7 and 1.5, read True as 1, parse "3" and
+    # fold the exponent 0.5 onto 0, dropping a term
+    with pytest.raises(InputError):
+        build()
+
+
+def test_exact_entries_accept_integral_floats():
+    m = IntMatrix.from_rows([[2.0, -1], [0, 3.0]])
+    assert m == IntMatrix(2, 2, (2, -1, 0, 3))
+    assert set(map(type, m.entries)) == {int}
+    assert LaurentPoly({1.0: 2.0, 0: 0.0}) == LaurentPoly.t(1, 2)
 
 
 def test_snf_arbitrary_precision_entries():

@@ -341,6 +341,9 @@ def test_flow_from_weights_validation():
         Flow.from_weights((1,), (2,))
     with pytest.raises(SizeMismatch):
         Flow.from_weights((1, 2), (1,))
+    # an orientation of 1.0 used to turn the weight 1/3 into a float
+    assert Flow.from_weights((Fraction(1, 3),), (1.0,)).signed == \
+        (Fraction(1, 3),)
 
 
 def test_gate_on_pd_origin_diagram():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from blowupgate.errors import InputError
 from blowupgate.exact import AbelianGroup
 from blowupgate.invariants import alexander_fox, alexander_seifert
 from blowupgate.links import (BraidWord, EmptySelection, InvalidLetter,
@@ -380,7 +381,7 @@ def test_sublink_empty_selection():
     d = from_braid(BraidWord(2, (1, 1)))
     with pytest.raises(EmptySelection):
         sublink(d, [])
-    with pytest.raises(IndexError):
+    with pytest.raises(InputError):
         sublink(d, [5])
     # int() used to truncate 0.7 to 0 and read True as 1
     for keep in ([0.7], [True], ["1"], "01"):

@@ -120,7 +120,11 @@ def test_lift_deck_equivariance_and_inverse():
         lift = CircleLift(g, offset=rng.randint(-2, 2))
         x = rng.uniform(-8, 8)
         assert abs(lift.apply(x + math.pi) - lift.apply(x) - math.pi) < 1e-8
-        assert abs(lift.apply_inverse(lift.apply(x)) - x) < 1e-8
+        inv = lift.inverse()
+        assert isinstance(inv, CircleLift) and inv.g == g.inv()
+        assert abs(inv.apply(lift.apply(x)) - x) < 1e-8
+        assert abs(lift.apply(inv.apply(x)) - x) < 1e-8
+        assert abs(inv.inverse().apply(x) - lift.apply(x)) < 1e-8
 
 
 def test_translation_number_identity_offset():

@@ -13,13 +13,14 @@ from blowupgate.exact import AbelianGroup
 from blowupgate.links import BraidWord, Presentation, from_braid, wirtinger
 from blowupgate.psl2r import (IDENTITY, PSL2, CircleLift, commutator,
                               euler_number, fuchsian_genus2, mat_inv, mat_mul,
-                              psl_dist_sq, rotation, translation_number)
+                              psl_dist_sq, rotation, sym_exp,
+                              translation_number)
 from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
                                RepAssignment, UnassignedGenerator,
                                _damped_solve, _dedup,
                                _normal_system, _random_params,
-                               _residual_and_jacobian,
-                               _residual_vector, _restart,
+                               _residual_and_jacobian, _restart,
+                               _signed_entries, _word_image,
                                _rotation_numbers_verify, _rotation_solve,
                                _step,
                                brieskorn_enumerate,
@@ -69,6 +70,11 @@ def test_residual_positive_generically():
                              for g in TREFOIL_GROUP.generators})
         if residual(TREFOIL_GROUP, rep) > 1e-6:
             hits += 1
+        # the entries LM minimizes measure the distance to +-identity
+        mats = [rep[g].tuple() for g in TREFOIL_GROUP.generators]
+        assert residual(TREFOIL_GROUP, rep) == sum(
+            psl_dist_sq(_word_image(w, mats), IDENTITY)
+            for w in TREFOIL_GROUP.relators)
     assert hits >= 14
 
 
@@ -195,15 +201,27 @@ def test_solve_deterministic_given_seed():
 # exact Jacobian of the LM core
 
 
+def residual_vector(p, params):
+    """The relator entries that _levmar drives to zero, four per relator,
+    built from the generator matrices R(alpha) E(x, y) without jets: the
+    oracle for the values of _residual_and_jacobian."""
+    mats = [mat_mul(rotation(params[i]), sym_exp(params[i + 1], params[i + 2]))
+            for i in range(0, len(params), 3)]
+    out = []
+    for w in p.relators:
+        out.extend(_signed_entries(_word_image(w, mats)))
+    return out
+
+
 def numeric_jacobian(p, params, h=1e-6):
-    """Central differences of _residual_vector, one column per parameter."""
+    """Central differences of residual_vector, one column per parameter."""
     cols = []
     for j in range(len(params)):
         up, down = list(params), list(params)
         up[j] += h
         down[j] -= h
         cols.append([(a - b) / (2 * h) for a, b in
-                     zip(_residual_vector(p, up), _residual_vector(p, down))])
+                     zip(residual_vector(p, up), residual_vector(p, down))])
     return cols
 
 
@@ -228,7 +246,7 @@ def test_jacobian_matches_central_differences(name):
     rng = random.Random(f"jacobian:{name}")
     for params in jacobian_points(n, rng):
         res, jac = _residual_and_jacobian(p, params)
-        assert res == _residual_vector(p, params)
+        assert res == residual_vector(p, params)
         oracle = numeric_jacobian(p, params)
         assert len(jac) == 3 * n
         for col, ref in zip(jac, oracle):
