@@ -164,14 +164,14 @@ def _cmd_gate(args):
         if not isinstance(labels, list):
             raise InputError('"monodromy" must be an array')
     else:
-        labels = [True] * len(d.components)
+        labels = [True] * d.component_count
     labels = [_monodromy_label(x) for x in labels]
     verdict = evaluate_gate(d, labels)
     cert = _invariants_json(verdict.invariants)
     cert["alexander_z1"] = cert.pop("alexander")
     return {"schema": SCHEMA, "status": verdict.status,
             "reasons": list(verdict.reasons),
-            "certificates": dict(cert, z_components=len(d.components),
+            "certificates": dict(cert, z_components=d.component_count,
                                  z1_components=sum(labels))}
 
 

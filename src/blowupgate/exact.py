@@ -33,14 +33,30 @@ class IntMatrix:
     entries: tuple
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int:
+            object.__setattr__(self, "rows", _integer(self.rows))
+            object.__setattr__(self, "cols", _integer(self.cols))
         if self.rows < 0 or self.cols < 0:
             raise InputError("negative dimensions")
         # one type test over the tuple: _integers per entry would cost
-        # about 130 ns each on every matrix the package builds
-        if not set(map(type, self.entries)) <= {int}:
+        # about 130 ns each
+        if (type(self.entries) is not tuple
+                or not set(map(type, self.entries)) <= {int}):
             object.__setattr__(self, "entries", _integers(self.entries))
         if len(self.entries) != self.rows * self.cols:
             raise InputError("entry count does not match dimensions")
+
+    @staticmethod
+    def _of(rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        """Wrap entries itself, unchecked: rows and cols must be
+        nonnegative ints and entries a tuple of rows * cols ints.  For
+        matrices the package built from ints; the check in the public
+        constructor costs a type test per entry."""
+        m = object.__new__(IntMatrix)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @staticmethod
     def from_rows(data) -> "IntMatrix":
@@ -69,25 +85,25 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         e, c = self.entries, self.cols
-        return IntMatrix(c, self.rows,
-                         tuple(chain.from_iterable(e[j::c] for j in range(c))))
+        return IntMatrix._of(c, self.rows, tuple(
+            chain.from_iterable(e[j::c] for j in range(c))))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(map(add, self.entries, other.entries)))
+            raise InputError("shape mismatch")
+        return IntMatrix._of(self.rows, self.cols,
+                             tuple(map(add, self.entries, other.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
-            raise ValueError("shape mismatch")
+            raise InputError("shape mismatch")
         a, b = self.to_rows(), other.to_rows()
         out = []
         for i in range(self.rows):
             ai = a[i]
             for j in range(other.cols):
                 out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return IntMatrix._of(self.rows, other.cols, tuple(out))
 
     def det(self) -> int:
         """Exact determinant: unit pivots first, then Bareiss elimination.
@@ -317,7 +333,11 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
-        coeffs = coeffs or {}
+        if coeffs is None:
+            coeffs = {}
+        elif not isinstance(coeffs, dict):
+            raise InputError(f"{coeffs!r} is not a dict of exponent -> "
+                             "coefficient")
         if not {*map(type, coeffs), *map(type, coeffs.values())} <= {int}:
             coeffs = {_integer(e): _integer(k) for e, k in coeffs.items()}
         self._c = {e: k for e, k in coeffs.items() if k}
@@ -483,19 +503,30 @@ def laurent_det(mat) -> LaurentPoly:
     for row in mat:
         if len(row) != n:
             raise NonSquare("matrix of Laurent polynomials is not square")
+    # one pass over the terms of each row, which zero entries lack, finds
+    # its least exponent and coefficient sum; the terms are kept for the
+    # substitution, which needs bits from every row
     bound = 1
-    lows = []
+    lows, terms = [], []
     for row in mat:
-        exps = [e for entry in row for e in entry._c]
-        if not exps:
+        low, size, row_terms = None, 0, []
+        for j, entry in enumerate(row):
+            for e, k in entry._c.items():
+                if low is None or e < low:
+                    low = e
+                size += abs(k)
+                row_terms.append((j, e, k))
+        if low is None:
             return LaurentPoly.zero()
-        lows.append(min(exps))
-        bound *= sum(abs(k) for entry in row for k in entry._c.values())
+        lows.append(low)
+        terms.append(row_terms)
+        bound *= size
     bits = (2 * bound).bit_length()
-    value = IntMatrix(n, n, tuple(
-        sum(k << (bits * (e - low)) for e, k in entry._c.items())
-        if entry._c else 0
-        for row, low in zip(mat, lows) for entry in row)).det()
+    values = [0] * (n * n)
+    for i, (row_terms, low) in enumerate(zip(terms, lows)):
+        for j, e, k in row_terms:
+            values[i * n + j] += k << (bits * (e - low))
+    value = IntMatrix._of(n, n, tuple(values)).det()
     base = 1 << bits
     coeffs = {}
     exp = sum(lows)

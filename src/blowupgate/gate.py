@@ -74,7 +74,7 @@ def gate(d: LinkDiagram, labels) -> Verdict:
         if not (isinstance(x, int) and x in (0, 1)):  # bools are ints
             raise InputError(f"monodromy label {x!r} is not True, False, "
                              "0 or 1")
-    ncomp = len(d.components)
+    ncomp = d.component_count
     if len(labels) != ncomp:
         raise LabelLengthMismatch(
             f"{len(labels)} labels for {ncomp} components")
@@ -143,6 +143,14 @@ class FlowGraph:
             raise SizeMismatch("one label per edge required")
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction, refusing with InputError what Fraction() refuses."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InputError(f"{x!r} is not a rational number") from None
+
+
 @dataclass(frozen=True)
 class Flow:
     """Signed rational weight per edge; sign flips the reference orientation.
@@ -153,8 +161,7 @@ class Flow:
     signed: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "signed",
-                           tuple(Fraction(x) for x in self.signed))
+        object.__setattr__(self, "signed", tuple(map(_fraction, self.signed)))
 
     @staticmethod
     def from_weights(weights, orientations) -> "Flow":
@@ -162,7 +169,7 @@ class Flow:
             raise SizeMismatch("weights and orientations differ in length")
         signed = []
         for w, o in zip(weights, orientations):
-            w, o = Fraction(w), _integer(o)
+            w, o = _fraction(w), _integer(o)
             if w < 0:
                 raise InputError("weights must be positive")
             if o not in (1, -1):

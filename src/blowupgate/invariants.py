@@ -172,7 +172,7 @@ def link_invariants(d: LinkDiagram) -> LinkInvariants:
         h1 = branched_cover_h1_fox(pres)
         method = "fox"
     signed, absval = determinant_at_minus_one(alex)
-    return LinkInvariants(components=len(d.components),
+    return LinkInvariants(components=d.component_count,
                           alexander=alex,
                           det_signed=signed,
                           det=absval,

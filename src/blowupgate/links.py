@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 
 from .errors import BlowupgateError, InputError, _integer, _integers
 from .exact import IntMatrix, AbelianGroup, cokernel
@@ -93,11 +93,36 @@ class LinkDiagram:
 
     braid alone marks the Seifert route.  On a closure, component i holds
     the top arc of each strand in cycle i of braid.strand_cycles().
+
+    A closure made by from_braid holds only its braid at first.  Its
+    crossings and components are assembled from the braid the first time
+    either is read, and then kept; component_count and the Seifert route
+    read neither.
     """
 
     crossings: tuple
     components: tuple  # tuples of arc labels in traversal order, sorted by min arc
     braid: BraidWord | None = None
+
+    def __getattr__(self, name):
+        # runs only for an attribute the instance lacks: the code of a
+        # closure that has not been assembled yet
+        if (name not in ("crossings", "components")
+                or "braid" not in vars(self)):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        crossings, components = _braid_pd(self.braid)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "components", components)
+        return vars(self)[name]
+
+    @property
+    def component_count(self) -> int:
+        """len(self.components); a closure not yet assembled counts the
+        cycles of its braid instead."""
+        if "components" in vars(self):
+            return len(self.components)
+        return len(self.braid.strand_cycles())
 
     @property
     def arcs(self) -> frozenset:
@@ -247,13 +272,13 @@ def _check_planar(n: int, ends) -> None:
                           f"{n} crossings, {pieces} connected pieces")
 
 
-def _assemble(signed_crossings, free_arcs, braid=None):
+def _assemble(signed_crossings, free_arcs) -> tuple:
+    """(crossings, components) of the diagram with these (arcs, sign)
+    crossings and these arcs that meet no crossing."""
     comps, _over = _traverse(signed_crossings, _arc_ends(signed_crossings))
     crossings = tuple(Crossing(tuple(arcs), sign)
                       for arcs, sign in signed_crossings)
-    components = tuple(sorted(comps + [(a,) for a in free_arcs]))
-    return LinkDiagram(crossings=crossings, components=components,
-                       braid=braid)
+    return crossings, tuple(sorted(comps + [(a,) for a in free_arcs]))
 
 
 def parse_pd(code) -> LinkDiagram:
@@ -320,7 +345,18 @@ def from_braid(b: BraidWord) -> LinkDiagram:
 
     Component count equals the cycle count of the strand permutation;
     strands that meet no crossing close up into free unknot components.
+    Its crossings and components are assembled from b the first time
+    either is read; component_count and the Seifert route read neither.
     """
+    if not isinstance(b, BraidWord):
+        raise InputError(f"{b!r} is not a BraidWord")
+    d = object.__new__(LinkDiagram)
+    object.__setattr__(d, "braid", b)
+    return d
+
+
+def _braid_pd(b: BraidWord) -> tuple:
+    """(crossings, components) of the closure of b."""
     occ = list(range(1, b.strands + 1))  # strand pos starts at arc pos + 1
     fresh = count(b.strands + 1)
     raw = []
@@ -340,7 +376,7 @@ def from_braid(b: BraidWord) -> LinkDiagram:
         union(first, last)
     # arc pos + 1 is the least arc of its class and keeps its label, so the
     # components come in the order of the strand cycles
-    return _assemble(*_relabel(raw, arcs, find), braid=b)
+    return _assemble(*_relabel(raw, arcs, find))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +428,7 @@ def seifert_matrix(b: BraidWord) -> IntMatrix:
                 rows[i][below_first + j - 1] = -1
         below, below_first = [p for p, _s in level], first
         first += size
-    return IntMatrix.from_rows(rows)
+    return IntMatrix._of(m, m, tuple(chain.from_iterable(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +496,7 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     keep = sorted(set(_integers(keep)))
     if not keep:
         raise EmptySelection("no components selected")
-    nc = len(d.components)
+    nc = d.component_count
     for i in keep:
         if i < 0 or i >= nc:
             raise InputError(f"component index {i} out of range")
@@ -490,4 +526,4 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
 
     signed, free = _relabel([(c.arcs, c.sign) for c in survivors], kept_arcs,
                             find)
-    return _assemble(signed, free)
+    return LinkDiagram(*_assemble(signed, free))

@@ -166,9 +166,8 @@ def _normal_system(jac, r, neg_grad):
     jac holds the n columns of J, each of length m.  For m >= n this is
     J^T J with -J^T r; for m < n it is the smaller J J^T with -r.
     """
-    rows = list(zip(*jac))
-    if len(rows) < len(jac):
-        return _lower_gram(rows), [-v for v in r]
+    if len(r) < len(jac):
+        return _lower_gram(list(zip(*jac))), [-v for v in r]
     return _lower_gram(jac), neg_grad
 
 

@@ -586,8 +586,8 @@ def _library_checks():
     """Library calls on bad input, each with its id.  Each of them once
     raised a builtin error, or ran on a bool."""
     from blowupgate import (BraidWord, BrieskornData, Flow, FlowGraph,
-                            IntMatrix, Presentation, euler_number, from_braid,
-                            fuchsian_genus2, solve, sublink,
+                            IntMatrix, LaurentPoly, Presentation, euler_number,
+                            from_braid, fuchsian_genus2, solve, sublink,
                             surface_presentation,
                             surface_times_circle_presentation)
     circle = Presentation(("x",), ((1,),))
@@ -597,7 +597,18 @@ def _library_checks():
         "negative-weight": lambda: Flow.from_weights((-1,), (1,)),
         "orientation-2": lambda: Flow.from_weights((1,), (2,)),
         "orientation-true": lambda: Flow.from_weights((1,), (True,)),
+        "weight-string": lambda: Flow.from_weights(("x",), (1,)),
+        "weight-none": lambda: Flow.from_weights((None,), (1,)),
+        "signed-weight-string": lambda: Flow(("x",)),
         "negative-rows": lambda: IntMatrix(-1, 0, ()),
+        "rows-true": lambda: IntMatrix(True, 1, (1,)),
+        "entries-not-an-array": lambda: IntMatrix(1, 1, 5),
+        "matrix-sum-shapes":
+            lambda: IntMatrix.zero(1, 2) + IntMatrix.zero(2, 1),
+        "matrix-product-shapes":
+            lambda: IntMatrix.zero(1, 2) @ IntMatrix.zero(1, 2),
+        "laurent-list": lambda: LaurentPoly([1, 2]),
+        "closure-of-a-tuple": lambda: from_braid((2, (1, 1))),
         "ragged-rows": lambda: IntMatrix.from_rows([[1, 2], [3]]),
         "word-not-an-array": lambda: BraidWord(2, 5),
         "surface-genus-0": lambda: surface_presentation(0),
@@ -620,6 +631,39 @@ def _library_checks():
 def test_library_check_raises_blowupgate_error(check):
     with pytest.raises(blowupgate.BlowupgateError):
         _library_checks()[check]()
+
+
+def test_braid_route_reads_only_the_braid(tmp_path, monkeypatch):
+    # the Seifert route reads a closure's braid and component count only:
+    # with the PD assembly of closures refused, its results are unchanged
+    from blowupgate import links
+    from blowupgate.gate import gate
+    from blowupgate.invariants import link_invariants
+    trefoil = tmp_path / "trefoil.json"
+    trefoil.write_text(json.dumps({"braid": {"strands": 2,
+                                             "word": [1, 1, 1]}}))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"braid": {"strands": 3,
+                                           "word": [1, 1, 2, 2]}}))
+    b = links.BraidWord(3, (1, 1, 2, 2))
+
+    def results():
+        d = links.from_braid(b)
+        part = links.sublink(d, [0, 2])
+        return (invoke(["invariants", str(trefoil)]),
+                invoke(["gate", str(chain), "--monodromy", "1,0,1"]),
+                link_invariants(d), gate(d, [1, 0, 1]),
+                part.braid, part.component_count)
+
+    expected = results()
+
+    def refuse(braid):
+        raise AssertionError(f"PD code of {braid} assembled")
+
+    monkeypatch.setattr(links, "_braid_pd", refuse)
+    assert results() == expected
+    assert expected[0][0] == expected[1][0] == 0
+    assert '"h1_method":"seifert"' in expected[1][1]
 
 
 def test_integral_floats_read_as_integers():

@@ -411,6 +411,30 @@ def test_exact_entries_accept_integral_floats():
     assert LaurentPoly({1.0: 2.0, 0: 0.0}) == LaurentPoly.t(1, 2)
 
 
+def test_built_matrices_equal_checked_ones():
+    # transpose, + and @ wrap their entries unchecked; each result must
+    # equal, and hash like, the same matrix from the public constructor
+    rng = random.Random(4)
+    for _ in range(30):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        a, a2 = ([[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)]
+                 for _ in range(2))
+        b = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)]
+        ma = IntMatrix(r, k, tuple(sum(a, [])))
+        mb = IntMatrix(k, c, tuple(sum(b, [])))
+        expected = (
+            (ma.transpose(), [[a[i][j] for i in range(r)] for j in range(k)]),
+            (ma + IntMatrix(r, k, tuple(sum(a2, []))),
+             [[x + y for x, y in zip(u, v)] for u, v in zip(a, a2)]),
+            (ma @ mb, [[sum(a[i][t] * b[t][j] for t in range(k))
+                        for j in range(c)] for i in range(r)]))
+        for built, rows in expected:
+            checked = IntMatrix(built.rows, built.cols, tuple(sum(rows, [])))
+            assert built == checked and hash(built) == hash(checked)
+    # a list of entries is read as a tuple; it was once kept, unhashable
+    assert hash(IntMatrix(1, 1, [5])) == hash(IntMatrix(1, 1, (5,)))
+
+
 def test_snf_arbitrary_precision_entries():
     big = 10 ** 30
     m = IntMatrix.from_rows([[big, big + 1], [big - 1, big]])

@@ -220,13 +220,23 @@ def test_braid_letter_validation():
 
 def test_from_braid_component_count_matches_cycle_oracle():
     rng = random.Random(9)
-    for _ in range(60):
+    # closures with free strands, then random ones
+    braids = [BraidWord(3, (1, 1)), BraidWord(4, (1, 1, 1, 3, 3)),
+              BraidWord(1, ())]
+    for _ in range(200):
         n = rng.randint(1, 5)
         length = rng.randint(0, 8) if n > 1 else 0
-        word = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                     for _ in range(length))
-        b = BraidWord(n, word)
-        assert len(from_braid(b).components) == cycle_count_oracle(n, word)
+        braids.append(BraidWord(n, tuple(rng.choice([1, -1])
+                                         * rng.randint(1, n - 1)
+                                         for _ in range(length))))
+    for b in braids:
+        d = from_braid(b)
+        count = d.component_count  # read before the code is assembled
+        assert count == len(d.components) == d.component_count
+        assert count == cycle_count_oracle(b.strands, b.word)
+        if not d.free_arcs:
+            pd = parse_pd(d.to_pd())
+            assert pd.component_count == len(pd.components) == count
 
 
 # ---------------------------------------------------------------------------
