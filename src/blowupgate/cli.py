@@ -171,7 +171,8 @@ def _cmd_gate(args):
     cert["alexander_z1"] = cert.pop("alexander")
     return {"schema": SCHEMA, "status": verdict.status,
             "reasons": list(verdict.reasons),
-            "certificates": dict(cert, z_components=d.component_count,
+            # gate refuses labels that do not match the component count
+            "certificates": dict(cert, z_components=len(labels),
                                  z1_components=sum(labels))}
 
 

@@ -60,7 +60,10 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(data) -> "IntMatrix":
-        data = [list(row) for row in data]
+        try:
+            data = [list(row) for row in data]
+        except TypeError:           # data or a row is not iterable
+            raise InputError(f"{data!r} is not an array of arrays") from None
         rows = len(data)
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
@@ -69,6 +72,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
+        n = _integer(n)
         return IntMatrix(n, n, tuple(1 if i == j else 0
                                      for i in range(n) for j in range(n)))
 
@@ -499,28 +503,32 @@ def laurent_det(mat) -> LaurentPoly:
     elimination: Wirtinger Fox minors (entries 1 - t, t and -1) and
     braid Seifert forms have one in most rows.
     """
-    n = len(mat)
-    for row in mat:
-        if len(row) != n:
-            raise NonSquare("matrix of Laurent polynomials is not square")
-    # one pass over the terms of each row, which zero entries lack, finds
-    # its least exponent and coefficient sum; the terms are kept for the
-    # substitution, which needs bits from every row
     bound = 1
     lows, terms = [], []
-    for row in mat:
-        low, size, row_terms = None, 0, []
-        for j, entry in enumerate(row):
-            for e, k in entry._c.items():
-                if low is None or e < low:
-                    low = e
-                size += abs(k)
-                row_terms.append((j, e, k))
-        if low is None:
-            return LaurentPoly.zero()
-        lows.append(low)
-        terms.append(row_terms)
-        bound *= size
+    try:
+        n = len(mat)
+        for row in mat:
+            if len(row) != n:
+                raise NonSquare("matrix of Laurent polynomials is not square")
+        # one pass over the terms of each row, which zero entries lack,
+        # finds its least exponent and coefficient sum; the terms are kept
+        # for the substitution, which needs bits from every row
+        for row in mat:
+            low, size, row_terms = None, 0, []
+            for j, entry in enumerate(row):
+                for e, k in entry._c.items():
+                    if low is None or e < low:
+                        low = e
+                    size += abs(k)
+                    row_terms.append((j, e, k))
+            if low is None:
+                return LaurentPoly.zero()
+            lows.append(low)
+            terms.append(row_terms)
+            bound *= size
+    except (TypeError, AttributeError):
+        raise InputError("laurent_det takes an array of arrays of "
+                         "LaurentPoly") from None
     bits = (2 * bound).bit_length()
     values = [0] * (n * n)
     for i, (row_terms, low) in enumerate(zip(terms, lows)):

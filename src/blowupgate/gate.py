@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import BlowupgateError, InputError, _integer, _integers
 from .exact import AbelianGroup
@@ -60,6 +61,12 @@ class Verdict:
         return self.status == OBSTRUCTED
 
 
+def _label(x):
+    if not (isinstance(x, int) and x in (0, 1)):  # bools are ints
+        raise InputError(f"monodromy label {x!r} is not True, False, 0 or 1")
+    return x
+
+
 def gate(d: LinkDiagram, labels) -> Verdict:
     """Evaluate the necessary conditions on a link with monodromy labels.
 
@@ -69,11 +76,7 @@ def gate(d: LinkDiagram, labels) -> Verdict:
     labeled sublink with nonzero determinant is obstructed; an empty
     labeled sublink leaves the test indeterminate.
     """
-    labels = list(labels)
-    for x in labels:
-        if not (isinstance(x, int) and x in (0, 1)):  # bools are ints
-            raise InputError(f"monodromy label {x!r} is not True, False, "
-                             "0 or 1")
+    labels = _integers(labels, _label)
     ncomp = d.component_count
     if len(labels) != ncomp:
         raise LabelLengthMismatch(
@@ -161,21 +164,19 @@ class Flow:
     signed: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "signed", tuple(map(_fraction, self.signed)))
+        object.__setattr__(self, "signed", _integers(self.signed, _fraction))
 
     @staticmethod
     def from_weights(weights, orientations) -> "Flow":
+        weights = _integers(weights, _fraction)
+        orientations = _integers(orientations)
         if len(weights) != len(orientations):
             raise SizeMismatch("weights and orientations differ in length")
-        signed = []
-        for w, o in zip(weights, orientations):
-            w, o = _fraction(w), _integer(o)
-            if w < 0:
-                raise InputError("weights must be positive")
-            if o not in (1, -1):
-                raise InputError("orientations must be +-1")
-            signed.append(w * o)
-        return Flow(tuple(signed))
+        if any(w < 0 for w in weights):
+            raise InputError("weights must be positive")
+        if any(o not in (1, -1) for o in orientations):
+            raise InputError("orientations must be +-1")
+        return Flow(tuple(map(mul, weights, orientations)))
 
     @staticmethod
     def zero(n_edges: int) -> "Flow":

@@ -64,7 +64,8 @@ class BraidWord:
         return tuple(perm)
 
     def strand_cycles(self) -> tuple:
-        """Cycles of the closure permutation, each starting at its minimum."""
+        """Cycles of the closure permutation, each starting at its minimum,
+        in the order of their minima."""
         perm = self.permutation()
         seen = [False] * self.strands
         cycles = []
@@ -78,7 +79,7 @@ class BraidWord:
                 cyc.append(x)
                 x = perm[x]
             cycles.append(tuple(cyc))
-        return tuple(sorted(cycles, key=lambda c: c[0]))
+        return tuple(cycles)
 
 
 @dataclass(frozen=True)
@@ -496,19 +497,19 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     keep = sorted(set(_integers(keep)))
     if not keep:
         raise EmptySelection("no components selected")
-    nc = d.component_count
+    # a closure's components are its strand cycles, in the same order
+    parts = d.components if d.braid is None else d.braid.strand_cycles()
     for i in keep:
-        if i < 0 or i >= nc:
+        if i < 0 or i >= len(parts):
             raise InputError(f"component index {i} out of range")
 
     if d.braid is not None:
-        cycles = d.braid.strand_cycles()
-        positions = [s for i in keep for s in cycles[i]]
+        positions = [s for i in keep for s in parts[i]]
         return from_braid(_delete_strands(d.braid, positions))
 
     kept_arcs = set()
     for i in keep:
-        kept_arcs.update(d.components[i])
+        kept_arcs.update(parts[i])
 
     find, union = _union_find(kept_arcs)
 

@@ -50,14 +50,16 @@ def psl_sign(x, y):
     |x - y|^2 - |x + y|^2 = -4 <x, y>, so s is the sign of the inner
     product; a tie gives 1.0 and a NaN entry gives -1.0.
     """
-    return 1.0 if sum(a * b for a, b in zip(x, y)) >= 0 else -1.0
+    dot = x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
+    return 1.0 if dot >= 0 else -1.0
 
 
 def psl_dist_sq(x, y):
     """Squared Frobenius distance modulo overall sign."""
     s = psl_sign(x, y)
+    d0, d1, d2, d3 = (a - s * b for a, b in zip(x, y))
     # d * d overflows to inf where d ** 2 raises OverflowError
-    return sum(d * d for d in (a - s * b for a, b in zip(x, y)))
+    return d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
 
 
 def commutator(x, y):

@@ -14,6 +14,8 @@ solve sorts its solutions by their ordered trace coordinates, which are
 invariant under conjugation and under the sign of each matrix, and
 merges two solutions when those agree (trace_coordinates); the
 Brieskorn census names each class by rotation numbers.
+Every float sum is taken left to right from 0.0 (_sum), so the points
+printed do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -74,6 +76,16 @@ class RepAssignment:
                              residual=self.residual)
 
 
+def _sum(values):
+    """The float sum of values, added left to right from 0.0.  The
+    builtin sum does the same before CPython 3.12 and compensates from
+    3.12 on, which moves the last bits that the LM search amplifies."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _word_image(word, mats):
     out = IDENTITY
     for letter in word:
@@ -99,8 +111,8 @@ def residual(p: Presentation, rep: RepAssignment) -> float:
     """Sum over relators of the squared Frobenius distance of the relator
     image to +-identity, the sum of squares that _levmar minimizes."""
     mats = _generator_mats(p, rep)
-    return sum(sum(v * v for v in _signed_entries(_word_image(w, mats)))
-               for w in p.relators)
+    return _sum(_sum(v * v for v in _signed_entries(_word_image(w, mats)))
+                for w in p.relators)
 
 
 def trace_coordinates(p: Presentation, rep: RepAssignment) -> tuple:
@@ -140,13 +152,13 @@ def _damped_solve(lower, shift, b):
     for i, (row, si, bi) in enumerate(zip(lower, shift, b)):
         li = []
         for j in range(i):
-            li.append((row[j] - sum(map(mul, li, low[j]))) / low[j][j])
-        d = row[i] + si - sum(map(mul, li, li))
+            li.append((row[j] - _sum(map(mul, li, low[j]))) / low[j][j])
+        d = row[i] + si - _sum(map(mul, li, li))
         if not d > 0:
             raise ZeroDivisionError("damped system is not positive definite")
         li.append(math.sqrt(d))
         low.append(li)
-        y.append((bi - sum(map(mul, li, y))) / li[-1])    # L y = b
+        y.append((bi - _sum(map(mul, li, y))) / li[-1])   # L y = b
     for i in reversed(range(len(y))):                     # L^T x = y
         y[i] /= low[i][i]
         y[:i] = [yk - lik * y[i] for yk, lik in zip(y[:i], low[i])]
@@ -156,7 +168,7 @@ def _damped_solve(lower, shift, b):
 def _lower_gram(vectors):
     """Lower triangle of the Gram matrix of vectors: row i holds the dot
     products of vectors[i] with vectors[:i + 1]."""
-    return [[sum(map(mul, u, v)) for v in vectors[:i + 1]]
+    return [[_sum(map(mul, u, v)) for v in vectors[:i + 1]]
             for i, u in enumerate(vectors)]
 
 
@@ -184,9 +196,9 @@ def _step(jac, lower, rhs, lam):
     if len(lower) == n:
         return _damped_solve(lower, [lam * row[-1] + 1e-14 for row in lower],
                              rhs)
-    mu = lam * sum(row[-1] for row in lower) / n
+    mu = lam * _sum(row[-1] for row in lower) / n
     z = _damped_solve(lower, [mu + 1e-14] * len(lower), rhs)
-    return [sum(map(mul, col, z)) for col in jac]
+    return [_sum(map(mul, col, z)) for col in jac]
 
 
 def _levmar(p: Presentation, x0):
@@ -209,13 +221,12 @@ def _levmar(p: Presentation, x0):
     """
     x = list(x0)
     r, jac = _residual_and_jacobian(p, x)
-    # start at 0.0, so that a presentation without relators costs a float
-    cost = sum((v * v for v in r), 0.0)
+    cost = _sum(v * v for v in r)
     lam = 1e-3
     for _ in range(LM_MAX_ITER):
         if cost < LM_COST_TARGET:
             break
-        neg_grad = [-sum(map(mul, col, r)) for col in jac]
+        neg_grad = [-_sum(map(mul, col, r)) for col in jac]
         if max(map(abs, neg_grad), default=0.0) < 1e-17:
             break
         lower, rhs = _normal_system(jac, r, neg_grad)
@@ -228,7 +239,7 @@ def _levmar(p: Presentation, x0):
             xn = [xi + di for xi, di in zip(x, delta)]
             try:
                 rn, jn = _residual_and_jacobian(p, xn)
-                cn = sum(v * v for v in rn)
+                cn = _sum(v * v for v in rn)
             except OverflowError:    # a step too long for cosh in sym_exp
                 cn = math.inf
             if cn < cost:

@@ -587,8 +587,8 @@ def _library_checks():
     raised a builtin error, or ran on a bool."""
     from blowupgate import (BraidWord, BrieskornData, Flow, FlowGraph,
                             IntMatrix, LaurentPoly, Presentation, euler_number,
-                            from_braid, fuchsian_genus2, solve, sublink,
-                            surface_presentation,
+                            from_braid, fuchsian_genus2, gate, laurent_det,
+                            solve, sublink, surface_presentation,
                             surface_times_circle_presentation)
     circle = Presentation(("x",), ((1,),))
     hopf = from_braid(BraidWord(2, (1, 1)))
@@ -600,6 +600,8 @@ def _library_checks():
         "weight-string": lambda: Flow.from_weights(("x",), (1,)),
         "weight-none": lambda: Flow.from_weights((None,), (1,)),
         "signed-weight-string": lambda: Flow(("x",)),
+        "signed-weights-not-an-array": lambda: Flow(5),
+        "weights-not-an-array": lambda: Flow.from_weights(5, 5),
         "negative-rows": lambda: IntMatrix(-1, 0, ()),
         "rows-true": lambda: IntMatrix(True, 1, (1,)),
         "entries-not-an-array": lambda: IntMatrix(1, 1, 5),
@@ -610,6 +612,11 @@ def _library_checks():
         "laurent-list": lambda: LaurentPoly([1, 2]),
         "closure-of-a-tuple": lambda: from_braid((2, (1, 1))),
         "ragged-rows": lambda: IntMatrix.from_rows([[1, 2], [3]]),
+        "rows-not-an-array": lambda: IntMatrix.from_rows(5),
+        "row-not-an-array": lambda: IntMatrix.from_rows([5]),
+        "identity-2.5": lambda: IntMatrix.identity(2.5),
+        "labels-not-an-array": lambda: gate(hopf, 5),
+        "laurent-det-of-ints": lambda: laurent_det([[1]]),
         "word-not-an-array": lambda: BraidWord(2, 5),
         "surface-genus-0": lambda: surface_presentation(0),
         "surface-x-circle-genus-0":

@@ -6,9 +6,9 @@ when the command reads none) and the exact stdout.  The commands are
 `invariants` and `gate` (every 0/1 labelling) on the braid corpus as
 braid JSON and as PD JSON, one `flow` graph and one `mw-admissible`.
 `solve`, `brieskorn` and `euler` are left out: their floats depend on
-the platform's libm and Python version, so test_cli_numeric_golden.py
-replays them against tests/data/cli_numeric_golden.jsonl with
-tolerances.
+the platform's libm, though not on the Python version, so
+test_cli_numeric_golden.py replays them against
+tests/data/cli_numeric_golden.jsonl with tolerances.
 
 After a deliberate output change, rebuild the file with
 `PYTHONPATH=src python tests/test_cli_golden.py` and state the change.

@@ -1,5 +1,7 @@
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -66,9 +68,10 @@ def nearer_sign_oracle(x, y):
     """Sign and squared distance of the nearer of +-y to x, computed from
     both distances, and the gap |x - y|^2 - |x + y|^2.  Squares are
     products, which round correctly; ** 2 can be off by one unit in the
-    last place."""
-    plus = sum((a - b) * (a - b) for a, b in zip(x, y))
-    minus = sum((a + b) * (a + b) for a, b in zip(x, y))
+    last place.  They are added left to right, as the package adds them
+    (the builtin sum compensates from CPython 3.12 on)."""
+    plus = reduce(add, ((a - b) * (a - b) for a, b in zip(x, y)), 0.0)
+    minus = reduce(add, ((a + b) * (a + b) for a, b in zip(x, y)), 0.0)
     return (1.0 if plus <= minus else -1.0), min(plus, minus), plus - minus
 
 

@@ -1,7 +1,10 @@
+import ast
 import itertools
 import math
 import random
-from operator import mul
+from functools import reduce
+from operator import add, mul
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from census_helpers import jankins_neumann_count
 from circle_helpers import random_psl2, windowed_translation_number
 
+import blowupgate
 from blowupgate.exact import AbelianGroup
 from blowupgate.links import BraidWord, Presentation, from_braid, wirtinger
 from blowupgate.psl2r import (IDENTITY, PSL2, CircleLift, commutator,
@@ -20,7 +24,7 @@ from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
                                _damped_solve, _dedup,
                                _normal_system, _random_params,
                                _residual_and_jacobian, _restart,
-                               _signed_entries, _word_image,
+                               _signed_entries, _sum, _word_image,
                                _rotation_numbers_verify, _rotation_solve,
                                _step,
                                brieskorn_enumerate,
@@ -72,7 +76,7 @@ def test_residual_positive_generically():
             hits += 1
         # the entries LM minimizes measure the distance to +-identity
         mats = [rep[g].tuple() for g in TREFOIL_GROUP.generators]
-        assert residual(TREFOIL_GROUP, rep) == sum(
+        assert residual(TREFOIL_GROUP, rep) == _sum(
             psl_dist_sq(_word_image(w, mats), IDENTITY)
             for w in TREFOIL_GROUP.relators)
     assert hits >= 14
@@ -306,6 +310,33 @@ def test_damped_solve_rejects_nan_shift():
         _damped_solve(jtj, [1e-14, math.nan, 1e-14], [1.0, 2.0, 3.0])
 
 
+def test_sum_adds_left_to_right():
+    # compensated summation, which the builtin sum does from CPython 3.12
+    # on, gives 1.0 and 1.0 here
+    assert _sum([1e16, 1.0, -1e16]) == 0.0
+    assert _sum([0.1] * 10) == 0.9999999999999999
+    assert _sum(iter([2.5, -0.0])) == 2.5
+    assert repr(_sum([])) == repr(_sum([-0.0])) == "0.0"
+    rng = random.Random(32)
+    for _ in range(500):
+        values = [rng.gauss(0.0, 10.0 ** rng.randint(-20, 20))
+                  for _ in range(rng.randint(1, 30))]
+        assert _sum(values) == reduce(add, values, 0.0)
+
+
+def test_numerical_layer_calls_no_builtin_sum():
+    # the builtin sum of floats is compensated from CPython 3.12 on, so a
+    # call of it would make solve and brieskorn print other points there
+    for name in ("repvar.py", "psl2r.py"):
+        path = Path(blowupgate.__file__).with_name(name)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        attrs = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        assert not {"sum", "fsum"} & (names | attrs), name
+
+
 def low_rank_jacobian(rng, m, n, rank):
     """n columns of length m of a random m x n matrix of the given rank."""
     u = [[rng.gauss(0.0, 1.0) for _ in range(rank)] for _ in range(m)]
@@ -348,7 +379,7 @@ def test_primal_step_damps_the_diagonal(m, n):
     neg_grad = [-sum(map(mul, col, r)) for col in jac]
     lower, rhs = _normal_system(jac, r, neg_grad)
     assert rhs is neg_grad
-    assert lower == [[sum(map(mul, ci, cj)) for cj in jac[:i + 1]]
+    assert lower == [[_sum(map(mul, ci, cj)) for cj in jac[:i + 1]]
                      for i, ci in enumerate(jac)]
     shift = [0.5 * row[i] + 1e-14 for i, row in enumerate(lower)]
     assert _step(jac, lower, rhs, 0.5) == _damped_solve(lower, shift, rhs)
