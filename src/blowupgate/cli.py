@@ -27,11 +27,11 @@ from blowupgate.gate import (Flow, FlowGraph, HomologyElement, homology_class,
 from blowupgate.invariants import link_invariants
 from blowupgate.links import (BraidWord, LinkDiagram, Presentation,
                               from_braid, parse_pd)
-from blowupgate.psl2r import (PSL2, euler_number, milnor_wood_admissible,
-                              surface_relator_residual)
-from blowupgate.repvar import (BrieskornData, InvalidParameter,
+from blowupgate.psl2r import PSL2, euler_number, milnor_wood_admissible
+from blowupgate.repvar import (BrieskornData, InvalidParameter, RepAssignment,
                                brieskorn_enumerate, is_abelian, is_irreducible,
-                               is_metabelian, solve, trace_coordinates)
+                               is_metabelian, residual, solve,
+                               surface_presentation, trace_coordinates)
 
 SCHEMA = "1"
 # Limits on counts in the input, checked before anything of that size is
@@ -292,15 +292,17 @@ def _cmd_euler(args):
         raise InputError("representation JSON must map generators to matrices")
     genus = args.genus
     if genus is None:
-        indices = [int(name[1:]) for name in mats
-                   if len(name) > 1 and name[0] in "ab" and name[1:].isdigit()]
+        # int() refuses some digit strings: "²", and over 4300 digits
+        with _input_errors("cannot infer genus"):
+            indices = [int(name[1:]) for name in mats if len(name) > 1
+                       and name[0] in "ab" and name[1:].isdigit()]
         if not indices:
             raise InputError("cannot infer genus; pass --genus")
         genus = max(indices)
     with _input_errors("malformed matrix data"):
         matrices = {name: PSL2.from_matrix(rows) for name, rows in mats.items()}
     e = euler_number(matrices, genus, tol=args.tol)
-    res = surface_relator_residual(matrices, genus)
+    res = residual(surface_presentation(genus), RepAssignment(matrices))
     return {"schema": SCHEMA, "euler": e, "residual": res, "genus": genus}
 
 

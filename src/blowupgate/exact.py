@@ -78,6 +78,7 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
+        rows, cols = _integer(rows), _integer(cols)
         return IntMatrix(rows, cols, (0,) * (rows * cols))
 
     def at(self, i: int, j: int) -> int:

@@ -114,6 +114,12 @@ class HomologyElement:
         return not any(self.free) and not any(self.torsion)
 
 
+def _element(x) -> HomologyElement:
+    if not isinstance(x, HomologyElement):
+        raise InputError(f"{x!r} is not a HomologyElement")
+    return x
+
+
 def reduce_element(h: AbelianGroup, el: HomologyElement) -> HomologyElement:
     """el with each torsion coordinate reduced modulo its divisor in h."""
     if len(el.free) != h.rank or len(el.torsion) != len(h.torsion):
@@ -142,8 +148,10 @@ class FlowGraph:
         for a, b in self.edges:
             if not (0 <= a < self.vertices and 0 <= b < self.vertices):
                 raise InputError(f"edge ({a}, {b}) references a missing vertex")
-        if self.labels is not None and len(self.labels) != len(self.edges):
-            raise SizeMismatch("one label per edge required")
+        if self.labels is not None:
+            object.__setattr__(self, "labels", _integers(self.labels, _element))
+            if len(self.labels) != len(self.edges):
+                raise SizeMismatch("one label per edge required")
 
 
 def _fraction(x) -> Fraction:
@@ -180,7 +188,7 @@ class Flow:
 
     @staticmethod
     def zero(n_edges: int) -> "Flow":
-        return Flow((Fraction(0),) * n_edges)
+        return Flow((Fraction(0),) * _integer(n_edges))
 
     @property
     def weights(self) -> tuple:

@@ -143,6 +143,12 @@ class LinkDiagram:
         return [list(c.arcs) for c in self.crossings]
 
 
+def _generator_name(x) -> str:
+    if not isinstance(x, str):
+        raise InputError(f"generator name {x!r} is not a string")
+    return x
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Finitely presented group; relators are words of signed 1-based indices."""
@@ -152,7 +158,8 @@ class Presentation:
     meridian_markers: tuple | None = None  # per component, 1-based generator index
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "generators",
+                           _integers(self.generators, _generator_name))
         object.__setattr__(self, "relators",
                            _integers(self.relators, _integers))
         n = len(self.generators)

@@ -4,8 +4,12 @@ Matrices are plain 4-tuples of floats in hot paths; PSL2 wraps one
 such tuple, rescaled to determinant one by SL2 and with its sign fixed.
 The projective line RP^1 is parametrized by the angle of a line in
 [0, pi), so the full circle has length pi and deck translations of
-lifts are multiples of pi.  With this normalization the Euler number of
-a Fuchsian genus-g representation is +-(2g - 2).
+lifts are multiples of pi.  A relator word whose image is +-identity
+lifts, letter by letter with canonical lifts, to a deck translation
+(relator_shift), and the Euler number of a surface-group representation
+is that shift for the surface relator a1 b1 a1^-1 b1^-1 ... ag bg ag^-1
+bg^-1 (surface_relator).  With this normalization the Euler number of a
+Fuchsian genus-g representation is +-(2g - 2).
 """
 
 from __future__ import annotations
@@ -112,11 +116,18 @@ class PSL2:
     _t: tuple
 
     def __init__(self, m):
-        object.__setattr__(self, "_t", _positive(SL2(*m)))
+        try:
+            t = SL2(*m)
+        except TypeError:
+            raise InputError(f"{m!r} is not four real entries") from None
+        object.__setattr__(self, "_t", _positive(t))
 
     @staticmethod
     def from_matrix(rows) -> "PSL2":
-        (a, b), (c, d) = rows
+        try:
+            (a, b), (c, d) = rows
+        except (TypeError, ValueError):
+            raise InputError("matrix rows must be a 2x2 array") from None
         return PSL2((a, b, c, d))
 
     @staticmethod
@@ -178,6 +189,8 @@ class CircleLift:
     __slots__ = ("g", "offset", "_f0")
 
     def __init__(self, g: PSL2, offset: int = 0):
+        if not isinstance(g, PSL2):
+            raise InputError(f"{g!r} is not a PSL2 element")
         self.g = g
         self.offset = _integer(offset)
         self._f0 = act_rp1(g, 0.0)
@@ -240,52 +253,77 @@ def translation_number(lift: CircleLift) -> float:
     return float(round((lift.apply(theta) - theta) / math.pi))
 
 
-def surface_generator_names(genus: int) -> list:
-    names = []
+def surface_generator_names(genus: int):
+    """The names a1, b1, ..., ag, bg, one at a time."""
     for i in range(1, genus + 1):
-        names.extend([f"a{i}", f"b{i}"])
-    return names
+        yield f"a{i}"
+        yield f"b{i}"
 
 
-def surface_relator_residual(matrices, genus: int) -> float:
-    """Squared distance to +-identity of the image of prod [a_i, b_i]."""
-    rel = IDENTITY
-    for i in range(1, genus + 1):
-        ai = matrices[f"a{i}"].tuple()
-        bi = matrices[f"b{i}"].tuple()
-        rel = mat_mul(rel, commutator(ai, bi))
-    return psl_dist_sq(rel, IDENTITY)
+def surface_relator(genus: int) -> tuple:
+    """The word prod [a_i, b_i] = a1 b1 a1^-1 b1^-1 ... over the
+    generators in the order of surface_generator_names."""
+    return tuple(letter for a in range(1, 2 * genus, 2)
+                 for letter in (a, a + 1, -a, -a - 1))
 
 
-def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
-    """Integer Euler number of a surface-group representation.
+def word_image(word, mats):
+    """The product of mats[g - 1] for each letter g > 0 and of its inverse
+    for each letter -g, left to right from the identity."""
+    out = IDENTITY
+    for letter in word:
+        m = mats[abs(letter) - 1]
+        out = mat_mul(out, m if letter > 0 else mat_inv(m))
+    return out
 
-    The commutator-product relator is lifted with canonical lifts of the
-    generators (offsets cancel inside commutators) and evaluated at 0;
-    the result is an exact deck translation up to solver noise and is
-    rounded with a strict 0.1 guard.
-    """
-    genus = _integer(genus)
-    if genus < 1:
-        raise GenusZero("genus must be >= 1")
-    for name in surface_generator_names(genus):
-        if name not in matrices:
-            raise InputError(f"missing generator {name}")
-    res = surface_relator_residual(matrices, genus)
-    if not res <= tol:          # a NaN residual fails this test too
-        raise ResidualTooLarge(f"relator residual {res:.3e} exceeds {tol:.3e}")
 
-    # prod [a_i, b_i] applied to 0 from the right: b_i^-1, a_i^-1, b_i, a_i
+def relator_shift(word, mats) -> int:
+    """The deck translation, in units of pi, of a relator word lifted to
+    the universal cover of PSL(2,R): the canonical lift CircleLift(g) of
+    each letter g, and its inverse() for a letter -g, applied to 0 from
+    the right.  mats holds one PSL2 per generator.  The word's image must
+    be +-identity; the shift is then an integer up to rounding, and a
+    value 0.1 or more from one raises RoundingAmbiguous."""
     x = 0.0
-    for i in range(genus, 0, -1):
-        a, b = CircleLift(matrices[f"a{i}"]), CircleLift(matrices[f"b{i}"])
-        for lift in (b.inverse(), a.inverse(), b, a):
-            x = lift.apply(x)
+    for letter in reversed(word):
+        lift = CircleLift(mats[abs(letter) - 1])
+        x = (lift if letter > 0 else lift.inverse()).apply(x)
     e = x / math.pi
     rounded = round(e)
     if abs(e - rounded) >= 0.1:
         raise RoundingAmbiguous(f"lifted relator translation {e} is not integral")
     return int(rounded)
+
+
+def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
+    """Integer Euler number of a surface-group representation: the
+    relator_shift of surface_relator(genus).
+
+    matrices maps each name of surface_generator_names(genus) to a PSL2;
+    they are read in that order, so a missing one is reported before
+    anything of the size of genus is built.  The relator's squared
+    distance to +-identity must be at most tol.
+    """
+    genus = _integer(genus)
+    if genus < 1:
+        raise GenusZero("genus must be >= 1")
+    gens = []
+    for name in surface_generator_names(genus):
+        try:
+            g = matrices[name]
+        except KeyError:
+            raise InputError(f"missing generator {name}") from None
+        except TypeError:
+            raise InputError("matrices must map generator names to PSL2 "
+                             "elements") from None
+        if not isinstance(g, PSL2):
+            raise InputError(f"generator {name} is not a PSL2 element")
+        gens.append(g)
+    rel = surface_relator(genus)
+    res = psl_dist_sq(word_image(rel, [g.tuple() for g in gens]), IDENTITY)
+    if not res <= tol:          # a NaN residual fails this test too
+        raise ResidualTooLarge(f"relator residual {res:.3e} exceeds {tol:.3e}")
+    return relator_shift(rel, gens)
 
 
 def milnor_wood_admissible(genera) -> list:
@@ -328,9 +366,4 @@ def fuchsian_genus2():
     J = mat_mul(mat_mul(M, (0.0, -1.0, 1.0, 0.0)), mat_inv(M))
     A2 = mat_mul(mat_mul(J, A), mat_inv(J))
     B2 = mat_mul(mat_mul(J, B), mat_inv(J))
-    return {
-        "a1": PSL2(A),
-        "b1": PSL2(B),
-        "a2": PSL2(A2),
-        "b2": PSL2(B2),
-    }
+    return dict(zip(surface_generator_names(2), map(PSL2, (A, B, A2, B2))))

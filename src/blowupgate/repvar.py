@@ -31,7 +31,8 @@ from .errors import BlowupgateError, InputError, _integer
 from .links import Presentation
 from .psl2r import (PSL2, CircleLift, commutator, mat_inv, mat_mul,
                     psl_dist_sq, psl_sign, rotation, surface_generator_names,
-                    sym_exp, translation_number, IDENTITY)
+                    surface_relator, sym_exp, translation_number, word_image,
+                    IDENTITY)
 
 
 class UnassignedGenerator(BlowupgateError, KeyError):
@@ -86,14 +87,6 @@ def _sum(values):
     return total
 
 
-def _word_image(word, mats):
-    out = IDENTITY
-    for letter in word:
-        m = mats[abs(letter) - 1]
-        out = mat_mul(out, m if letter > 0 else mat_inv(m))
-    return out
-
-
 def _signed_entries(img):
     """Entries of a relator image minus the nearer of +-identity."""
     sign = psl_sign(img, IDENTITY)
@@ -111,8 +104,7 @@ def residual(p: Presentation, rep: RepAssignment) -> float:
     """Sum over relators of the squared Frobenius distance of the relator
     image to +-identity, the sum of squares that _levmar minimizes."""
     mats = _generator_mats(p, rep)
-    return _sum(_sum(v * v for v in _signed_entries(_word_image(w, mats)))
-                for w in p.relators)
+    return _sum(psl_dist_sq(word_image(w, mats), IDENTITY) for w in p.relators)
 
 
 def trace_coordinates(p: Presentation, rep: RepAssignment) -> tuple:
@@ -511,11 +503,8 @@ def surface_presentation(genus: int) -> Presentation:
     genus = _integer(genus)
     if genus < 1:
         raise InputError("genus must be >= 1")
-    rel = []
-    for ai in range(1, 2 * genus, 2):
-        rel.extend([ai, ai + 1, -ai, -ai - 1])
     return Presentation(generators=tuple(surface_generator_names(genus)),
-                        relators=(tuple(rel),))
+                        relators=(surface_relator(genus),))
 
 
 def surface_times_circle_presentation(genus: int) -> Presentation:

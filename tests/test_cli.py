@@ -451,6 +451,27 @@ def test_euler_error_paths(tmp_path):
     assert json.loads(out)["error"]["code"] == "ResidualTooLarge"
 
 
+def test_euler_reports_a_missing_generator_in_bounded_memory(tmp_path):
+    # a genus of 10^9 with four matrices: the missing a3 is reported
+    # before anything of the size of the genus is built, so the run fits
+    # in a 1 GiB address space
+    pytest.importorskip("resource")
+    from blowupgate.psl2r import fuchsian_genus2
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({
+        name: m.matrix_rows() for name, m in fuchsian_genus2().items()}))
+    limit = 2 ** 30
+    code = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, "
+            f"({limit}, {limit})); from blowupgate.cli import main; main()")
+    for argv in (["--genus", "1000000000"], ["--genus", str(10 ** 30)]):
+        proc = subprocess.run([sys.executable, "-c", code, "euler", str(rep),
+                               *argv], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["error"] == {
+            "code": "InputError", "message": "missing generator a3"}
+
+
 @pytest.mark.parametrize("command, payload", [
     ("invariants", {"braid": {"strands": 2, "word": ["a"]}}),
     ("euler", [1, 2]),
@@ -527,6 +548,10 @@ def test_euler_error_paths(tmp_path):
                          "label": {"free": [1], "torsion": [1, 1]}}],
               "weights": [1], "orientations": [1],
               "model": {"rank": 1, "torsion": [2, 3]}}),
+    # a generator index that int() refuses: a digit that is not decimal,
+    # and more than 4300 digits
+    ("euler", {"matrices": {"a\u00b2": [[1, 0], [0, 1]]}}),
+    ("euler", {"matrices": {"a" + "9" * 5000: [[1, 0], [0, 1]]}}),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"
@@ -585,11 +610,12 @@ def test_library_input_checks_raise_blowupgate_errors():
 def _library_checks():
     """Library calls on bad input, each with its id.  Each of them once
     raised a builtin error, or ran on a bool."""
-    from blowupgate import (BraidWord, BrieskornData, Flow, FlowGraph,
-                            IntMatrix, LaurentPoly, Presentation, euler_number,
-                            from_braid, fuchsian_genus2, gate, laurent_det,
-                            solve, sublink, surface_presentation,
+    from blowupgate import (PSL2, BraidWord, BrieskornData, CircleLift, Flow,
+                            FlowGraph, IntMatrix, LaurentPoly, Presentation,
+                            euler_number, from_braid, fuchsian_genus2, gate,
+                            laurent_det, solve, sublink, surface_presentation,
                             surface_times_circle_presentation)
+    from blowupgate.psl2r import relator_shift
     circle = Presentation(("x",), ((1,),))
     hopf = from_braid(BraidWord(2, (1, 1)))
     return {
@@ -631,6 +657,20 @@ def _library_checks():
         "sublink-index": lambda: sublink(hopf, [5]),
         "repeated-generator": lambda: Presentation(("a", "a"), ()),
         "letter-out-of-range": lambda: Presentation(("a",), ((2,),)),
+        "generators-not-an-array": lambda: Presentation(5, ()),
+        "generator-not-a-name": lambda: Presentation((5,), ()),
+        "zero-matrix-2.5": lambda: IntMatrix.zero(2.5, 1),
+        "zero-flow-2.5": lambda: Flow.zero(2.5),
+        "flow-labels-not-an-array": lambda: FlowGraph(2, ((0, 1),), 5),
+        "flow-label-not-an-element": lambda: FlowGraph(2, ((0, 1),), (5,)),
+        "psl2-of-an-int": lambda: PSL2(5),
+        "psl2-three-entries": lambda: PSL2((1, 2, 3)),
+        "psl2-rows-of-an-int": lambda: PSL2.from_matrix(5),
+        "psl2-ragged-rows": lambda: PSL2.from_matrix([[1, 0], [1]]),
+        "lift-of-an-int": lambda: CircleLift(5),
+        "shift-of-an-int": lambda: relator_shift((1,), [5]),
+        "euler-of-an-int": lambda: euler_number(5, 2),
+        "euler-int-matrices": lambda: euler_number({"a1": 5, "b1": 5}, 1),
     }
 
 

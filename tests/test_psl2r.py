@@ -1,15 +1,20 @@
+import json
 import math
 import random
 from functools import reduce
 from operator import add
+from pathlib import Path
 
 import pytest
 
 from blowupgate.psl2r import (CircleLift, GenusZero, IDENTITY, PSL2,
-                              ResidualTooLarge, SL2, act_rp1, classify,
-                              euler_number, fuchsian_genus2, mat_inv, mat_mul,
-                              milnor_wood_admissible, psl_dist_sq, psl_sign,
-                              rotation, translation_number)
+                              ResidualTooLarge, RoundingAmbiguous, SL2,
+                              act_rp1, classify, euler_number, fuchsian_genus2,
+                              mat_inv, mat_mul, milnor_wood_admissible,
+                              psl_dist_sq, psl_sign, relator_shift, rotation,
+                              surface_generator_names, surface_relator,
+                              translation_number, word_image)
+from blowupgate.repvar import solve, surface_presentation
 
 from circle_helpers import random_psl2, windowed_translation_number
 
@@ -307,6 +312,89 @@ def test_euler_conjugation_invariant():
         conj = {k: h @ m @ hi for k, m in rep.items()}
         # conjugation amplifies float error in the relator image
         assert euler_number(conj, 2, tol=1e-6) == e0
+
+
+def loop_euler_number(matrices, genus):
+    """The Euler number by the loop euler_number ran before relator_shift:
+    for i = g, ..., 1 the lifts of b_i^-1, a_i^-1, b_i, a_i applied to 0,
+    rounded with the same 0.1 guard."""
+    x = 0.0
+    for i in range(genus, 0, -1):
+        a, b = CircleLift(matrices[f"a{i}"]), CircleLift(matrices[f"b{i}"])
+        for lift in (b.inverse(), a.inverse(), b, a):
+            x = lift.apply(x)
+    e = x / math.pi
+    assert abs(e - round(e)) < 0.1
+    return round(e)
+
+
+def _golden_euler_records():
+    path = Path(__file__).with_name("data") / "cli_numeric_golden.jsonl"
+    for line in path.read_text(encoding="utf-8").splitlines():
+        case = json.loads(line)
+        if case["argv"][0] == "euler" and case["exit"] == 0:
+            yield case
+
+
+def test_euler_unchanged_on_corpus_conjugates():
+    records = list(_golden_euler_records())
+    assert len(records) == 5
+    for case in records:
+        mats = {name: PSL2.from_matrix(rows)
+                for name, rows in case["input"]["matrices"].items()}
+        e = euler_number(mats, 2)
+        assert e == loop_euler_number(mats, 2) == case["output"]["euler"]
+
+
+@pytest.mark.parametrize("genus, restarts", [(2, 60), (3, 24)])
+def test_euler_unchanged_on_solve_classes(genus, restarts):
+    sols = solve(surface_presentation(genus), restarts=restarts, tol=1e-8,
+                 seed=4)
+    assert len(sols) > restarts // 2
+    values = [euler_number(rep.matrices, genus) for rep in sols]
+    assert values == [loop_euler_number(rep.matrices, genus) for rep in sols]
+    assert max(map(abs, values)) <= 2 * genus - 2
+    assert any(values)
+
+
+def test_surface_relator_is_the_commutator_product():
+    for genus in (1, 2, 5):
+        names = list(surface_generator_names(genus))
+        assert names == [f"{x}{i}" for i in range(1, genus + 1) for x in "ab"]
+        word = []
+        for i in range(1, genus + 1):
+            a, b = names.index(f"a{i}") + 1, names.index(f"b{i}") + 1
+            word += [a, b, -a, -b]
+        assert surface_relator(genus) == tuple(word)
+        assert surface_presentation(genus).relators == (tuple(word),)
+
+
+def test_word_image_multiplies_left_to_right():
+    rng = random.Random(30)
+    x, y = random_psl2(rng).tuple(), random_psl2(rng).tuple()
+    assert word_image((), [x, y]) == IDENTITY
+    assert word_image((1, -2, 2), [x, y]) == mat_mul(
+        mat_mul(x, mat_inv(y)), y)
+
+
+def test_relator_shift_of_a_word_and_its_inverse_letter():
+    # g g^-1 lifts to the identity for every g; lifting g^-1 by its own
+    # canonical lift instead of the inverse lift moves the shift by one
+    # for a rotation by t in (0, pi)
+    rng = random.Random(31)
+    for g in [PSL2(rotation(t)) for t in (0.3, 1.5, 2.9)] + \
+            [random_psl2(rng) for _ in range(20)]:
+        assert relator_shift((1, -1), [g]) == 0
+        assert relator_shift((-1, 1), [g]) == 0
+    # the rotation by pi / 3 (a line turns by pi / 3) to the third power
+    # is one deck translation
+    assert relator_shift((1, 1, 1), [PSL2(rotation(math.pi / 3))]) == 1
+    assert relator_shift((-1, -1, -1), [PSL2(rotation(math.pi / 3))]) == -1
+
+
+def test_relator_shift_refuses_a_non_integral_translation():
+    with pytest.raises(RoundingAmbiguous):
+        relator_shift((1,), [PSL2(rotation(math.pi / 2))])
 
 
 def test_euler_residual_guard():

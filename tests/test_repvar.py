@@ -18,13 +18,13 @@ from blowupgate.links import BraidWord, Presentation, from_braid, wirtinger
 from blowupgate.psl2r import (IDENTITY, PSL2, CircleLift, commutator,
                               euler_number, fuchsian_genus2, mat_inv, mat_mul,
                               psl_dist_sq, rotation, sym_exp,
-                              translation_number)
+                              relator_shift, translation_number, word_image)
 from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
                                RepAssignment, UnassignedGenerator,
                                _damped_solve, _dedup,
                                _normal_system, _random_params,
                                _residual_and_jacobian, _restart,
-                               _signed_entries, _sum, _word_image,
+                               _signed_entries, _sum,
                                _rotation_numbers_verify, _rotation_solve,
                                _step,
                                brieskorn_enumerate,
@@ -77,9 +77,22 @@ def test_residual_positive_generically():
         # the entries LM minimizes measure the distance to +-identity
         mats = [rep[g].tuple() for g in TREFOIL_GROUP.generators]
         assert residual(TREFOIL_GROUP, rep) == _sum(
-            psl_dist_sq(_word_image(w, mats), IDENTITY)
+            psl_dist_sq(word_image(w, mats), IDENTITY)
             for w in TREFOIL_GROUP.relators)
     assert hits >= 14
+
+
+def test_residual_equals_the_signed_entry_sum():
+    # residual once summed the squares of _signed_entries, the entries LM
+    # drives to zero; psl_dist_sq adds the same four squares in order
+    rng = random.Random(12)
+    for p in LM_GROUPS.values():
+        for _ in range(40):
+            rep = RepAssignment({g: random_psl2(rng) for g in p.generators})
+            mats = [rep[g].tuple() for g in p.generators]
+            assert residual(p, rep) == _sum(
+                _sum(v * v for v in _signed_entries(word_image(w, mats)))
+                for w in p.relators)
 
 
 def test_residual_missing_generator():
@@ -213,7 +226,7 @@ def residual_vector(p, params):
             for i in range(0, len(params), 3)]
     out = []
     for w in p.relators:
-        out.extend(_signed_entries(_word_image(w, mats)))
+        out.extend(_signed_entries(word_image(w, mats)))
     return out
 
 
@@ -523,6 +536,38 @@ def test_brieskorn_census_matches_jankins_neumann_count(exponents, count):
     census = brieskorn_enumerate(BrieskornData(*exponents))
     assert len(census) == count
     assert len({cls.angles for cls in census}) == count
+
+
+def test_census_relator_shifts_match_jankins_neumann():
+    # with h the identity and x_i of rotation number l_i / p_i, the lift
+    # of x_i^p_i h^b_i is l_i deck translations, and that of x1 x2 x3 is 1
+    # when sum l_i / p_i < 1 and 2 when it is > 2 (Jankins-Neumann)
+    for exponents in COPRIME_TRIPLES:
+        pres = brieskorn_presentation(BrieskornData(*exponents))
+        whole = math.prod(exponents)
+        for cls in brieskorn_enumerate(BrieskornData(*exponents)):
+            mats = [cls.assignment[g] for g in pres.generators]
+            shifts = [relator_shift(w, mats) for w in pres.relators]
+            if cls.angles == (0, 0, 0):
+                assert shifts == [0] * 7
+                continue
+            total = sum(l * whole // p for l, p in zip(cls.angles, exponents))
+            assert shifts == [0, 0, 0, *cls.angles,
+                              1 if total < whole else 2], (exponents, cls)
+            assert total < whole or total > 2 * whole
+
+
+@pytest.mark.parametrize("name, restarts", [
+    ("trefoil", 12), ("figure_eight", 6), ("surface1xS1", 12),
+    ("surface1*surface1", 12)])
+def test_relator_shifts_are_integral_on_solve_classes(name, restarts):
+    p = LM_GROUPS[name]
+    sols = solve(p, restarts=restarts, seed=2)
+    assert sols
+    for rep in sols:
+        mats = [rep[g] for g in p.generators]
+        for w in p.relators:
+            assert type(relator_shift(w, mats)) is int
 
 
 def test_brieskorn_census_keeps_classes_with_equal_traces():
