@@ -27,11 +27,10 @@ from blowupgate.gate import (Flow, FlowGraph, HomologyElement, homology_class,
 from blowupgate.invariants import link_invariants
 from blowupgate.links import (BraidWord, LinkDiagram, Presentation,
                               from_braid, parse_pd)
-from blowupgate.psl2r import PSL2, euler_number, milnor_wood_admissible
-from blowupgate.repvar import (BrieskornData, InvalidParameter, RepAssignment,
+from blowupgate.psl2r import PSL2, _euler_and_residual, milnor_wood_admissible
+from blowupgate.repvar import (BrieskornData, InvalidParameter,
                                brieskorn_enumerate, is_abelian, is_irreducible,
-                               is_metabelian, residual, solve,
-                               surface_presentation, trace_coordinates)
+                               is_metabelian, solve, trace_coordinates)
 
 SCHEMA = "1"
 # Limits on counts in the input, checked before anything of that size is
@@ -301,8 +300,7 @@ def _cmd_euler(args):
         genus = max(indices)
     with _input_errors("malformed matrix data"):
         matrices = {name: PSL2.from_matrix(rows) for name, rows in mats.items()}
-    e = euler_number(matrices, genus, tol=args.tol)
-    res = residual(surface_presentation(genus), RepAssignment(matrices))
+    e, res = _euler_and_residual(matrices, genus, args.tol)
     return {"schema": SCHEMA, "euler": e, "residual": res, "genus": genus}
 
 

@@ -7,13 +7,12 @@ integer Laurent polynomials compared up to units +-t^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, prod
 from operator import add
 
-from .errors import BlowupgateError, InputError, _integer, _integers
+from .errors import BlowupgateError, InputError, _integer, _integers, _Record
 
 
 class NonSquare(BlowupgateError, ValueError):
@@ -24,27 +23,27 @@ class ZeroEvaluationPoint(BlowupgateError, ValueError):
     """Laurent polynomials cannot be evaluated at 0."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Record):
     """Dense integer matrix, row-major, with exact arithmetic only."""
 
     rows: int
     cols: int
     entries: tuple
 
-    def __post_init__(self):
-        if type(self.rows) is not int or type(self.cols) is not int:
-            object.__setattr__(self, "rows", _integer(self.rows))
-            object.__setattr__(self, "cols", _integer(self.cols))
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows, cols, entries):
+        if type(rows) is not int or type(cols) is not int:
+            rows, cols = _integer(rows), _integer(cols)
+        if rows < 0 or cols < 0:
             raise InputError("negative dimensions")
         # one type test over the tuple: _integers per entry would cost
         # about 130 ns each
-        if (type(self.entries) is not tuple
-                or not set(map(type, self.entries)) <= {int}):
-            object.__setattr__(self, "entries", _integers(self.entries))
-        if len(self.entries) != self.rows * self.cols:
+        if type(entries) is not tuple or not set(map(type, entries)) <= {int}:
+            entries = _integers(entries)
+        if len(entries) != rows * cols:
             raise InputError("entry count does not match dimensions")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def _of(rows: int, cols: int, entries: tuple) -> "IntMatrix":
@@ -184,8 +183,7 @@ def _peel_units(a: list) -> int:
                     start = k
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Record):
     """Finitely generated abelian group: free rank plus invariant factors.
 
     The torsion list d_1 | d_2 | ... is the divisor chain of a Smith
@@ -193,19 +191,20 @@ class AbelianGroup:
     """
 
     rank: int
-    torsion: tuple = ()
+    torsion: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", _integer(self.rank))
-        object.__setattr__(self, "torsion", _integers(self.torsion))
-        if self.rank < 0:
+    def __init__(self, rank, torsion=()):
+        rank, torsion = _integer(rank), _integers(torsion)
+        if rank < 0:
             raise InputError("negative rank")
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise InputError("torsion divisors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise InputError("divisor chain violated")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def order(self):

@@ -15,12 +15,11 @@ as link_invariants(d).h1_branched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .errors import BlowupgateError, InputError, _integer, _integers
+from .errors import BlowupgateError, InputError, _integer, _integers, _Record
 from .exact import AbelianGroup
 from .invariants import LinkInvariants, link_invariants
 from .links import LinkDiagram, sublink
@@ -47,14 +46,18 @@ REASON_DETERMINANT = "DeterminantNonzero"
 REASON_EMPTY = "EmptyZ1"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of gate: a status, its reason codes, and the invariants of
     the labeled sublink, or None when no component is labeled."""
 
     status: str
     reasons: tuple
     invariants: LinkInvariants | None
+
+    def __init__(self, status, reasons, invariants):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reasons", reasons)
+        object.__setattr__(self, "invariants", invariants)
 
     @property
     def obstructed(self) -> bool:
@@ -98,16 +101,15 @@ def gate(d: LinkDiagram, labels) -> Verdict:
 # elements of a homology group
 
 
-@dataclass(frozen=True)
-class HomologyElement:
+class HomologyElement(_Record):
     """Coordinates in an AbelianGroup: the free part, then torsion residues."""
 
     free: tuple
-    torsion: tuple = ()
+    torsion: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", _integers(self.free))
-        object.__setattr__(self, "torsion", _integers(self.torsion))
+    def __init__(self, free, torsion=()):
+        object.__setattr__(self, "free", _integers(free))
+        object.__setattr__(self, "torsion", _integers(torsion))
 
     @property
     def is_zero(self) -> bool:
@@ -134,24 +136,26 @@ def scale_element(h: AbelianGroup, k: int, el: HomologyElement) -> HomologyEleme
                                              tuple(k * x for x in el.torsion)))
 
 
-@dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(_Record):
     """Directed multigraph (loops allowed) with optional homology labels."""
 
     vertices: int
     edges: tuple                 # (tail, head) pairs, reference orientation
-    labels: tuple | None = None  # HomologyElement per edge
+    labels: tuple | None         # HomologyElement per edge
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", _integer(self.vertices))
-        object.__setattr__(self, "edges", _integers(self.edges, _integers))
-        for a, b in self.edges:
-            if not (0 <= a < self.vertices and 0 <= b < self.vertices):
+    def __init__(self, vertices, edges, labels=None):
+        vertices = _integer(vertices)
+        edges = _integers(edges, _integers)
+        for a, b in edges:
+            if not (0 <= a < vertices and 0 <= b < vertices):
                 raise InputError(f"edge ({a}, {b}) references a missing vertex")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", _integers(self.labels, _element))
-            if len(self.labels) != len(self.edges):
+        if labels is not None:
+            labels = _integers(labels, _element)
+            if len(labels) != len(edges):
                 raise SizeMismatch("one label per edge required")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "labels", labels)
 
 
 def _fraction(x) -> Fraction:
@@ -162,8 +166,7 @@ def _fraction(x) -> Fraction:
         raise InputError(f"{x!r} is not a rational number") from None
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(_Record):
     """Signed rational weight per edge; sign flips the reference orientation.
 
     Zero entries mean the edge is outside the support.
@@ -171,8 +174,8 @@ class Flow:
 
     signed: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "signed", _integers(self.signed, _fraction))
+    def __init__(self, signed):
+        object.__setattr__(self, "signed", _integers(signed, _fraction))
 
     @staticmethod
     def from_weights(weights, orientations) -> "Flow":
@@ -259,8 +262,7 @@ def homology_class(g: FlowGraph, f: Flow, h: AbelianGroup) -> HomologyElement:
     return reduce_element(h, HomologyElement(total[:h.rank], total[h.rank:]))
 
 
-@dataclass(frozen=True)
-class RealizableK:
+class RealizableK(_Record):
     """Integers k with k*c inside a finite admissible set.
 
     Finite whenever c has nonzero free part; for torsion classes the
@@ -269,9 +271,15 @@ class RealizableK:
     """
 
     finite: bool
-    values: tuple = ()
-    residues: tuple = ()
-    modulus: int = 0
+    values: tuple
+    residues: tuple
+    modulus: int
+
+    def __init__(self, finite, values=(), residues=(), modulus=0):
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "modulus", modulus)
 
 
 def realizable_k(c: HomologyElement, admissible, h: AbelianGroup) -> RealizableK:

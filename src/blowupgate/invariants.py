@@ -9,10 +9,9 @@ to units +-t^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BlowupgateError
+from .errors import BlowupgateError, _Record
 from .exact import AbelianGroup, IntMatrix, LaurentPoly, cokernel, laurent_det
 from .links import LinkDiagram, Presentation, from_braid
 from .links import seifert_matrix as _seifert_of_braid
@@ -23,8 +22,7 @@ class NotWirtinger(BlowupgateError, ValueError):
     """Presentation lacks the meridian markers of a Wirtinger presentation."""
 
 
-@dataclass(frozen=True)
-class LinkInvariants:
+class LinkInvariants(_Record):
     components: int
     alexander: LaurentPoly        # unit-normalized
     det_signed: Fraction          # value of the normalized polynomial at -1
@@ -32,6 +30,16 @@ class LinkInvariants:
     h1_branched: AbelianGroup
     b1_positive: bool
     h1_method: str                # "seifert" or "fox"
+
+    def __init__(self, components, alexander, det_signed, det, h1_branched,
+                 b1_positive, h1_method):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "det_signed", det_signed)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "h1_branched", h1_branched)
+        object.__setattr__(self, "b1_positive", b1_positive)
+        object.__setattr__(self, "h1_method", h1_method)
 
 
 def alexander_seifert(v: IntMatrix) -> LaurentPoly:

@@ -16,10 +16,9 @@ single free arcs that appear in no crossing record.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from itertools import chain, count
 
-from .errors import BlowupgateError, InputError, _integer, _integers
+from .errors import BlowupgateError, InputError, _integer, _integers, _Record
 from .exact import IntMatrix, AbelianGroup, cokernel
 
 
@@ -35,21 +34,21 @@ class EmptySelection(BlowupgateError, ValueError):
     """Sublink extraction with no components selected."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """A word in the braid group B_n; letter +-i is the i-th generator."""
 
     strands: int
-    word: tuple = ()
+    word: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "strands", _integer(self.strands))
-        object.__setattr__(self, "word", _integers(self.word))
-        if self.strands < 1:
+    def __init__(self, strands, word=()):
+        strands, word = _integer(strands), _integers(word)
+        if strands < 1:
             raise InvalidLetter("strand count must be >= 1")
-        for w in self.word:
-            if w == 0 or abs(w) > self.strands - 1:
-                raise InvalidLetter(f"letter {w} invalid for {self.strands} strands")
+        for w in word:
+            if w == 0 or abs(w) > strands - 1:
+                raise InvalidLetter(f"letter {w} invalid for {strands} strands")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "word", word)
 
     def permutation(self) -> tuple:
         """perm[s] = closure successor of the strand starting at position s."""
@@ -82,14 +81,16 @@ class BraidWord:
         return tuple(cycles)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(_Record):
     arcs: tuple  # (a, b, c, d), counterclockwise from the incoming under-arc
     sign: int    # +1 right-handed, -1 left-handed
 
+    def __init__(self, arcs, sign):
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "sign", sign)
 
-@dataclass(frozen=True)
-class LinkDiagram:
+
+class LinkDiagram(_Record):
     """A link diagram; braid is the word it is the closure of, or None.
 
     braid alone marks the Seifert route.  On a closure, component i holds
@@ -103,7 +104,12 @@ class LinkDiagram:
 
     crossings: tuple
     components: tuple  # tuples of arc labels in traversal order, sorted by min arc
-    braid: BraidWord | None = None
+    braid: BraidWord | None
+
+    def __init__(self, crossings, components, braid=None):
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "braid", braid)
 
     def __getattr__(self, name):
         # runs only for an attribute the instance lacks: the code of a
@@ -149,29 +155,28 @@ def _generator_name(x) -> str:
     return x
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """Finitely presented group; relators are words of signed 1-based indices."""
 
     generators: tuple
     relators: tuple
-    meridian_markers: tuple | None = None  # per component, 1-based generator index
+    meridian_markers: tuple | None  # per component, 1-based generator index
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators",
-                           _integers(self.generators, _generator_name))
-        object.__setattr__(self, "relators",
-                           _integers(self.relators, _integers))
-        n = len(self.generators)
-        if len(set(self.generators)) != n:
+    def __init__(self, generators, relators, meridian_markers=None):
+        generators = _integers(generators, _generator_name)
+        relators = _integers(relators, _integers)
+        n = len(generators)
+        if len(set(generators)) != n:
             raise InputError("generator names must be distinct")
-        for r in self.relators:
+        for r in relators:
             for letter in r:
                 if letter == 0 or abs(letter) > n:
                     raise InputError(f"relator letter {letter} out of range")
-        if self.meridian_markers is not None:
-            object.__setattr__(self, "meridian_markers",
-                               _integers(self.meridian_markers))
+        if meridian_markers is not None:
+            meridian_markers = _integers(meridian_markers)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "meridian_markers", meridian_markers)
 
     def exponent_matrix(self) -> IntMatrix:
         rows = []

@@ -15,9 +15,8 @@ Fuchsian genus-g representation is +-(2g - 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import BlowupgateError, InputError, _integer, _integers
+from .errors import BlowupgateError, InputError, _integer, _integers, _Record
 
 
 class ResidualTooLarge(BlowupgateError, ValueError):
@@ -106,8 +105,7 @@ def _positive(t):
     return t
 
 
-@dataclass(frozen=True, init=False)
-class PSL2:
+class PSL2(_Record):
     """A determinant-one 4-tuple modulo sign, stored with its first entry
     above 1e-12 in size positive.  The constructor, from_matrix and @
     rescale their matrix by SL2, once; inv keeps the determinant and
@@ -120,6 +118,8 @@ class PSL2:
             t = SL2(*m)
         except TypeError:
             raise InputError(f"{m!r} is not four real entries") from None
+        except ValueError as exc:   # determinant not positive and finite
+            raise InputError(str(exc)) from None
         object.__setattr__(self, "_t", _positive(t))
 
     @staticmethod
@@ -304,6 +304,12 @@ def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
     anything of the size of genus is built.  The relator's squared
     distance to +-identity must be at most tol.
     """
+    return _euler_and_residual(matrices, genus, tol)[0]
+
+
+def _euler_and_residual(matrices, genus, tol) -> tuple:
+    """(euler_number(matrices, genus, tol), the relator's squared distance
+    to +-identity that it checks against tol)."""
     genus = _integer(genus)
     if genus < 1:
         raise GenusZero("genus must be >= 1")
@@ -323,7 +329,7 @@ def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
     res = psl_dist_sq(word_image(rel, [g.tuple() for g in gens]), IDENTITY)
     if not res <= tol:          # a NaN residual fails this test too
         raise ResidualTooLarge(f"relator residual {res:.3e} exceeds {tol:.3e}")
-    return relator_shift(rel, gens)
+    return relator_shift(rel, gens), res
 
 
 def milnor_wood_admissible(genera) -> list:

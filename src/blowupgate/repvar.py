@@ -23,11 +23,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from operator import mul
 
-from .errors import BlowupgateError, InputError, _integer
+from .errors import BlowupgateError, InputError, _integer, _Record
 from .links import Presentation
 from .psl2r import (PSL2, CircleLift, commutator, mat_inv, mat_mul,
                     psl_dist_sq, psl_sign, rotation, surface_generator_names,
@@ -61,12 +60,15 @@ LM_MAX_ITER = 200
 LM_COST_TARGET = 1e-28
 
 
-@dataclass(frozen=True)
-class RepAssignment:
+class RepAssignment(_Record):
     """Matrices (mod sign) for every generator of a presentation."""
 
     matrices: dict
-    residual: float | None = None
+    residual: float | None
+
+    def __init__(self, matrices, residual=None):
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "residual", residual)
 
     def __getitem__(self, name: str) -> PSL2:
         return self.matrices[name]
@@ -551,8 +553,7 @@ def connected_sum_family(p1: Presentation, rep1: RepAssignment,
 # Brieskorn spheres
 
 
-@dataclass(frozen=True)
-class BrieskornData:
+class BrieskornData(_Record):
     """Pairwise coprime exponents with normalized fibration constants.
 
     The constants satisfy b1*q*r + b2*p*r + b3*p*q = 1 exactly, so the
@@ -563,13 +564,11 @@ class BrieskornData:
     p: int
     q: int
     r: int
-    cone: tuple = field(init=False)
+    cone: tuple                 # ((p, b1), (q, b2), (r, b3))
     b0 = 0
 
-    def __post_init__(self):
-        for name in ("p", "q", "r"):
-            object.__setattr__(self, name, _integer(getattr(self, name)))
-        p, q, r = self.exponents
+    def __init__(self, p, q, r):
+        p, q, r = _integer(p), _integer(q), _integer(r)
         for x in (p, q, r):
             if x < 2:
                 raise NotCoprime("exponents must be >= 2")
@@ -579,6 +578,9 @@ class BrieskornData:
         b2 = pow(p * r, -1, q)
         # exact: the numerator vanishes mod p and mod q
         b3 = (1 - b1 * q * r - b2 * p * r) // (p * q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "cone", ((p, b1), (q, b2), (r, b3)))
 
     @property
@@ -598,12 +600,17 @@ def brieskorn_presentation(data: BrieskornData) -> Presentation:
                         relators=(*commutators, *powers, (1, 2, 3)))
 
 
-@dataclass(frozen=True)
-class BrieskornClass:
+class BrieskornClass(_Record):
     angles: tuple            # numerators (l1, l2, l3); (0, 0, 0) is trivial
     assignment: RepAssignment
     traces: tuple
     irreducible: bool
+
+    def __init__(self, angles, assignment, traces, irreducible):
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "traces", traces)
+        object.__setattr__(self, "irreducible", irreducible)
 
     @property
     def residual(self) -> float:

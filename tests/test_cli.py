@@ -667,6 +667,9 @@ def _library_checks():
         "psl2-three-entries": lambda: PSL2((1, 2, 3)),
         "psl2-rows-of-an-int": lambda: PSL2.from_matrix(5),
         "psl2-ragged-rows": lambda: PSL2.from_matrix([[1, 0], [1]]),
+        "psl2-negative-determinant": lambda: PSL2((1, 0, 0, -1)),
+        "psl2-nan-entry": lambda: PSL2((float("nan"), 0, 0, 1)),
+        "psl2-infinite-entry": lambda: PSL2((float("inf"), 0, 0, 1)),
         "lift-of-an-int": lambda: CircleLift(5),
         "shift-of-an-int": lambda: relator_shift((1,), [5]),
         "euler-of-an-int": lambda: euler_number(5, 2),
@@ -711,6 +714,19 @@ def test_braid_route_reads_only_the_braid(tmp_path, monkeypatch):
     assert results() == expected
     assert expected[0][0] == expected[1][0] == 0
     assert '"h1_method":"seifert"' in expected[1][1]
+
+
+def test_euler_reports_a_bad_determinant_in_psl2_terms(tmp_path):
+    # the reflection diag(1, -1) is refused by PSL2 itself, so its
+    # message is printed without the CLI's wrapper prefix
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"a1": [[1, 0], [0, -1]],
+                                "b1": [[1, 0], [0, 1]]}))
+    code, out = invoke(["euler", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "InputError",
+        "message": "determinant -1 is not positive and finite"}
 
 
 def test_integral_floats_read_as_integers():

@@ -1,12 +1,18 @@
-"""The library imports nothing outside the standard library."""
+"""The library imports nothing outside the standard library, and
+importing the CLI stays cheap: no module imports dataclasses, which
+pulls in inspect, dis and ast and compiles its methods at import."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 import blowupgate
 
 PACKAGE = Path(blowupgate.__file__).parent
+
+# standard modules too costly to import at start-up
+UNWANTED = ("dataclasses", "inspect")
 
 
 def top_level_imports(tree):
@@ -26,3 +32,13 @@ def test_library_imports_only_the_standard_library():
         for name in top_level_imports(tree):
             assert name in sys.stdlib_module_names or name == "blowupgate", \
                 f"{path.name} imports {name}"
+            assert name not in UNWANTED, f"{path.name} imports {name}"
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    code = ("import sys, blowupgate.cli; "
+            f"print(*[m for m in {UNWANTED!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
