@@ -7,7 +7,7 @@ labeled graphs, and explores PSL(2,R) representation varieties of
 finitely presented groups numerically.
 """
 
-from .errors import BlowupgateError, InputError
+from .errors import BlowupgateError, InputError, InvalidParameter
 from .exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
                     ZeroEvaluationPoint, cokernel, laurent_det, laurent_gcd,
                     smith_normal_form)
@@ -26,8 +26,7 @@ from .psl2r import (PSL2, CircleLift, GenusZero, ResidualTooLarge,
                     fuchsian_genus2, milnor_wood_admissible,
                     translation_number)
 from .repvar import (BrieskornClass, BrieskornData, CertificateFailed,
-                     InvalidParameter, NotCoprime, RepAssignment,
-                     UnassignedGenerator,
+                     NotCoprime, RepAssignment, UnassignedGenerator,
                      brieskorn_enumerate, brieskorn_presentation,
                      connected_sum_family,
                      free_product, is_abelian, is_irreducible, is_metabelian,

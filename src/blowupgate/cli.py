@@ -19,7 +19,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 
-from blowupgate.errors import BlowupgateError, InputError, _integer, _integers
+from blowupgate.errors import (BlowupgateError, InputError, _check_tol,
+                               _integer, _integers)
 from blowupgate.exact import AbelianGroup
 from blowupgate.gate import gate as evaluate_gate
 from blowupgate.gate import (Flow, FlowGraph, HomologyElement, homology_class,
@@ -28,9 +29,9 @@ from blowupgate.invariants import link_invariants
 from blowupgate.links import (BraidWord, LinkDiagram, Presentation,
                               from_braid, parse_pd)
 from blowupgate.psl2r import PSL2, _euler_and_residual, milnor_wood_admissible
-from blowupgate.repvar import (BrieskornData, InvalidParameter,
-                               brieskorn_enumerate, is_abelian, is_irreducible,
-                               is_metabelian, solve, trace_coordinates)
+from blowupgate.repvar import (BrieskornData, brieskorn_enumerate, is_abelian,
+                               is_irreducible, is_metabelian, solve,
+                               trace_coordinates)
 
 SCHEMA = "1"
 # Limits on counts in the input, checked before anything of that size is
@@ -281,8 +282,7 @@ def _cmd_brieskorn(args):
 
 
 def _cmd_euler(args):
-    if not args.tol > 0:          # unlike tol <= 0, this also rejects NaN
-        raise InvalidParameter("tol must be positive")
+    _check_tol(args.tol)        # before the input is read
     data = _load_json(args.rep)
     if not isinstance(data, dict):
         raise InputError("representation JSON must be an object")

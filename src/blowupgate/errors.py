@@ -1,6 +1,7 @@
 """The common base of every error that blowupgate raises on bad input,
-InputError, the check that reads an integer from outside input, and
-_Record, the base of the package's immutable value types.
+InputError and InvalidParameter, the checks that read an integer or a
+tolerance from outside input, and _Record, the base of the package's
+immutable value types.
 
 They live in their own module, importing only operator.attrgetter, so
 that any module can use them without depending on another part of the
@@ -20,6 +21,21 @@ class InputError(BlowupgateError, ValueError):
     """Bad input file, JSON shape, option value or field value."""
 
 
+class InvalidParameter(BlowupgateError, ValueError):
+    """A solver parameter is out of range."""
+
+
+def _check_tol(tol) -> None:
+    """Refuse with InvalidParameter a tol that is not a positive number:
+    zero, a negative number, NaN, or something that is not a number."""
+    try:
+        if tol > 0:
+            return
+    except TypeError:           # tol is not comparable with a number
+        pass
+    raise InvalidParameter("tol must be positive")
+
+
 def _integer(x) -> int:
     """x as an int: an int that is not a bool, or an integral float.
     Anything else is refused with InputError: a float or Fraction that
@@ -36,11 +52,14 @@ def _integer(x) -> int:
 
 def _integers(seq, item=_integer) -> tuple:
     """tuple(map(item, seq)), refusing with InputError a seq that is not
-    iterable, and a string, which would otherwise be iterated character
-    by character (and "" pass as an empty array).
+    iterable, a string, which would otherwise be iterated character by
+    character (and "" pass as an empty array), a dict, which would pass
+    its keys, and a set, which would pass its elements in no fixed order.
     Pass item=_integers for an array of integer arrays."""
     if isinstance(seq, str):
         raise InputError(f"{seq!r} is a string, not an array")
+    if isinstance(seq, (dict, set, frozenset)):
+        raise InputError(f"{seq!r} is a {type(seq).__name__}, not an array")
     try:
         items = map(item, seq)
     except TypeError:           # seq is not iterable

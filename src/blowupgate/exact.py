@@ -386,9 +386,6 @@ class LaurentPoly:
     def max_exp(self):
         return max(self._c) if self._c else None
 
-    def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
-
     def items(self):
         return sorted(self._c.items())
 

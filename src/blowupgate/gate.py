@@ -59,10 +59,6 @@ class Verdict(_Record):
         object.__setattr__(self, "reasons", reasons)
         object.__setattr__(self, "invariants", invariants)
 
-    @property
-    def obstructed(self) -> bool:
-        return self.status == OBSTRUCTED
-
 
 def _label(x):
     if not (isinstance(x, int) and x in (0, 1)):  # bools are ints
@@ -146,7 +142,10 @@ class FlowGraph(_Record):
     def __init__(self, vertices, edges, labels=None):
         vertices = _integer(vertices)
         edges = _integers(edges, _integers)
-        for a, b in edges:
+        for edge in edges:
+            if len(edge) != 2:
+                raise InputError(f"edge {edge} is not a (tail, head) pair")
+            a, b = edge
             if not (0 <= a < vertices and 0 <= b < vertices):
                 raise InputError(f"edge ({a}, {b}) references a missing vertex")
         if labels is not None:
@@ -196,10 +195,6 @@ class Flow(_Record):
     @property
     def weights(self) -> tuple:
         return tuple(abs(x) for x in self.signed)
-
-    @property
-    def orientations(self) -> tuple:
-        return tuple(-1 if x < 0 else 1 for x in self.signed)
 
     @property
     def is_integral(self) -> bool:

@@ -63,22 +63,25 @@ class BraidWord(_Record):
         return tuple(perm)
 
     def strand_cycles(self) -> tuple:
-        """Cycles of the closure permutation, each starting at its minimum,
-        in the order of their minima."""
-        perm = self.permutation()
-        seen = [False] * self.strands
-        cycles = []
-        for s in range(self.strands):
-            if seen[s]:
-                continue
-            cyc = []
-            x = s
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x)
-                x = perm[x]
+        """Cycles of the closure permutation (see _cycles)."""
+        return _cycles(self.permutation())
+
+
+def _cycles(perm) -> tuple:
+    """Cycles of the permutation perm of range(len(perm)), each starting
+    at its minimum, in the order of their minima."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = perm[x]
+        if cyc:
             cycles.append(tuple(cyc))
-        return tuple(cycles)
+    return tuple(cycles)
 
 
 class Crossing(_Record):
@@ -185,9 +188,8 @@ class Presentation(_Record):
             for letter in r:
                 row[abs(letter) - 1] += 1 if letter > 0 else -1
             rows.append(row)
-        if not rows:
-            return IntMatrix(0, len(self.generators), ())
-        return IntMatrix.from_rows(rows)
+        return IntMatrix(len(rows), len(self.generators),
+                         tuple(chain.from_iterable(rows)))
 
     def abelianization(self) -> AbelianGroup:
         return cokernel(self.exponent_matrix())
@@ -197,23 +199,24 @@ class Presentation(_Record):
 # diagram assembly
 
 
-def _arc_ends(crossings) -> dict:
-    """arc -> the (crossing, slot) positions it fills, in order."""
+def _arc_ends(rows) -> dict:
+    """arc -> the (crossing, slot) positions it fills in the arc rows
+    (a, b, c, d), in order."""
     ends = {}
-    for idx, (arcs, _sign) in enumerate(crossings):
+    for idx, arcs in enumerate(rows):
         for slot, arc in enumerate(arcs):
             ends.setdefault(arc, []).append((idx, slot))
     return ends
 
 
-def _traverse(crossings, ends):
+def _traverse(rows, ends):
     """Component cycles of arcs and the direction of each over strand.
 
-    ends maps each arc to its two (crossing, slot) positions (see
-    _arc_ends); the walk uses it up.  The walk leaves an arc at slot s,
-    arrives at slot s ^ 2 of the same crossing (the other end of the
-    under path 0-2 or the over path 1-3) and leaves the arc found there
-    through that arc's other position.  It alternates between two
+    ends maps each arc to its two (crossing, slot) positions in the arc
+    rows (see _arc_ends); the walk uses it up.  The walk leaves an arc
+    at slot s, arrives at slot s ^ 2 of the same crossing (the other end
+    of the under path 0-2 or the over path 1-3) and leaves the arc found
+    there through that arc's other position.  It alternates between two
     perfect matchings of the positions, so it always comes back to the
     arc it started from.  Under paths vote on the direction of each
     component: the under strand runs slot 0 -> 2.  Returns (components,
@@ -228,7 +231,7 @@ def _traverse(crossings, ends):
         idx, slot = ends.pop(start)[0]
         while True:
             steps.append((idx, slot))
-            arc = crossings[idx][0][slot ^ 2]
+            arc = rows[idx][slot ^ 2]
             if arc == start:
                 break
             first, second = ends.pop(arc)
@@ -268,14 +271,7 @@ def _check_planar(n: int, ends) -> None:
     for (i, s), (j, t) in ends.values():
         step[4 * i + s] = 4 * j + (t + 1) % 4
         step[4 * j + t] = 4 * i + (s + 1) % 4
-    faces = 0
-    seen = [False] * (4 * n)
-    for pos in range(4 * n):
-        if not seen[pos]:
-            faces += 1
-            while not seen[pos]:
-                seen[pos] = True
-                pos = step[pos]
+    faces = len(_cycles(step))
     find, union = _union_find(range(n))
     for (i, _s), (j, _t) in ends.values():  # the crossings at an arc's ends
         union(i, j)
@@ -283,15 +279,6 @@ def _check_planar(n: int, ends) -> None:
     if faces != n + 2 * pieces:
         raise MalformedPD(f"no planar diagram has this code: {faces} faces, "
                           f"{n} crossings, {pieces} connected pieces")
-
-
-def _assemble(signed_crossings, free_arcs) -> tuple:
-    """(crossings, components) of the diagram with these (arcs, sign)
-    crossings and these arcs that meet no crossing."""
-    comps, _over = _traverse(signed_crossings, _arc_ends(signed_crossings))
-    crossings = tuple(Crossing(tuple(arcs), sign)
-                      for arcs, sign in signed_crossings)
-    return crossings, tuple(sorted(comps + [(a,) for a in free_arcs]))
 
 
 def parse_pd(code) -> LinkDiagram:
@@ -309,14 +296,13 @@ def parse_pd(code) -> LinkDiagram:
         for a in row:
             if a <= 0:
                 raise MalformedPD(f"arc label {a} is not a positive integer")
-    signed = [(row, 0) for row in code]
-    ends = _arc_ends(signed)
+    ends = _arc_ends(code)
     for a, where in ends.items():
         if len(where) != 2:
             raise MalformedPD(f"arc {a} appears {len(where)} times, "
                               "expected 2")
     _check_planar(len(code), ends)
-    comps, over_forward = _traverse(signed, ends)
+    comps, over_forward = _traverse(code, ends)
     # over strand running d -> b is a right-handed crossing
     crossings = tuple(Crossing(row, -1 if over_forward[idx] else 1)
                       for idx, row in enumerate(code))
@@ -342,15 +328,18 @@ def _union_find(items):
     return find, union
 
 
-def _relabel(raw, arcs, find):
-    """Rename the union-find classes of arcs 1, 2, ... in order of their
-    least member.  Returns the renamed (arcs, sign) crossings of raw and
-    the sorted labels of the classes that meet no crossing."""
+def _assemble(raw, signs, arcs, find) -> tuple:
+    """(crossings, components) of the diagram with the arc rows raw and
+    these crossing signs, once the classes of arcs under find are
+    renamed 1, 2, ... in order of their least member.  A class that
+    meets no crossing becomes a free arc."""
     reps = sorted({find(a) for a in arcs})
     label = {rep: i for i, rep in enumerate(reps, 1)}
-    signed = [(tuple(label[find(a)] for a in row), sign) for row, sign in raw]
-    used = {a for row, _sign in signed for a in row}
-    return signed, [label[r] for r in reps if label[r] not in used]
+    rows = [tuple(label[find(a)] for a in row) for row in raw]
+    ends = _arc_ends(rows)
+    free = [(a,) for a in label.values() if a not in ends]
+    comps, _over = _traverse(rows, ends)
+    return tuple(map(Crossing, rows, signs)), tuple(sorted(comps + free))
 
 
 def from_braid(b: BraidWord) -> LinkDiagram:
@@ -372,24 +361,21 @@ def _braid_pd(b: BraidWord) -> tuple:
     """(crossings, components) of the closure of b."""
     occ = list(range(1, b.strands + 1))  # strand pos starts at arc pos + 1
     fresh = count(b.strands + 1)
-    raw = []
+    raw, signs = [], []
     for w in b.word:
         i = abs(w) - 1
         u, v = occ[i], occ[i + 1]
         x, y = next(fresh), next(fresh)
-        if w > 0:
-            raw.append(((v, y, x, u), 1))
-        else:
-            raw.append(((u, v, y, x), -1))
+        raw.append((v, y, x, u) if w > 0 else (u, v, y, x))
+        signs.append(1 if w > 0 else -1)
         occ[i], occ[i + 1] = x, y
-
-    arcs = range(1, next(fresh))
-    find, union = _union_find(arcs)
-    for first, last in enumerate(occ, 1):
-        union(first, last)
-    # arc pos + 1 is the least arc of its class and keeps its label, so the
-    # components come in the order of the strand cycles
-    return _assemble(*_relabel(raw, arcs, find))
+    # the bottom arc at pos closes up with the top arc pos + 1, and no
+    # other arc does: a top arc stays at its own pos until a letter
+    # replaces it.  So arc pos + 1 is the least arc of its class and keeps
+    # its label, and the components come in the order of the strand cycles
+    top = {last: first for first, last in enumerate(occ, 1)}
+    return _assemble(raw, signs, range(1, next(fresh)),
+                     lambda a: top.get(a, a))
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +486,15 @@ def _delete_strands(b: BraidWord, keep_positions) -> BraidWord:
 
 
 def sublink(d: LinkDiagram, keep) -> LinkDiagram:
-    """Diagram of the components with the integer indices in keep.
+    """Diagram of the components with the integer indices in keep, an
+    array or a set; neither the order of keep nor repeats in it matter.
 
     A braid closure stays one, with the strands of the removed components
     deleted from its word; otherwise crossings with removed components
     disappear and the cut arcs are respliced into a diagram without one.
     """
+    if isinstance(keep, (set, frozenset)):  # which _integers refuses
+        keep = tuple(keep)
     keep = sorted(set(_integers(keep)))
     if not keep:
         raise EmptySelection("no components selected")
@@ -519,24 +508,17 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
         positions = [s for i in keep for s in parts[i]]
         return from_braid(_delete_strands(d.braid, positions))
 
-    kept_arcs = set()
-    for i in keep:
-        kept_arcs.update(parts[i])
-
+    kept_arcs = {a for i in keep for a in parts[i]}
     find, union = _union_find(kept_arcs)
 
-    survivors = []
+    raw, signs = [], []
     for c in d.crossings:
         a, b2, cc, d2 = c.arcs
-        under_kept = a in kept_arcs
-        over_kept = b2 in kept_arcs
-        if under_kept and over_kept:
-            survivors.append(c)
-        elif under_kept:
+        if a in kept_arcs and b2 in kept_arcs:
+            raw.append(c.arcs)
+            signs.append(c.sign)
+        elif a in kept_arcs:      # the under strand is kept
             union(a, cc)
-        elif over_kept:
+        elif b2 in kept_arcs:     # the over strand is kept
             union(b2, d2)
-
-    signed, free = _relabel([(c.arcs, c.sign) for c in survivors], kept_arcs,
-                            find)
-    return LinkDiagram(*_assemble(signed, free))
+    return LinkDiagram(*_assemble(raw, signs, kept_arcs, find))

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import BlowupgateError, InputError, _integer, _integers, _Record
+from .errors import (BlowupgateError, InputError, _check_tol, _integer,
+                     _integers, _Record)
 
 
 class ResidualTooLarge(BlowupgateError, ValueError):
@@ -302,7 +303,7 @@ def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
     matrices maps each name of surface_generator_names(genus) to a PSL2;
     they are read in that order, so a missing one is reported before
     anything of the size of genus is built.  The relator's squared
-    distance to +-identity must be at most tol.
+    distance to +-identity must be at most tol, which must be positive.
     """
     return _euler_and_residual(matrices, genus, tol)[0]
 
@@ -310,6 +311,7 @@ def euler_number(matrices, genus: int, tol: float = 1e-8) -> int:
 def _euler_and_residual(matrices, genus, tol) -> tuple:
     """(euler_number(matrices, genus, tol), the relator's squared distance
     to +-identity that it checks against tol)."""
+    _check_tol(tol)
     genus = _integer(genus)
     if genus < 1:
         raise GenusZero("genus must be >= 1")

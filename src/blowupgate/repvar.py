@@ -26,7 +26,8 @@ import random
 from itertools import combinations, product
 from operator import mul
 
-from .errors import BlowupgateError, InputError, _integer, _Record
+from .errors import (BlowupgateError, InputError, InvalidParameter,
+                     _check_tol, _integer, _Record)
 from .links import Presentation
 from .psl2r import (PSL2, CircleLift, commutator, mat_inv, mat_mul,
                     psl_dist_sq, psl_sign, rotation, surface_generator_names,
@@ -42,10 +43,6 @@ class NotCoprime(BlowupgateError, ValueError):
     """Brieskorn exponents must be pairwise coprime."""
 
 
-class InvalidParameter(BlowupgateError, ValueError):
-    """A solver parameter is out of range."""
-
-
 class CertificateFailed(BlowupgateError, ArithmeticError):
     """No closed-form solution of a census angle triple passes the
     certificates, so its class would be dropped silently."""
@@ -56,6 +53,9 @@ ROTATION_TOL = 1e-9
 # classification: the sine of the angle between fixed lines below which
 # they count as equal; a commutator within its square of +-I is central
 CLASSIFY_TOL = 1e-7
+# is_irreducible ignores a generator image within this squared distance
+# of +-I, which fixes every line
+CENTRAL_TOL = 1e-9
 LM_MAX_ITER = 200
 LM_COST_TARGET = 1e-28
 
@@ -353,8 +353,7 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
     """
     if _integer(restarts) < 1:
         raise InvalidParameter("restarts must be >= 1")
-    if not tol > 0:          # unlike tol <= 0, this also rejects NaN
-        raise InvalidParameter("tol must be positive")
+    _check_tol(tol)
     found = []
     # without relators every start is a solution, so one is enough
     for index in range(restarts if p.relators else 1):
@@ -398,8 +397,9 @@ def _restart(p: Presentation, seed: int, index: int):
 # classification
 
 
-def _noncentral(mats, tol=1e-9):
-    # not <=, so that a NaN matrix counts as noncentral
+def _noncentral(mats, tol):
+    """The matrices farther than squared distance tol from +-I; not <=,
+    so that a NaN matrix counts as noncentral."""
     return [m for m in mats if not psl_dist_sq(m, IDENTITY) <= tol]
 
 
@@ -459,9 +459,12 @@ def _noncentral_commutators(mats):
 
 
 def is_irreducible(rep: RepAssignment) -> bool:
-    """True when no point of CP^1 is fixed by every generator image."""
+    """True when no point of CP^1 is fixed by every generator image.
+
+    Images within squared distance CENTRAL_TOL of +-I are left out, and
+    a line counts as fixed to within CLASSIFY_TOL."""
     mats = [m.tuple() for m in rep.matrices.values()]
-    core = _noncentral(mats)
+    core = _noncentral(mats, CENTRAL_TOL)
     if not core:
         return False
     for v in _eigenlines(core[0]):
@@ -658,8 +661,7 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
     triple without one raises CertificateFailed.  The trivial class
     comes first, the rest in order of angles.
     """
-    if not tol > 0:
-        raise InvalidParameter("tol must be positive")
+    _check_tol(tol)
     pres = brieskorn_presentation(data)
     eye = PSL2.identity()
     trivial = RepAssignment({g: eye for g in pres.generators}, residual=0.0)

@@ -552,6 +552,10 @@ def test_euler_reports_a_missing_generator_in_bounded_memory(tmp_path):
     # and more than 4300 digits
     ("euler", {"matrices": {"a\u00b2": [[1, 0], [0, 1]]}}),
     ("euler", {"matrices": {"a" + "9" * 5000: [[1, 0], [0, 1]]}}),
+    # an object iterates as its keys, and {} was read as an empty array
+    ("invariants", {"pd": {}}),
+    ("invariants", {"braid": {"strands": 2, "word": {}}}),
+    ("flow", dict(GRAPH, orientations={})),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"
@@ -613,7 +617,8 @@ def _library_checks():
     from blowupgate import (PSL2, BraidWord, BrieskornData, CircleLift, Flow,
                             FlowGraph, IntMatrix, LaurentPoly, Presentation,
                             euler_number, from_braid, fuchsian_genus2, gate,
-                            laurent_det, solve, sublink, surface_presentation,
+                            laurent_det, parse_pd, solve, sublink,
+                            surface_presentation,
                             surface_times_circle_presentation)
     from blowupgate.psl2r import relator_shift
     circle = Presentation(("x",), ((1,),))
@@ -674,7 +679,41 @@ def _library_checks():
         "shift-of-an-int": lambda: relator_shift((1,), [5]),
         "euler-of-an-int": lambda: euler_number(5, 2),
         "euler-int-matrices": lambda: euler_number({"a1": 5, "b1": 5}, 1),
+        "edge-of-three-vertices": lambda: FlowGraph(2, ((0, 1, 2),)),
+        "edge-of-one-vertex": lambda: FlowGraph(2, ((0,),)),
+        # a dict would pass its keys, a set its elements in no fixed order
+        "word-dict": lambda: BraidWord(3, {1: "x", 2: "y"}),
+        "word-set": lambda: BraidWord(3, {1, 2}),
+        "generators-dict": lambda: Presentation({"a": 0, "b": 1}, ()),
+        "relators-dict": lambda: Presentation(("a", "b"), {(1, 2): 0}),
+        "relator-set": lambda: Presentation(("a", "b"), ({1, 2},)),
+        "pd-dict": lambda: parse_pd({(1, 2, 2, 1): 0}),
+        "labels-set": lambda: gate(hopf, {0, 1}),
     }
+
+
+def _tol_checks():
+    """Library calls with a tol that is not a positive number."""
+    from blowupgate import (BrieskornData, brieskorn_enumerate, euler_number,
+                            fuchsian_genus2, solve, surface_presentation)
+    return {
+        "euler-0": lambda: euler_number(fuchsian_genus2(), 2, tol=0),
+        "euler-negative": lambda: euler_number(fuchsian_genus2(), 2, tol=-1.0),
+        "euler-nan": lambda: euler_number(fuchsian_genus2(), 2,
+                                          tol=float("nan")),
+        "solve-string": lambda: solve(surface_presentation(1), tol="x"),
+        "brieskorn-none":
+            lambda: brieskorn_enumerate(BrieskornData(2, 3, 7), tol=None),
+    }
+
+
+@pytest.mark.parametrize("check", sorted(_tol_checks()))
+def test_library_tol_must_be_positive(check):
+    # checked before the relator residual, which 0 would fail too
+    with pytest.raises(blowupgate.InvalidParameter,
+                       match="^tol must be positive$"):
+        _tol_checks()[check]()
+    assert blowupgate.repvar.InvalidParameter is blowupgate.InvalidParameter
 
 
 @pytest.mark.parametrize("check", sorted(_library_checks()))

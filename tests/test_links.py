@@ -6,8 +6,8 @@ import pytest
 from blowupgate.errors import InputError
 from blowupgate.exact import AbelianGroup
 from blowupgate.invariants import alexander_fox, alexander_seifert
-from blowupgate.links import (BraidWord, EmptySelection, InvalidLetter,
-                              MalformedPD, from_braid, parse_pd,
+from blowupgate.links import (BraidWord, Crossing, EmptySelection,
+                              InvalidLetter, MalformedPD, from_braid, parse_pd,
                               seifert_matrix, sublink, wirtinger)
 
 TREFOIL_PD = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -199,6 +199,22 @@ def test_from_braid_examples():
 def test_from_braid_signs():
     d = from_braid(BraidWord(2, (1, -1)))
     assert [c.sign for c in d.crossings] == [1, -1]
+
+
+def test_from_braid_untouched_strand_is_a_free_arc():
+    # strand 2 meets no letter: its top arc 3 closes up with itself
+    d = from_braid(BraidWord(3, (1, 1)))
+    assert d.crossings == (Crossing((2, 5, 4, 1), 1), Crossing((5, 2, 1, 4), 1))
+    assert d.components == ((1, 5), (2, 4), (3,))
+    assert d.free_arcs == frozenset({3})
+
+
+def test_strand_cycles_identity_and_single_cycle():
+    assert BraidWord(4, ()).strand_cycles() == ((0,), (1,), (2,), (3,))
+    assert BraidWord(4, (1, 2, 3)).permutation() == (3, 0, 1, 2)
+    assert BraidWord(4, (1, 2, 3)).strand_cycles() == ((0, 3, 2, 1),)
+    assert BraidWord(4, (-3, -2, -1)).strand_cycles() == ((0, 1, 2, 3),)
+    assert BraidWord(1, ()).strand_cycles() == ((0,),)
 
 
 def test_braid_letter_validation():
@@ -404,6 +420,22 @@ def test_sublink_pd_resplices_arcs():
     u = sublink(d, [0])
     assert len(u.components) == 1
     assert len(u.crossings) == 0
+
+
+def test_sublink_pd_kept_components_lose_all_crossings():
+    # the two end circles of a three-chain cross only the middle one
+    chain = parse_pd([[2, 5, 4, 1], [5, 6, 1, 4], [3, 8, 7, 6], [8, 3, 2, 7]])
+    assert chain.components == ((1, 5), (2, 4, 6, 8), (3, 7))
+    ends = sublink(chain, [0, 2])
+    assert ends.crossings == ()
+    assert ends.components == ((1,), (2,))
+    assert ends.free_arcs == frozenset({1, 2})
+    # keep is a selection: a set, or repeats, give the same diagram
+    assert sublink(chain, {2, 0}) == sublink(chain, [2, 0, 2]) == ends
+    pair = sublink(chain, [0, 1])
+    assert pair.crossings == (Crossing((2, 4, 3, 1), 1),
+                              Crossing((4, 2, 1, 3), 1))
+    assert pair.components == ((1, 4), (2, 3))
 
 
 def test_sublink_braid_vs_pd_agree():
