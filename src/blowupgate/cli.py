@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 
 from blowupgate.errors import (BlowupgateError, InputError, _check_tol,
-                               _integer, _integers)
+                               _integer)
 from blowupgate.exact import AbelianGroup
 from blowupgate.gate import gate as evaluate_gate
 from blowupgate.gate import (Flow, FlowGraph, HomologyElement, homology_class,
@@ -37,10 +37,15 @@ SCHEMA = "1"
 # Limits on counts in the input, checked before anything of that size is
 # built: a split braid closure on n strands has a dense (n - 1)^2 Seifert
 # matrix (about 0.26 s for the whole process at 1000 strands on a shared
-# 2-vCPU host), mw-admissible lists all prod(4 g_j - 3) vectors, and
+# 2-vCPU host), a link with c crossings (braid letters or PD crossings) has
+# a Seifert or Fox matrix of about c rows (a 3-strand alternating word of
+# 100 letters takes about 22 s by the Seifert route and 3.3 s by the Fox
+# route for the whole process on that host, and the cost grows faster
+# than c^5), mw-admissible lists all prod(4 g_j - 3) vectors, and
 # brieskorn tries all (p - 1)(q - 1)(r - 1) angle triples at about 34 us
 # each.
 MAX_STRANDS = 1000
+MAX_CROSSINGS = 100
 MAX_MW_VECTORS = 10 ** 6
 MAX_CENSUS_TRIPLES = 10 ** 6
 
@@ -79,8 +84,9 @@ def _diagram_from_json(data) -> LinkDiagram:
         raise InputError('link JSON has both a "pd" and a "braid" field')
     if "pd" in data:
         with _input_errors("malformed pd code"):
-            return parse_pd(data["pd"])
-    if "braid" in data:
+            d = parse_pd(data["pd"])
+        crossings = len(d.crossings)
+    elif "braid" in data:
         braid = data["braid"]
         with _input_errors("malformed braid object"):
             strands = _integer(braid["strands"])
@@ -88,8 +94,14 @@ def _diagram_from_json(data) -> LinkDiagram:
                 raise InputError(f"{strands} strands exceed the limit of "
                                  f"{MAX_STRANDS}")
             word = BraidWord(strands, braid.get("word", ()))
-        return from_braid(word)
-    raise InputError('link JSON needs a "pd" or "braid" field')
+        # len(d.crossings) would assemble the PD code of the braid
+        d, crossings = from_braid(word), len(word.word)
+    else:
+        raise InputError('link JSON needs a "pd" or "braid" field')
+    if crossings > MAX_CROSSINGS:
+        raise InputError(f"{crossings} crossings exceed the limit of "
+                         f"{MAX_CROSSINGS}")
+    return d
 
 
 def _invariants_json(inv) -> dict:
@@ -197,8 +209,7 @@ def _cmd_flow(args):
             raise InputError("either every edge has a label or none has")
         graph = FlowGraph(data["vertices"], edges, labels)
         weights = [Fraction(str(w)) for w in data["weights"]]
-        orientations = _integers(data["orientations"])
-        flow = Flow.from_weights(weights, orientations)
+        flow = Flow.from_weights(weights, data["orientations"])
         model = None
         if "model" in data:
             model = AbelianGroup(data["model"]["rank"],
@@ -228,11 +239,7 @@ def _cmd_flow(args):
 
 def _presentation_from_json(data) -> Presentation:
     with _input_errors("malformed presentation JSON"):
-        gens = data["generators"]
-        if not (isinstance(gens, list)
-                and all(isinstance(g, str) for g in gens)):
-            raise InputError('"generators" must be an array of strings')
-        return Presentation(gens, data["relators"])
+        return Presentation(data["generators"], data["relators"])
 
 
 def _matrix_json(m: PSL2):
@@ -240,24 +247,22 @@ def _matrix_json(m: PSL2):
     return [[round(x, 15) + 0.0 for x in row] for row in m.matrix_rows()]
 
 
-def _traces_json(coords):
-    return [round(t, 9) + 0.0 for t in coords]
+def _class_json(rep, traces, **flags) -> dict:
+    """A representation class: the residual and matrices of the
+    assignment rep, its traces rounded to 9 decimals, and flags."""
+    return {"residual": rep.residual,
+            "traces": [round(t, 9) + 0.0 for t in traces],
+            "matrices": {g: _matrix_json(m) for g, m in rep.matrices.items()},
+            **flags}
 
 
 def _cmd_solve(args):
     pres = _presentation_from_json(_load_json(args.presentation))
     sols = solve(pres, restarts=args.restarts, tol=args.tol, seed=args.seed)
-    out = []
-    for rep in sols:
-        out.append({
-            "residual": rep.residual,
-            "traces": _traces_json(trace_coordinates(pres, rep)),
-            "irreducible": is_irreducible(rep),
-            "abelian": is_abelian(rep),
-            "metabelian": is_metabelian(rep),
-            "matrices": {g: _matrix_json(rep.matrices[g])
-                         for g in pres.generators},
-        })
+    out = [_class_json(rep, trace_coordinates(pres, rep),
+                       irreducible=is_irreducible(rep),
+                       abelian=is_abelian(rep),
+                       metabelian=is_metabelian(rep)) for rep in sols]
     return {"schema": SCHEMA, "count": len(out), "solutions": out}
 
 
@@ -266,16 +271,9 @@ def _cmd_brieskorn(args):
     if (args.p - 1) * (args.q - 1) * (args.r - 1) > MAX_CENSUS_TRIPLES:
         raise InputError(f"more than {MAX_CENSUS_TRIPLES} angle triples")
     census = brieskorn_enumerate(data, tol=args.tol)
-    classes = []
-    for cls in census:
-        classes.append({
-            "angles": list(cls.angles),
-            "irreducible": cls.irreducible,
-            "residual": cls.residual,
-            "traces": _traces_json(cls.traces),
-            "matrices": {g: _matrix_json(m)
-                         for g, m in cls.assignment.matrices.items()},
-        })
+    classes = [_class_json(cls.assignment, cls.traces,
+                           angles=list(cls.angles),
+                           irreducible=cls.irreducible) for cls in census]
     return {"schema": SCHEMA, "exponents": [args.p, args.q, args.r],
             "seifert": {"b0": data.b0, "cone": [[p, b] for p, b in data.cone]},
             "count": len(classes), "census": classes}

@@ -363,10 +363,6 @@ class LaurentPoly:
         return LaurentPoly({0: 1})
 
     @staticmethod
-    def const(n: int) -> "LaurentPoly":
-        return LaurentPoly({0: n})
-
-    @staticmethod
     def t(exp: int = 1, coeff: int = 1) -> "LaurentPoly":
         return LaurentPoly({exp: coeff})
 
@@ -407,7 +403,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.const(other)
+            other = LaurentPoly({0: other})
         c = dict(self._c)
         for e, k in other._c.items():
             c[e] = c.get(e, 0) + k
@@ -416,8 +412,6 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
         return self + (-other)
 
     def __mul__(self, other):

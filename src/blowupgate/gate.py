@@ -291,28 +291,26 @@ def realizable_k(c: HomologyElement, admissible, h: AbelianGroup) -> RealizableK
             if scale_element(h, q, c) == a:
                 ks.add(q)
         return RealizableK(finite=True, values=tuple(sorted(ks)))
-    # torsion class: k*c only depends on k modulo the order of c
-    order = 1
-    for res, d in zip(c.torsion, h.torsion):
-        if res % d:
-            part = d // gcd(d, res)
-            order = order * part // gcd(order, part)
+    # torsion class: k*c only depends on k modulo the order of c, and
     # each admissible element with no free part fixes at most one residue
-    hits = (_torsion_multiple(c.torsion, a.torsion, h.torsion)
-            for a in admissible if not any(a.free))
-    residues = tuple(sorted({k for k in hits if k is not None}))
-    if not residues:
+    # (and every hit carries the same order)
+    hits = {_torsion_multiple(c.torsion, a.torsion, h.torsion)
+            for a in admissible if not any(a.free)} - {None}
+    if not hits:
         return RealizableK(finite=True, values=())
-    return RealizableK(finite=False, residues=residues, modulus=order)
+    return RealizableK(finite=False,
+                       residues=tuple(sorted(k for k, _m in hits)),
+                       modulus=next(iter(hits))[1])
 
 
 def _torsion_multiple(c, a, moduli):
-    """The residue k modulo the order of c with k c_j = a_j (mod d_j) for
-    every factor j, or None when there is none.
+    """(k, m): m is the order of c, and k the residue modulo m with
+    k c_j = a_j (mod d_j) for every factor j; or None when there is none.
 
     With g = gcd(c_j, d_j), factor j needs g | a_j and then gives
-    k = (a_j / g) (c_j / g)^-1 modulo d_j / g; the factors combine by
-    the Chinese remainder theorem for moduli that need not be coprime.
+    k = (a_j / g) (c_j / g)^-1 modulo d_j / g, so m is the lcm of the
+    d_j / g; the factors combine by the Chinese remainder theorem for
+    moduli that need not be coprime.
     """
     k, m = 0, 1
     for cj, aj, d in zip(c, a, moduli):
@@ -326,4 +324,4 @@ def _torsion_multiple(c, a, moduli):
             return None
         k += m * ((kj - k) // e * pow(m // e, -1, dj // e) % (dj // e))
         m = m // e * dj
-    return k
+    return k, m

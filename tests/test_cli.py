@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import blowupgate
-from blowupgate.cli import run
+from blowupgate.cli import MAX_CROSSINGS, run
 
 
 def invoke(argv):
@@ -556,6 +556,12 @@ def test_euler_reports_a_missing_generator_in_bounded_memory(tmp_path):
     ("invariants", {"pd": {}}),
     ("invariants", {"braid": {"strands": 2, "word": {}}}),
     ("flow", dict(GRAPH, orientations={})),
+    # more crossings than the limit, refused before the Seifert or Fox
+    # matrix is built
+    ("invariants", {"braid": {"strands": 2,
+                              "word": [1] * (MAX_CROSSINGS + 1)}}),
+    ("gate", {"pd": blowupgate.from_braid(blowupgate.BraidWord(
+        2, [1] * (MAX_CROSSINGS + 1))).to_pd()}),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"
@@ -563,6 +569,19 @@ def test_malformed_input_is_input_error(tmp_path, command, payload):
     code, out = invoke([command, str(path)])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "InputError"
+
+
+def test_link_at_the_crossing_limit_is_accepted(tmp_path):
+    # letters on pairwise distant generators: a split link of unknots,
+    # whose Seifert matrix is zero
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"braid": {
+        "strands": 2 * MAX_CROSSINGS,
+        "word": list(range(1, 2 * MAX_CROSSINGS, 2))}}))
+    code, out = invoke(["invariants", str(path)])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["components"], data["det"]) == (MAX_CROSSINGS, 0)
 
 
 # the builtin base that each exception class keeps beside BlowupgateError

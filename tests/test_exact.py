@@ -335,6 +335,25 @@ def test_eval_at_matches_termwise_sum():
             assert type(value) is Fraction and value == termwise
 
 
+def test_subtraction_examples():
+    p = LaurentPoly({-1: 2, 0: 3, 2: -1})
+    assert p - 3 == p + LaurentPoly({0: -3})
+    assert p - 3 == LaurentPoly({-1: 2, 2: -1})
+    assert (p - p).is_zero
+    assert LaurentPoly.zero() - 0 == LaurentPoly.zero()
+
+
+def test_subtraction_matches_coefficientwise_oracle():
+    rng = random.Random(29)
+    for _ in range(200):
+        p, q = ({rng.randint(-5, 5): rng.randint(-9, 9)
+                 for _ in range(rng.randint(0, 5))} for _ in range(2))
+        diff = {e: p.get(e, 0) - q.get(e, 0) for e in {*p, *q}}
+        expected = {e: k for e, k in diff.items() if k}
+        assert (LaurentPoly(p) - LaurentPoly(q)).items() == sorted(
+            expected.items())
+
+
 def test_unit_normalize_examples():
     p = LaurentPoly({3: -1, 4: 1})
     assert p.unit_normalize() == LaurentPoly({0: -1, 1: 1})
