@@ -5,17 +5,23 @@ parametrization R(alpha) * exp(symmetric traceless) of SL(2,R), three
 parameters per generator.  Relator signs are minimized pointwise, so a
 word is trivial when its image is +-identity; residual sums the squares
 of those relator entries.  Levenberg-Marquardt evaluates each point
-once, with the exact Jacobian of the entries (prefix and suffix products
-around the derivative of every letter), and each step factors the
-smaller normal matrix: J^T J with Marquardt's diagonal damping when
-there are at least as many relator entries as parameters, else J J^T
-with isotropic damping (_levmar).
+once, and the exact Jacobian of the entries (prefix and suffix products
+around the derivative of every letter) at each point it accepts.  Each
+step factors the smaller normal matrix: J^T J with Marquardt's diagonal
+damping when there are at least as many relator entries as parameters,
+else J J^T with isotropic damping (_levmar).  A relator's four entries
+depend only on the generators in it, so the presentation alone fixes
+some entries of J at zero, and the step forms and factors only what
+this pattern leaves (_lm_pattern).
 solve sorts its solutions by their ordered trace coordinates, which are
 invariant under conjugation and under the sign of each matrix, and
 merges two solutions when those agree (trace_coordinates); the
 Brieskorn census names each class by rotation numbers.
-Every float sum is taken left to right from 0.0 (_sum), so the points
-printed do not depend on the Python version.
+Every float sum is taken left to right from 0.0, by _sum or by a loop
+written out, so the points printed do not depend on the Python version.
+Where J and the residual are finite, a term that the pattern skips is
+0.0 times a finite number, so +-0.0, and a sum from +0.0 is never -0.0,
+so adding +-0.0 leaves it as it is: skipping moves no bit of any step.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import cmath
 import math
 import random
 from itertools import combinations, product
-from operator import mul
 
 from .errors import (BlowupgateError, InputError, InvalidParameter,
                      _check_tol, _integer, _Record)
@@ -134,50 +139,119 @@ def trace_coordinates(p: Presentation, rep: RepAssignment) -> tuple:
 # damped least squares
 
 
-def _damped_solve(lower, shift, b):
+def _lm_pattern(p: Presentation):
+    """Where the LM step of p can meet a nonzero, derived from p's
+    relators alone; solve builds it once and _levmar reads it.
+
+    Relator k gives rows 4k .. 4k + 3 of J, and they depend only on the
+    generators in it, so in the three columns of any other generator
+    they are exact zeros: _residual_and_jacobian never adds to them.
+    Returns (rows, gram, starts):
+
+    - rows[a], the rows of J where column a can be nonzero.
+    - gram[i][j] for j <= i, the summation indices that vectors i and j
+      of the factored matrix share.  That matrix is J^T J, over the
+      columns of J grouped three to a generator, when there are at least
+      as many relator entries as parameters (m >= n), else J J^T, over
+      the rows grouped four to a relator.  The vectors of one group
+      share one list, and two groups share one index tuple.
+    - starts[i], where row i of that matrix's envelope begins: at the
+      first group that shares an index with i's group, or at i's own
+      group.  Cholesky fill stays inside the envelope: left of it, row
+      i of the matrix is 0.0, so by induction along the row each entry
+      of the factor is (0.0 - a sum of +-0.0) / pivot = +0.0.
+    """
+    gens = [{abs(letter) - 1 for letter in w} for w in p.relators]
+    n_gens = len(p.generators)
+    rows_of = [tuple(4 * k + e for k, g_k in enumerate(gens) if g in g_k
+                     for e in range(4)) for g in range(n_gens)]
+    if 4 * len(gens) >= 3 * n_gens:
+        size, support = 3, [set(r) for r in rows_of]
+    else:
+        size, support = 4, [{3 * g + e for g in g_k for e in range(3)}
+                            for g_k in gens]
+    gram, starts = [], []
+    for b, s_b in enumerate(support):
+        shared = [tuple(sorted(s_b & s_c)) for s_c in support[:b + 1]]
+        first = next(c for c, idx in enumerate(shared) if idx or c == b)
+        row = [idx for idx in shared for _ in range(size)]
+        gram += [row] * size
+        starts += [size * first] * size
+    return [r for r in rows_of for _ in range(3)], gram, starts
+
+
+def _damped_solve(lower, shift, b, starts):
     """Solve (A + diag(shift)) x = b by Cholesky, where lower is the lower
-    triangle of the symmetric A (row i holds A[i][:i + 1]).
+    triangle of the symmetric A (row i holds A[i][:i + 1]) and starts[i]
+    is where row i's envelope begins (_lm_pattern).
 
     _step passes lam A_ii + 1e-14 as shift[i] for J^T J and mu + 1e-14
     for every row of J J^T.  A pivot that is not positive, NaN included,
-    raises ZeroDivisionError.
+    raises ZeroDivisionError.  The factor is +0.0 left of each row's
+    envelope, so a dot product of two rows starts at the later of their
+    starts.  The back substitution runs over whole rows: it subtracts
+    from y rather than summing from +0.0, and y - (-0.0) turns a -0.0
+    into +0.0, so a skipped term there could flip the sign of a zero.
     """
     low, y = [], []
-    for i, (row, si, bi) in enumerate(zip(lower, shift, b)):
-        li = []
-        for j in range(i):
-            li.append((row[j] - _sum(map(mul, li, low[j]))) / low[j][j])
-        d = row[i] + si - _sum(map(mul, li, li))
+    for i, (row, si, bi, lo) in enumerate(zip(lower, shift, b, starts)):
+        li = [0.0] * lo
+        for j in range(lo, i):
+            lj = low[j]
+            k0 = starts[j]
+            if k0 < lo:
+                k0 = lo
+            s = 0.0
+            for k in range(k0, j):
+                s += li[k] * lj[k]
+            li.append((row[j] - s) / lj[j])
+        s = 0.0
+        for k in range(lo, i):
+            s += li[k] * li[k]
+        d = row[i] + si - s
         if not d > 0:
             raise ZeroDivisionError("damped system is not positive definite")
         li.append(math.sqrt(d))
         low.append(li)
-        y.append((bi - _sum(map(mul, li, y))) / li[-1])   # L y = b
+        s = 0.0                                           # L y = b
+        for k in range(lo, i):
+            s += li[k] * y[k]
+        y.append((bi - s) / li[i])
     for i in reversed(range(len(y))):                     # L^T x = y
         y[i] /= low[i][i]
         y[:i] = [yk - lik * y[i] for yk, lik in zip(y[:i], low[i])]
     return y
 
 
-def _lower_gram(vectors):
+def _lower_gram(vectors, gram):
     """Lower triangle of the Gram matrix of vectors: row i holds the dot
-    products of vectors[i] with vectors[:i + 1]."""
-    return [[_sum(map(mul, u, v)) for v in vectors[:i + 1]]
-            for i, u in enumerate(vectors)]
+    products of vectors[i] with vectors[:i + 1], each summed over the
+    indices gram[i][j] that the two share."""
+    lower = []
+    for i, u in enumerate(vectors):
+        row = []
+        for v, idx in zip(vectors[:i + 1], gram[i]):
+            s = 0.0
+            for k in idx:
+                s += u[k] * v[k]
+            row.append(s)
+        lower.append(row)
+    return lower
 
 
-def _normal_system(jac, r, neg_grad):
+def _normal_system(jac, r, neg_grad, pattern):
     """The lower triangle and right side that _step factors at one point.
 
     jac holds the n columns of J, each of length m.  For m >= n this is
     J^T J with -J^T r; for m < n it is the smaller J J^T with -r.
     """
+    gram = pattern[1]
     if len(r) < len(jac):
-        return _lower_gram(list(zip(*jac))), [-v for v in r]
-    return _lower_gram(jac), neg_grad
+        return _lower_gram(list(zip(*jac)), gram), [-v for v in r]
+    return _lower_gram(jac, gram), neg_grad
 
 
-def _step(jac, lower, rhs, lam):
+def _step(jac, lower, rhs, lam, pattern):
     """The LM step for damping lam from a _normal_system of jac.
 
     On J^T J the damping is lam diag(J^T J) + 1e-14 I.  On J J^T it is
@@ -186,21 +260,28 @@ def _step(jac, lower, rhs, lam):
     J^T (J J^T + mu' I)^-1 = (J^T J + mu' I)^-1 J^T, that is the step of
     J^T J damped by mu' I.  Raises ZeroDivisionError as _damped_solve.
     """
+    rows, _, starts = pattern
     n = len(jac)
     if len(lower) == n:
         return _damped_solve(lower, [lam * row[-1] + 1e-14 for row in lower],
-                             rhs)
+                             rhs, starts)
     mu = lam * _sum(row[-1] for row in lower) / n
-    z = _damped_solve(lower, [mu + 1e-14] * len(lower), rhs)
-    return [_sum(map(mul, col, z)) for col in jac]
+    z = _damped_solve(lower, [mu + 1e-14] * len(lower), rhs, starts)
+    step = []
+    for col, idx in zip(jac, rows):
+        s = 0.0
+        for k in idx:
+            s += col[k] * z[k]
+        step.append(s)
+    return step
 
 
-def _levmar(p: Presentation, x0):
+def _levmar(p: Presentation, x0, pattern):
     """Minimize the squared relator residual of p by Levenberg-Marquardt.
 
     Every point, the start and each trial, is evaluated once by
-    _residual_and_jacobian, which gives the residual with its exact
-    Jacobian; an accepted trial keeps both for the next step.  Each step
+    _residual_and_jacobian, which gives the residual, and the exact
+    Jacobian of a trial only once the trial is accepted.  Each step
     is a Cholesky solve (_damped_solve) in the smaller of the parameter
     space (n = 3 per generator) and the residual space (m = 4 per
     relator), chosen by the shape of p alone.  For m >= n the matrix is
@@ -212,32 +293,47 @@ def _levmar(p: Presentation, x0):
     diagonal scaling D would need D^-1, which does not exist where a
     column of J vanishes; and on the genus-two surface group isotropic
     damping converges on 40 of 40 seeded restarts against 38.
+
+    pattern is _lm_pattern(p).  J^T r, the normal matrix, its Cholesky
+    factor and J^T z sum only the products that p's relators can make
+    nonzero, each left to right from +0.0.  Every product left out is
+    0.0 times a finite entry, so the steps equal, bit for bit, those of
+    the dense sums of the whole of J wherever J and r are finite.  On
+    surface1 x S^1, J^T J takes 252 of the 540 products of the dense
+    sums; on a free product of two genus-one groups, J J^T is block
+    diagonal (120 of 432) and so is its factor.
     """
     x = list(x0)
-    r, jac = _residual_and_jacobian(p, x)
+    r, jacobian = _residual_and_jacobian(p, x)
+    jac = jacobian()
     cost = _sum(v * v for v in r)
     lam = 1e-3
     for _ in range(LM_MAX_ITER):
         if cost < LM_COST_TARGET:
             break
-        neg_grad = [-_sum(map(mul, col, r)) for col in jac]
+        neg_grad = []
+        for col, idx in zip(jac, pattern[0]):
+            s = 0.0
+            for k in idx:
+                s += col[k] * r[k]
+            neg_grad.append(-s)
         if max(map(abs, neg_grad), default=0.0) < 1e-17:
             break
-        lower, rhs = _normal_system(jac, r, neg_grad)
+        lower, rhs = _normal_system(jac, r, neg_grad, pattern)
         for _ in range(30):
             try:
-                delta = _step(jac, lower, rhs, lam)
+                delta = _step(jac, lower, rhs, lam, pattern)
             except ZeroDivisionError:
                 lam *= 10.0
                 continue
             xn = [xi + di for xi, di in zip(x, delta)]
             try:
-                rn, jn = _residual_and_jacobian(p, xn)
+                rn, jacobian = _residual_and_jacobian(p, xn)
                 cn = _sum(v * v for v in rn)
             except OverflowError:    # a step too long for cosh in sym_exp
                 cn = math.inf
             if cn < cost:
-                x, r, jac, cost = xn, rn, jn, cn
+                x, r, jac, cost = xn, rn, jacobian(), cn
                 lam = max(lam / 3.0, 1e-14)
                 break
             lam *= 4.0
@@ -287,8 +383,10 @@ def _random_params(rng, n_gens):
 
 
 def _residual_and_jacobian(p: Presentation, params):
-    """The relator entries that _levmar drives to zero (_signed_entries)
-    and their exact Jacobian, as a list of columns, one per parameter.
+    """The relator entries that _levmar drives to zero (_signed_entries),
+    and a function of no arguments that returns their exact Jacobian as a
+    list of columns, one per parameter.  _levmar calls it only at the
+    points it accepts.
 
     A relator word N_1 ... N_L with prefix products P_k and suffix
     products S_k has the derivative sum_k P_{k-1} dN_k S_{k+1}.  An
@@ -297,50 +395,53 @@ def _residual_and_jacobian(p: Presentation, params):
     generator's derivative.  The sign of _signed_entries is locally
     constant and drops out.
 
-    The 2x2 products are written out with mat_mul's operand order, and
-    the derivative of the relator with respect to parameter j is summed
-    in acc[4 j:4 j + 4].
+    The 2x2 products are written out with mat_mul's operand order.  With
+    m = 4 len(relators), the derivative of relator k with respect to
+    parameter a is summed in acc[a m + 4 k:a m + 4 k + 4], which stays
+    0.0 unless a's generator is in the relator, and column a is
+    acc[a m:a m + m].
     """
-    n = len(p.generators)
-    mats, dmats = [], []
-    for i in range(n):
-        m, d = _generator_jet(*params[3 * i:3 * i + 3])
-        mats.append(m)
-        dmats.append(d)
-    # letter +-(g + 1): its matrix, its three derivatives, 12 g
-    letter = {}
-    for g, (m, ds) in enumerate(zip(mats, dmats)):
-        letter[g + 1] = (m, ds, 12 * g)
-        letter[-g - 1] = (mat_inv(m), [mat_inv(d) for d in ds], 12 * g)
-    res = []
-    jac = [[] for _ in range(3 * n)]
+    jets = [_generator_jet(*params[i:i + 3]) for i in range(0, len(params), 3)]
+    mats = {}
+    for g, (m, _) in enumerate(jets, 1):
+        mats[g], mats[-g] = m, mat_inv(m)
+    res, prefixes = [], []
     for word in p.relators:
-        steps = [letter[l] for l in word]
-        prefix = list(IDENTITY)       # P_0 ... P_L, four entries each
-        p0, p1, p2, p3 = prefix
-        for (a, b, c, d), _, _ in steps:
+        p0, p1, p2, p3 = IDENTITY
+        prefix = [IDENTITY]           # P_0 ... P_L
+        for letter in word:
+            a, b, c, d = mats[letter]
             p0, p1, p2, p3 = (p0 * a + p1 * c, p0 * b + p1 * d,
                               p2 * a + p3 * c, p2 * b + p3 * d)
-            prefix += (p0, p1, p2, p3)
+            prefix.append((p0, p1, p2, p3))
         res.extend(_signed_entries((p0, p1, p2, p3)))
-        acc = [0.0] * (12 * n)
-        s0, s1, s2, s3 = IDENTITY
-        for k in range(len(steps) - 1, -1, -1):
-            (a, b, c, d), derivs, j = steps[k]
-            p0, p1, p2, p3 = prefix[4 * k:4 * k + 4]
-            for d0, d1, d2, d3 in derivs:
-                q0, q1 = p0 * d0 + p1 * d2, p0 * d1 + p1 * d3
-                q2, q3 = p2 * d0 + p3 * d2, p2 * d1 + p3 * d3
-                acc[j] += q0 * s0 + q1 * s2
-                acc[j + 1] += q0 * s1 + q1 * s3
-                acc[j + 2] += q2 * s0 + q3 * s2
-                acc[j + 3] += q2 * s1 + q3 * s3
-                j += 4
-            s0, s1, s2, s3 = (a * s0 + b * s2, a * s1 + b * s3,
-                              c * s0 + d * s2, c * s1 + d * s3)
-        for j, col in enumerate(jac):
-            col.extend(acc[4 * j:4 * j + 4])
-    return res, jac
+        prefixes.append(prefix)
+
+    def jacobian():
+        m = len(res)
+        derivs = {}
+        for g, (_, ds) in enumerate(jets, 1):
+            derivs[g], derivs[-g] = ds, [mat_inv(d) for d in ds]
+        acc = [0.0] * (3 * len(jets) * m)
+        for k, (word, prefix) in enumerate(zip(p.relators, prefixes)):
+            s0, s1, s2, s3 = IDENTITY
+            for letter, (p0, p1, p2, p3) in zip(reversed(word),
+                                                prefix[-2::-1]):
+                j = 3 * (abs(letter) - 1) * m + 4 * k
+                for d0, d1, d2, d3 in derivs[letter]:
+                    q0, q1 = p0 * d0 + p1 * d2, p0 * d1 + p1 * d3
+                    q2, q3 = p2 * d0 + p3 * d2, p2 * d1 + p3 * d3
+                    acc[j] += q0 * s0 + q1 * s2
+                    acc[j + 1] += q0 * s1 + q1 * s3
+                    acc[j + 2] += q2 * s0 + q3 * s2
+                    acc[j + 3] += q2 * s1 + q3 * s3
+                    j += m
+                a, b, c, d = mats[letter]
+                s0, s1, s2, s3 = (a * s0 + b * s2, a * s1 + b * s3,
+                                  c * s0 + d * s2, c * s1 + d * s3)
+        return [acc[a * m:a * m + m] for a in range(3 * len(jets))]
+
+    return res, jacobian
 
 
 def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
@@ -354,10 +455,12 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
     if _integer(restarts) < 1:
         raise InvalidParameter("restarts must be >= 1")
     _check_tol(tol)
+    seed = _integer(seed)
+    pattern = _lm_pattern(p)
     found = []
     # without relators every start is a solution, so one is enough
     for index in range(restarts if p.relators else 1):
-        params, cost = _restart(p, seed, index)
+        params, cost = _restart(p, seed, index, pattern)
         if not cost < tol:      # a NaN cost is rejected too
             continue
         found.append(RepAssignment(
@@ -388,9 +491,9 @@ def _close(u, v) -> bool:
                for a, b in zip(u, v))
 
 
-def _restart(p: Presentation, seed: int, index: int):
+def _restart(p: Presentation, seed: int, index: int, pattern):
     rng = random.Random(f"{seed}:{index}")
-    return _levmar(p, _random_params(rng, len(p.generators)))
+    return _levmar(p, _random_params(rng, len(p.generators)), pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +645,13 @@ def connected_sum_family(p1: Presentation, rep1: RepAssignment,
 
     The residual is additive: relators split between the factors.
     """
-    matrices = {f"{g}_1": rep1.matrices[g] for g in p1.generators}
     ai = a.inv()
-    for g in p2.generators:
-        matrices[f"{g}_2"] = a @ rep2.matrices[g] @ ai
+    try:
+        matrices = {f"{g}_1": rep1.matrices[g] for g in p1.generators}
+        for g in p2.generators:
+            matrices[f"{g}_2"] = a @ rep2.matrices[g] @ ai
+    except KeyError as exc:
+        raise UnassignedGenerator(str(exc)) from exc
     res = None
     if rep1.residual is not None and rep2.residual is not None:
         res = rep1.residual + rep2.residual

@@ -5,8 +5,9 @@ argv (with "{input}" standing for the input file), the input JSON (null
 when the command reads none), the exit code and the parsed stdout.  The
 cases are `brieskorn` on the 44 pairwise coprime triples from
 {2, 3, 4, 5, 7, 9, 11, 13}, `euler` on fuchsian_genus2() and fixed
-conjugates of it, `solve --restarts 4` on seven groups with seeds 0-5,
-and one exit-1 case for each error code these commands reach.
+conjugates of it, `solve --restarts 4` on seven groups and the three
+edge presentations of presentation_helpers with seeds 0-5, and one
+exit-1 case for each error code these commands reach.
 
 Integers, strings, booleans and null must match exactly.  Floats must
 agree to 1e-9 relative; a difference below 1e-15, the last digit that
@@ -32,6 +33,8 @@ import math
 import tempfile
 from pathlib import Path
 
+from presentation_helpers import EDGE_GROUPS
+
 from blowupgate.cli import run
 from blowupgate.links import BraidWord, from_braid, wirtinger
 from blowupgate.psl2r import fuchsian_genus2, mat_inv, mat_mul, rotation
@@ -51,6 +54,7 @@ SOLVE_GROUPS = [
     wirtinger(from_braid(BraidWord(2, (1, 1, 1)))),
     wirtinger(from_braid(BraidWord(3, (1, -2, 1, -2)))),
     brieskorn_presentation(BrieskornData(2, 3, 7)),
+    *EDGE_GROUPS.values(),
 ]
 
 # conjugators of the Fuchsian representation; None keeps it as it is

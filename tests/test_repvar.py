@@ -11,17 +11,20 @@ import pytest
 
 from census_helpers import jankins_neumann_count
 from circle_helpers import random_psl2, windowed_translation_number
+from presentation_helpers import EDGE_GROUPS
 
 import blowupgate
+from blowupgate.errors import InputError
 from blowupgate.exact import AbelianGroup
 from blowupgate.links import BraidWord, Presentation, from_braid, wirtinger
 from blowupgate.psl2r import (IDENTITY, PSL2, CircleLift, commutator,
                               euler_number, fuchsian_genus2, mat_inv, mat_mul,
                               psl_dist_sq, rotation, sym_exp,
                               relator_shift, translation_number, word_image)
-from blowupgate.repvar import (JET_SERIES_R, BrieskornData, NotCoprime,
+from blowupgate.repvar import (JET_SERIES_R, LM_COST_TARGET, LM_MAX_ITER,
+                               BrieskornData, NotCoprime,
                                RepAssignment, UnassignedGenerator,
-                               _damped_solve, _dedup,
+                               _damped_solve, _dedup, _levmar, _lm_pattern,
                                _normal_system, _random_params,
                                _residual_and_jacobian, _restart,
                                _signed_entries, _sum,
@@ -204,6 +207,14 @@ def test_solve_survives_an_overflowing_step():
     assert all(rep.residual < 1e-10 for rep in sols)
 
 
+def test_solve_reads_seed_as_an_integer():
+    p = surface_presentation(1)
+    assert solve(p, restarts=3, seed=1.0) == solve(p, restarts=3, seed=1)
+    for seed in (True, 1.5, "x", None):
+        with pytest.raises(InputError):
+            solve(p, restarts=3, seed=seed)
+
+
 def test_solve_deterministic_given_seed():
     a = solve(TREFOIL_GROUP, restarts=8, tol=1e-10, seed=7)
     b = solve(TREFOIL_GROUP, restarts=8, tol=1e-10, seed=7)
@@ -262,7 +273,8 @@ def test_jacobian_matches_central_differences(name):
     n = len(p.generators)
     rng = random.Random(f"jacobian:{name}")
     for params in jacobian_points(n, rng):
-        res, jac = _residual_and_jacobian(p, params)
+        res, jacobian = _residual_and_jacobian(p, params)
+        jac = jacobian()
         assert res == residual_vector(p, params)
         oracle = numeric_jacobian(p, params)
         assert len(jac) == 3 * n
@@ -280,7 +292,8 @@ def test_jacobian_matches_central_differences(name):
 ])
 def test_restarts_converge_as_often_as_central_differences(name, converged):
     p = LM_GROUPS[name]
-    hits = sum(_restart(p, 123, i)[1] < 1e-10 for i in range(40))
+    pattern = _lm_pattern(p)
+    hits = sum(_restart(p, 123, i, pattern)[1] < 1e-10 for i in range(40))
     assert hits >= converged
 
 
@@ -299,7 +312,8 @@ def test_damped_solve_residual(rows, cols, scale, lam):
              for ci in jac]
         b = [rng.gauss(0.0, 1.0) for _ in range(cols)]
         shift = [lam * a[i][i] + 1e-14 for i in range(cols)]
-        x = _damped_solve([row[:i + 1] for i, row in enumerate(a)], shift, b)
+        x = _damped_solve([row[:i + 1] for i, row in enumerate(a)], shift, b,
+                          [0] * cols)
         damped = [[a[i][j] + (shift[i] if i == j else 0.0)
                    for j in range(cols)] for i in range(cols)]
         bound = 1e-12 * max(map(abs, x)) * max(
@@ -314,13 +328,14 @@ def test_damped_solve_rejects_nan(i, j):
     jtj[i][j] = math.nan
     with pytest.raises(ZeroDivisionError):
         _damped_solve(jtj, [1e-3 * row[-1] + 1e-14 for row in jtj],
-                      [1.0, 2.0, 3.0])
+                      [1.0, 2.0, 3.0], [0, 0, 0])
 
 
 def test_damped_solve_rejects_nan_shift():
     jtj = [[2.0], [0.5, 3.0], [0.1, 0.2, 4.0]]
     with pytest.raises(ZeroDivisionError):
-        _damped_solve(jtj, [1e-14, math.nan, 1e-14], [1.0, 2.0, 3.0])
+        _damped_solve(jtj, [1e-14, math.nan, 1e-14], [1.0, 2.0, 3.0],
+                      [0, 0, 0])
 
 
 def test_sum_adds_left_to_right():
@@ -338,8 +353,9 @@ def test_sum_adds_left_to_right():
 
 
 def test_numerical_layer_calls_no_builtin_sum():
-    # the builtin sum of floats is compensated from CPython 3.12 on, so a
-    # call of it would make solve and brieskorn print other points there
+    # the builtin sum of floats is compensated from CPython 3.12 on, and
+    # math.sumprod (3.12 on) sums its products in extended precision, so
+    # a call of either would make solve and brieskorn print other points
     for name in ("repvar.py", "psl2r.py"):
         path = Path(blowupgate.__file__).with_name(name)
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -347,7 +363,13 @@ def test_numerical_layer_calls_no_builtin_sum():
                  if isinstance(node, ast.Name)}
         attrs = {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute)}
-        assert not {"sum", "fsum"} & (names | attrs), name
+        assert not {"sum", "fsum", "sumprod"} & (names | attrs), name
+
+
+def dense_pattern(m, n):
+    """The _lm_pattern of an m x n Jacobian with no structural zero."""
+    k, shared = (m, tuple(range(n))) if m < n else (n, tuple(range(m)))
+    return [tuple(range(m))] * n, [[shared] * k] * k, [0] * k
 
 
 def low_rank_jacobian(rng, m, n, rank):
@@ -370,13 +392,14 @@ def test_dual_step_matches_isotropic_primal_step(m, n, rank, lam):
         jac = low_rank_jacobian(rng, m, n, rank)
         r = [rng.gauss(0.0, 1.0) for _ in range(m)]
         neg_grad = [-sum(map(mul, col, r)) for col in jac]
-        lower, rhs = _normal_system(jac, r, neg_grad)
+        pattern = dense_pattern(m, n)
+        lower, rhs = _normal_system(jac, r, neg_grad, pattern)
         assert len(lower) == m
-        step = _step(jac, lower, rhs, lam)
+        step = _step(jac, lower, rhs, lam, pattern)
         mu = lam * sum(v * v for col in jac for v in col) / n
         jtj = [[sum(map(mul, ci, cj)) for cj in jac[:i + 1]]
                for i, ci in enumerate(jac)]
-        ref = _damped_solve(jtj, [mu + 1e-14] * n, neg_grad)
+        ref = _damped_solve(jtj, [mu + 1e-14] * n, neg_grad, [0] * n)
         bound = 1e-10 * max(map(abs, ref))
         assert len(step) == n
         assert all(abs(a - b) <= bound for a, b in zip(step, ref)), (step, ref)
@@ -390,12 +413,187 @@ def test_primal_step_damps_the_diagonal(m, n):
     jac = low_rank_jacobian(rng, m, n, min(m, n))
     r = [rng.gauss(0.0, 1.0) for _ in range(m)]
     neg_grad = [-sum(map(mul, col, r)) for col in jac]
-    lower, rhs = _normal_system(jac, r, neg_grad)
+    pattern = dense_pattern(m, n)
+    lower, rhs = _normal_system(jac, r, neg_grad, pattern)
     assert rhs is neg_grad
     assert lower == [[_sum(map(mul, ci, cj)) for cj in jac[:i + 1]]
                      for i, ci in enumerate(jac)]
     shift = [0.5 * row[i] + 1e-14 for i, row in enumerate(lower)]
-    assert _step(jac, lower, rhs, 0.5) == _damped_solve(lower, shift, rhs)
+    assert (_step(jac, lower, rhs, 0.5, pattern)
+            == _damped_solve(lower, shift, rhs, [0] * n))
+
+
+# ---------------------------------------------------------------------------
+# the structured LM step against the dense one
+
+# b and c share no relator, so J^T J is 0.0 between them; both share one
+# with a, which comes first, so the Cholesky factor fills in there
+FILL_GROUP = Presentation(("a", "b", "c"),
+                          ((1, 2, -1, -2), (1, 3, -1, -3), (1, 1, 1)))
+ORACLE_GROUPS = {**LM_GROUPS, **EDGE_GROUPS, "fill": FILL_GROUP}
+
+
+def dense_lower_gram(vectors):
+    return [[_sum(map(mul, u, v)) for v in vectors[:i + 1]]
+            for i, u in enumerate(vectors)]
+
+
+def dense_damped_solve(lower, shift, b):
+    low, y = [], []
+    for i, (row, si, bi) in enumerate(zip(lower, shift, b)):
+        li = []
+        for j in range(i):
+            li.append((row[j] - _sum(map(mul, li, low[j]))) / low[j][j])
+        d = row[i] + si - _sum(map(mul, li, li))
+        if not d > 0:
+            raise ZeroDivisionError("damped system is not positive definite")
+        li.append(math.sqrt(d))
+        low.append(li)
+        y.append((bi - _sum(map(mul, li, y))) / li[-1])
+    for i in reversed(range(len(y))):
+        y[i] /= low[i][i]
+        y[:i] = [yk - lik * y[i] for yk, lik in zip(y[:i], low[i])]
+    return y
+
+
+def dense_normal_system(jac, r, neg_grad):
+    if len(r) < len(jac):
+        return dense_lower_gram(list(zip(*jac))), [-v for v in r]
+    return dense_lower_gram(jac), neg_grad
+
+
+def dense_step(jac, lower, rhs, lam):
+    n = len(jac)
+    if len(lower) == n:
+        return dense_damped_solve(
+            lower, [lam * row[-1] + 1e-14 for row in lower], rhs)
+    mu = lam * _sum(row[-1] for row in lower) / n
+    z = dense_damped_solve(lower, [mu + 1e-14] * len(lower), rhs)
+    return [_sum(map(mul, col, z)) for col in jac]
+
+
+def dense_levmar(p, x0):
+    """_levmar with every sum over the whole of J and the Jacobian taken
+    at every trial: the oracle that the structured search must equal."""
+    x = list(x0)
+    r, jacobian = _residual_and_jacobian(p, x)
+    jac = jacobian()
+    cost = _sum(v * v for v in r)
+    lam = 1e-3
+    for _ in range(LM_MAX_ITER):
+        if cost < LM_COST_TARGET:
+            break
+        neg_grad = [-_sum(map(mul, col, r)) for col in jac]
+        if max(map(abs, neg_grad), default=0.0) < 1e-17:
+            break
+        lower, rhs = dense_normal_system(jac, r, neg_grad)
+        for _ in range(30):
+            try:
+                delta = dense_step(jac, lower, rhs, lam)
+            except ZeroDivisionError:
+                lam *= 10.0
+                continue
+            xn = [xi + di for xi, di in zip(x, delta)]
+            try:
+                rn, jacobian = _residual_and_jacobian(p, xn)
+                jn = jacobian()
+                cn = _sum(v * v for v in rn)
+            except OverflowError:
+                cn = math.inf
+            if cn < cost:
+                x, r, jac, cost = xn, rn, jn, cn
+                lam = max(lam / 3.0, 1e-14)
+                break
+            lam *= 4.0
+        else:
+            break
+    return x, cost
+
+
+def outcome(f, *args):
+    """repr of f(*args), which tells -0.0 from 0.0, or the error raised."""
+    try:
+        return repr(f(*args))
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+
+
+def normal_systems(p, points):
+    """(jac, lower, rhs) of the structured step at each point."""
+    pattern = _lm_pattern(p)
+    for params in points:
+        r, jacobian = _residual_and_jacobian(p, params)
+        jac = jacobian()
+        neg_grad = [-_sum(map(mul, col, r)) for col in jac]
+        lower, rhs = _normal_system(jac, r, neg_grad, pattern)
+        assert repr((lower, rhs)) == repr(
+            dense_normal_system(jac, r, neg_grad))
+        yield jac, lower, rhs
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_structured_step_equals_dense_step(name):
+    p = ORACLE_GROUPS[name]
+    pattern = _lm_pattern(p)
+    rng = random.Random(f"oracle:{name}")
+    points = jacobian_points(len(p.generators), rng)
+    for jac, lower, rhs in normal_systems(p, points):
+        for lam in (1e-3, 1.0, 1e3):
+            shift = [lam * row[-1] + 1e-14 for row in lower]
+            assert (outcome(_damped_solve, lower, shift, rhs, pattern[2])
+                    == outcome(dense_damped_solve, lower, shift, rhs))
+            assert (outcome(_step, jac, lower, rhs, lam, pattern)
+                    == outcome(dense_step, jac, lower, rhs, lam))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_structured_levmar_equals_dense_levmar(name):
+    p = ORACLE_GROUPS[name]
+    pattern = _lm_pattern(p)
+    rng = random.Random(f"levmar:{name}")
+    for x0 in jacobian_points(len(p.generators), rng):
+        assert repr(_levmar(p, x0, pattern)) == repr(dense_levmar(p, x0))
+
+
+@pytest.mark.parametrize("name", sorted({**LM_GROUPS, "fill": FILL_GROUP}))
+def test_envelope_one_entry_short_changes_the_step(name):
+    # mutants of the pattern: each row whose envelope begins left of the
+    # diagonal, begun one entry later, drops an entry of the factor
+    p = ORACLE_GROUPS[name]
+    starts = _lm_pattern(p)[2]
+    rng = random.Random(f"mutant:{name}")
+    points = [_random_params(rng, len(p.generators)) for _ in range(2)]
+    systems = [(lower, [1e-3 * row[-1] + 1e-14 for row in lower], rhs)
+               for _, lower, rhs in normal_systems(p, points)]
+    for i, lo in enumerate(starts):
+        if lo == i:
+            continue
+        short = starts[:i] + [lo + 1] + starts[i + 1:]
+        assert any(outcome(_damped_solve, *system, short)
+                   != outcome(_damped_solve, *system, starts)
+                   for system in systems), (name, i)
+
+
+def test_pattern_skips_what_the_relators_leave_zero():
+    def products(p):
+        _, gram, _ = _lm_pattern(p)
+        return sum(len(idx) for i, row in enumerate(gram)
+                   for idx in row[:i + 1])
+    assert products(LM_GROUPS["surface1xS1"]) == 252       # of 45 x 12
+    assert products(LM_GROUPS["trefoil"]) == 540           # dense
+    assert products(LM_GROUPS["surface1*surface1"]) == 120  # of 36 x 12
+    # J J^T of a free product is block diagonal, and so is its factor
+    assert _lm_pattern(LM_GROUPS["surface1*surface1"])[2] == [0] * 4 + [4] * 4
+    # the free generator's columns are zero, and the envelopes of the
+    # rows after it begin after it
+    rows, _, starts = _lm_pattern(EDGE_GROUPS["unused_generator"])
+    assert rows[:3] == [()] * 3 and starts[3:] == [3] * 9
+    rows, _, starts = _lm_pattern(EDGE_GROUPS["empty_relator"])
+    assert all(min(r) == 4 for r in rows) and starts == [0] * 4 + [4] * 4
+    # J^T J of FILL_GROUP is 0.0 between c and b, but the envelope of c
+    # begins at a, so it holds the fill of the factor there
+    _, gram, starts = _lm_pattern(FILL_GROUP)
+    assert gram[6][3:6] == [()] * 3 and starts[6:] == [0] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +804,15 @@ def test_connected_sum_distinct_parameters_distinct_traces():
     assert math.dist(ka, kb) > 1e-3
     assert residual(fp, fam_a) < 1e-18
     assert residual(fp, fam_b) < 1e-18
+
+
+def test_connected_sum_missing_generator():
+    p = surface_presentation(1)
+    full = RepAssignment({"a1": PSL2.identity(), "b1": PSL2.identity()})
+    partial = RepAssignment({"a1": PSL2.identity()})
+    for reps in ((partial, full), (full, partial)):
+        with pytest.raises(UnassignedGenerator):
+            connected_sum_family(p, reps[0], p, reps[1], PSL2.identity())
 
 
 def test_connected_sum_residual_additive():
