@@ -1,7 +1,9 @@
 """The common base of every error that blowupgate raises on bad input,
 InputError and InvalidParameter, the checks that read an integer or a
 tolerance from outside input, and _Record, the base of the package's
-immutable value types.
+immutable value types.  A value type declares its fields and their
+defaults once, as annotations in its class body, and a record is built
+by position or by keyword; _Record alone stores the fields.
 
 They live in their own module, importing only operator.attrgetter, so
 that any module can use them without depending on another part of the
@@ -68,16 +70,21 @@ def _integers(seq, item=_integer) -> tuple:
 
 
 class _Record:
-    """Base of the immutable value types: instances compare, hash and
-    print by their fields.
+    """Base of the immutable value types: records built by position or by
+    keyword that compare, hash and print by their fields.
 
-    A subclass lists its fields once, as class annotations in order, and
-    its own __init__ stores each with object.__setattr__ (which keeps the
-    instance's values inline, where a write through self.__dict__ would
-    build a dict of about twice the size); assigning or deleting an
-    attribute afterwards raises AttributeError.  Equal means the same
-    class and equal fields, the hash is that of the tuple of fields, and
-    the repr is Name(field=value, ...).
+    A subclass declares its fields once, as class annotations in order,
+    with any default on the field's line: ``residual: float | None =
+    None``.  The constructor binds its arguments to the fields as a
+    function with those parameters would, and raises TypeError where one
+    would.  A subclass that checks its input writes an __init__ that
+    ends in one call to _store; _of builds a record unchecked.  Only
+    _store writes a field, with object.__setattr__, which keeps the
+    values inline where a write through self.__dict__ would build a dict
+    of about twice the size; assigning or deleting an attribute raises
+    AttributeError.  Equal means the same class and equal fields, the
+    hash is that of the tuple of fields, and the repr is
+    Name(field=value, ...).
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -87,10 +94,55 @@ class _Record:
             return
         get = attrgetter(*fields)
         cls._fields = fields
+        cls._defaults = {name: vars(cls)[name] for name in fields
+                         if name in vars(cls)}
         # the tuple of field values; attrgetter of one name returns the
         # value itself
         cls._values = staticmethod(get if len(fields) > 1
                                    else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self._store(*args)
+
+    def _bind(self, args, kwargs) -> list:
+        """The field values, in order, of a call with these arguments."""
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            key = next(iter(kwargs))
+            raise TypeError(f"{name}() got multiple values for {key!r}"
+                            if key in fields else
+                            f"{name}() got an unexpected keyword {key!r}")
+        return values
+
+    def _store(self, *values, **named):
+        """Store values in the first fields, in order, then each named
+        field."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        for name, value in named.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *values, **named):
+        """An instance holding these values, unchecked and stored as by
+        _store, for values the package built itself; fields left out
+        are missing, not defaulted."""
+        self = object.__new__(cls)
+        self._store(*values, **named)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

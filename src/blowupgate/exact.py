@@ -41,21 +41,7 @@ class IntMatrix(_Record):
             entries = _integers(entries)
         if len(entries) != rows * cols:
             raise InputError("entry count does not match dimensions")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @staticmethod
-    def _of(rows: int, cols: int, entries: tuple) -> "IntMatrix":
-        """Wrap entries itself, unchecked: rows and cols must be
-        nonnegative ints and entries a tuple of rows * cols ints.  For
-        matrices the package built from ints; the check in the public
-        constructor costs a type test per entry."""
-        m = object.__new__(IntMatrix)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
-        return m
+        self._store(rows, cols, entries)
 
     @staticmethod
     def from_rows(data) -> "IntMatrix":
@@ -203,8 +189,7 @@ class AbelianGroup(_Record):
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise InputError("divisor chain violated")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
+        self._store(rank, torsion)
 
     @property
     def order(self):

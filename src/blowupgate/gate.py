@@ -54,11 +54,6 @@ class Verdict(_Record):
     reasons: tuple
     invariants: LinkInvariants | None
 
-    def __init__(self, status, reasons, invariants):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "reasons", reasons)
-        object.__setattr__(self, "invariants", invariants)
-
 
 def _label(x):
     if not (isinstance(x, int) and x in (0, 1)):  # bools are ints
@@ -104,8 +99,7 @@ class HomologyElement(_Record):
     torsion: tuple
 
     def __init__(self, free, torsion=()):
-        object.__setattr__(self, "free", _integers(free))
-        object.__setattr__(self, "torsion", _integers(torsion))
+        self._store(_integers(free), _integers(torsion))
 
     @property
     def is_zero(self) -> bool:
@@ -152,9 +146,7 @@ class FlowGraph(_Record):
             labels = _integers(labels, _element)
             if len(labels) != len(edges):
                 raise SizeMismatch("one label per edge required")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "labels", labels)
+        self._store(vertices, edges, labels)
 
 
 def _fraction(x) -> Fraction:
@@ -174,7 +166,7 @@ class Flow(_Record):
     signed: tuple
 
     def __init__(self, signed):
-        object.__setattr__(self, "signed", _integers(signed, _fraction))
+        self._store(_integers(signed, _fraction))
 
     @staticmethod
     def from_weights(weights, orientations) -> "Flow":
@@ -266,15 +258,9 @@ class RealizableK(_Record):
     """
 
     finite: bool
-    values: tuple
-    residues: tuple
-    modulus: int
-
-    def __init__(self, finite, values=(), residues=(), modulus=0):
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "modulus", modulus)
+    values: tuple = ()
+    residues: tuple = ()
+    modulus: int = 0
 
 
 def realizable_k(c: HomologyElement, admissible, h: AbelianGroup) -> RealizableK:

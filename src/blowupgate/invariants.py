@@ -9,8 +9,6 @@ to units +-t^k.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import BlowupgateError, _Record
 from .exact import AbelianGroup, IntMatrix, LaurentPoly, cokernel, laurent_det
 from .links import LinkDiagram, Presentation, from_braid
@@ -25,21 +23,11 @@ class NotWirtinger(BlowupgateError, ValueError):
 class LinkInvariants(_Record):
     components: int
     alexander: LaurentPoly        # unit-normalized
-    det_signed: Fraction          # value of the normalized polynomial at -1
+    det_signed: int               # value of the normalized polynomial at -1
     det: int                      # |alexander(-1)|
     h1_branched: AbelianGroup
     b1_positive: bool
     h1_method: str                # "seifert" or "fox"
-
-    def __init__(self, components, alexander, det_signed, det, h1_branched,
-                 b1_positive, h1_method):
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "alexander", alexander)
-        object.__setattr__(self, "det_signed", det_signed)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "h1_branched", h1_branched)
-        object.__setattr__(self, "b1_positive", b1_positive)
-        object.__setattr__(self, "h1_method", h1_method)
 
 
 def alexander_seifert(v: IntMatrix) -> LaurentPoly:
@@ -127,14 +115,15 @@ def alexander_fox(p: Presentation) -> LaurentPoly:
     return laurent_det(reduced).unit_normalize()
 
 
-def determinant_at_minus_one(a: LaurentPoly):
-    """(signed value, absolute integer value) of the polynomial at -1.
+def determinant_at_minus_one(a: LaurentPoly) -> tuple:
+    """(signed value, absolute value) of the polynomial at -1, both ints:
+    the sum of the coefficients, each negated at an odd exponent.
 
     Unit normalization multiplies the value at -1 by +-1, so the
     absolute value of the one evaluation is the integer invariant.
     """
-    signed = a.eval_at(-1)
-    return signed, abs(int(signed))
+    signed = sum(-k if e & 1 else k for e, k in a.items())
+    return signed, abs(signed)
 
 
 def branched_cover_h1(v: IntMatrix) -> AbelianGroup:

@@ -47,8 +47,7 @@ class BraidWord(_Record):
         for w in word:
             if w == 0 or abs(w) > strands - 1:
                 raise InvalidLetter(f"letter {w} invalid for {strands} strands")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "word", word)
+        self._store(strands, word)
 
     def permutation(self) -> tuple:
         """perm[s] = closure successor of the strand starting at position s."""
@@ -88,10 +87,6 @@ class Crossing(_Record):
     arcs: tuple  # (a, b, c, d), counterclockwise from the incoming under-arc
     sign: int    # +1 right-handed, -1 left-handed
 
-    def __init__(self, arcs, sign):
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "sign", sign)
-
 
 class LinkDiagram(_Record):
     """A link diagram; braid is the word it is the closure of, or None.
@@ -107,12 +102,7 @@ class LinkDiagram(_Record):
 
     crossings: tuple
     components: tuple  # tuples of arc labels in traversal order, sorted by min arc
-    braid: BraidWord | None
-
-    def __init__(self, crossings, components, braid=None):
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "braid", braid)
+    braid: BraidWord | None = None
 
     def __getattr__(self, name):
         # runs only for an attribute the instance lacks: the code of a
@@ -121,9 +111,7 @@ class LinkDiagram(_Record):
                 or "braid" not in vars(self)):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        crossings, components = _braid_pd(self.braid)
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "components", components)
+        self._store(*_braid_pd(self.braid))
         return vars(self)[name]
 
     @property
@@ -149,6 +137,8 @@ class LinkDiagram(_Record):
         return frozenset(a for a in self.arcs if a not in used)
 
     def to_pd(self) -> list:
+        """The PD code of the crossings.  A PD code cannot hold a
+        component without crossings: parse_pd(d.to_pd()) drops each one."""
         return [list(c.arcs) for c in self.crossings]
 
 
@@ -177,9 +167,10 @@ class Presentation(_Record):
                     raise InputError(f"relator letter {letter} out of range")
         if meridian_markers is not None:
             meridian_markers = _integers(meridian_markers)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
-        object.__setattr__(self, "meridian_markers", meridian_markers)
+            for m in meridian_markers:
+                if not 1 <= m <= n:
+                    raise InputError(f"meridian marker {m} out of range")
+        self._store(generators, relators, meridian_markers)
 
     def exponent_matrix(self) -> IntMatrix:
         rows = []
@@ -352,9 +343,7 @@ def from_braid(b: BraidWord) -> LinkDiagram:
     """
     if not isinstance(b, BraidWord):
         raise InputError(f"{b!r} is not a BraidWord")
-    d = object.__new__(LinkDiagram)
-    object.__setattr__(d, "braid", b)
-    return d
+    return LinkDiagram._of(braid=b)
 
 
 def _braid_pd(b: BraidWord) -> tuple:

@@ -121,7 +121,7 @@ class PSL2(_Record):
             raise InputError(f"{m!r} is not four real entries") from None
         except ValueError as exc:   # determinant not positive and finite
             raise InputError(str(exc)) from None
-        object.__setattr__(self, "_t", _positive(t))
+        self._store(_positive(t))
 
     @staticmethod
     def from_matrix(rows) -> "PSL2":
@@ -146,9 +146,7 @@ class PSL2(_Record):
         return PSL2(mat_mul(self._t, other._t))
 
     def inv(self) -> "PSL2":
-        g = object.__new__(PSL2)
-        object.__setattr__(g, "_t", _positive(mat_inv(self._t)))
-        return g
+        return PSL2._of(_positive(mat_inv(self._t)))
 
     def is_identity(self, tol: float = 1e-9) -> bool:
         return psl_dist_sq(self._t, IDENTITY) < tol * tol

@@ -69,11 +69,7 @@ class RepAssignment(_Record):
     """Matrices (mod sign) for every generator of a presentation."""
 
     matrices: dict
-    residual: float | None
-
-    def __init__(self, matrices, residual=None):
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "residual", residual)
+    residual: float | None = None
 
     def __getitem__(self, name: str) -> PSL2:
         return self.matrices[name]
@@ -687,10 +683,7 @@ class BrieskornData(_Record):
         b2 = pow(p * r, -1, q)
         # exact: the numerator vanishes mod p and mod q
         b3 = (1 - b1 * q * r - b2 * p * r) // (p * q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "cone", ((p, b1), (q, b2), (r, b3)))
+        self._store(p, q, r, ((p, b1), (q, b2), (r, b3)))
 
     @property
     def exponents(self) -> tuple:
@@ -714,12 +707,6 @@ class BrieskornClass(_Record):
     assignment: RepAssignment
     traces: tuple
     irreducible: bool
-
-    def __init__(self, angles, assignment, traces, irreducible):
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "traces", traces)
-        object.__setattr__(self, "irreducible", irreducible)
 
     @property
     def residual(self) -> float:

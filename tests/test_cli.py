@@ -632,7 +632,8 @@ def test_library_input_checks_raise_blowupgate_errors():
 
 def _library_checks():
     """Library calls on bad input, each with its id.  Each of them once
-    raised a builtin error, or ran on a bool."""
+    raised a builtin error, ran on a bool, or built a record that later
+    calls misread."""
     from blowupgate import (PSL2, BraidWord, BrieskornData, CircleLift, Flow,
                             FlowGraph, IntMatrix, LaurentPoly, Presentation,
                             euler_number, from_braid, fuchsian_genus2, gate,
@@ -641,6 +642,7 @@ def _library_checks():
                             surface_times_circle_presentation)
     from blowupgate.psl2r import relator_shift
     circle = Presentation(("x",), ((1,),))
+    torus = ((1, 2, -1, -2),)
     hopf = from_braid(BraidWord(2, (1, 1)))
     return {
         "edge-to-missing-vertex": lambda: FlowGraph(1, ((0, 5),)),
@@ -683,6 +685,11 @@ def _library_checks():
         "letter-out-of-range": lambda: Presentation(("a",), ((2,),)),
         "generators-not-an-array": lambda: Presentation(5, ()),
         "generator-not-a-name": lambda: Presentation((5,), ()),
+        # a meridian marker is a 1-based generator index
+        "marker-zero": lambda: Presentation(("a", "b"), torus, (0,)),
+        "marker-past-the-generators":
+            lambda: Presentation(("a", "b"), torus, (1, 7)),
+        "marker-negative": lambda: Presentation(("a", "b"), torus, (-3,)),
         "zero-matrix-2.5": lambda: IntMatrix.zero(2.5, 1),
         "zero-flow-2.5": lambda: Flow.zero(2.5),
         "flow-labels-not-an-array": lambda: FlowGraph(2, ((0, 1),), 5),

@@ -214,6 +214,27 @@ def test_invariants_consistency_fields(corpus):
         assert abs(int(normalized.eval_at(-1))) == inv.det
 
 
+def test_det_signed_is_an_int_on_the_corpus(corpus):
+    for name, braid in corpus:
+        for d in (from_braid(braid), parse_pd(from_braid(braid).to_pd())):
+            inv = link_invariants(d)
+            assert type(inv.det_signed) is int, name
+            assert inv.det_signed == inv.alexander.eval_at(-1), name
+            assert abs(inv.det_signed) == inv.det, name
+
+
+def test_pd_code_drops_crossingless_components():
+    # the third strand of this closure meets no crossing: a split unknot,
+    # which a PD code cannot state
+    d = from_braid(BraidWord(3, (1, 1, 1)))
+    inv = link_invariants(d)
+    assert inv.components == 2
+    assert inv.h1_branched == AbelianGroup(rank=1, torsion=(3,))
+    parsed = link_invariants(parse_pd(d.to_pd()))
+    assert parsed.components == 1
+    assert parsed.h1_branched == AbelianGroup(rank=0, torsion=(3,))
+
+
 def test_torus_two_strand_covers_are_lens_spaces():
     # the double cover branched over the closure of sigma_1^n is L(n, 1)
     for n in range(2, 8):

@@ -190,3 +190,22 @@ def test_copies_of_a_closure_stay_unassembled():
         assert set(vars(c)) == set(vars(d)) == {"braid", "crossings",
                                                 "components"}
         assert c.crossings == d.crossings and c.components == d.components
+
+
+# calls that bind no argument list: each names the values of RECORDS
+BAD_CALLS = {
+    "too-many-positional": lambda cls, names, values: cls(*values, None),
+    "unknown-keyword": lambda cls, names, values: cls(*values, unknown=None),
+    "position-and-keyword":
+        lambda cls, names, values: cls(*values, **{names[0]: values[0]}),
+    "missing-first-field":
+        lambda cls, names, values: cls(**dict(zip(names[1:], values[1:]))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_CALLS))
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_bad_argument_lists_raise_type_error(cls, call):
+    names, values, _ = RECORDS[cls]
+    with pytest.raises(TypeError):
+        BAD_CALLS[call](cls, names, values)

@@ -1,6 +1,7 @@
 """The library imports nothing outside the standard library, and
 importing the CLI stays cheap: no module imports dataclasses, which
-pulls in inspect, dis and ast and compiles its methods at import."""
+pulls in inspect, dis and ast and compiles its methods at import.  Only
+errors._Record stores the fields of a value type."""
 
 import ast
 import subprocess
@@ -42,3 +43,16 @@ def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_only_the_record_base_stores_fields():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    stores = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "object"):
+                stores.append(path.name)
+    assert stores and set(stores) == {"errors.py"}, stores
