@@ -16,11 +16,11 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from math import prod
+from operator import itemgetter
 
 from blowupgate.errors import (BlowupgateError, InputError, _check_tol,
-                               _integer)
+                               _integer, _integers)
 from blowupgate.exact import AbelianGroup
 from blowupgate.gate import gate as evaluate_gate
 from blowupgate.gate import (Flow, FlowGraph, HomologyElement, homology_class,
@@ -34,18 +34,22 @@ from blowupgate.repvar import (BrieskornData, brieskorn_enumerate, is_abelian,
                                trace_coordinates)
 
 SCHEMA = "1"
-# Limits on counts in the input, checked before anything of that size is
-# built: a split braid closure on n strands has a dense (n - 1)^2 Seifert
-# matrix (about 0.26 s for the whole process at 1000 strands on a shared
-# 2-vCPU host), a link with c crossings (braid letters or PD crossings) has
-# a Seifert or Fox matrix of about c rows (a 3-strand alternating word of
-# 100 letters takes about 22 s by the Seifert route and 3.3 s by the Fox
-# route for the whole process on that host, and the cost grows faster
-# than c^5), mw-admissible lists all prod(4 g_j - 3) vectors, and
-# brieskorn tries all (p - 1)(q - 1)(r - 1) angle triples at about 34 us
-# each.
+# Limits on counts in the input, checked by _limit before anything of
+# that size is built: a split braid closure on n strands has a dense
+# (n - 1)^2 Seifert matrix (about 0.26 s for the whole process at 1000
+# strands on a shared 2-vCPU host), a link with c crossings (braid letters
+# or PD crossings) has a Seifert or Fox matrix of about c rows (a 3-strand
+# alternating word of 100 letters takes about 22 s by the Seifert route
+# and 3.3 s by the Fox route for the whole process on that host, and the
+# cost grows faster than c^5), solve prints C(n, 3) trace coordinates per
+# class of an n-generator group (at 64 generators and 20 restarts, a free
+# group takes about 3.8 s, prints 23 MB and peaks at 132 MB, and a chain
+# of 63 commutators takes about 14 s on that host), mw-admissible lists
+# all prod(4 g_j - 3) vectors, and brieskorn tries all
+# (p - 1)(q - 1)(r - 1) angle triples at about 34 us each.
 MAX_STRANDS = 1000
 MAX_CROSSINGS = 100
+MAX_GENERATORS = 64
 MAX_MW_VECTORS = 10 ** 6
 MAX_CENSUS_TRIPLES = 10 ** 6
 
@@ -54,14 +58,32 @@ class NonFiniteResult(BlowupgateError, ValueError):
     """A result holds a NaN or infinite number, which JSON cannot carry."""
 
 
-def _load_json(path: str):
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object in the file at path, a file of kind what."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    # besides a JSONDecodeError: a byte that is not UTF-8, an integer of
+    # more digits than int() takes, or arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{what} JSON must be an object")
+    return data
+
+
+def _limit(count: int, limit: int, what: str):
+    """Refuse more than limit of what.  The message leaves count out: a
+    product of counts can have more digits than str() of an int takes."""
+    if count > limit:
+        raise InputError(f"more than {limit} {what}")
+
+
+def _fields(text: str) -> list:
+    """The nonblank fields of a comma-separated option value, stripped."""
+    return [f.strip() for f in text.split(",") if f.strip()]
 
 
 @contextmanager
@@ -77,9 +99,7 @@ def _input_errors(what: str):
         raise InputError(f"{what}: {exc}") from exc
 
 
-def _diagram_from_json(data) -> LinkDiagram:
-    if not isinstance(data, dict):
-        raise InputError("link JSON must be an object")
+def _diagram_from_json(data: dict) -> LinkDiagram:
     if "pd" in data and "braid" in data:
         raise InputError('link JSON has both a "pd" and a "braid" field')
     if "pd" in data:
@@ -90,17 +110,13 @@ def _diagram_from_json(data) -> LinkDiagram:
         braid = data["braid"]
         with _input_errors("malformed braid object"):
             strands = _integer(braid["strands"])
-            if strands > MAX_STRANDS:
-                raise InputError(f"{strands} strands exceed the limit of "
-                                 f"{MAX_STRANDS}")
+            _limit(strands, MAX_STRANDS, "strands")
             word = BraidWord(strands, braid.get("word", ()))
         # len(d.crossings) would assemble the PD code of the braid
         d, crossings = from_braid(word), len(word.word)
     else:
         raise InputError('link JSON needs a "pd" or "braid" field')
-    if crossings > MAX_CROSSINGS:
-        raise InputError(f"{crossings} crossings exceed the limit of "
-                         f"{MAX_CROSSINGS}")
+    _limit(crossings, MAX_CROSSINGS, "crossings")
     return d
 
 
@@ -120,9 +136,10 @@ def _invariants_json(inv) -> dict:
 
 
 def _emit(obj, out, fmt: str):
-    """Write obj as one JSON line or as text lines.  The whole rendering
-    is built first, so a non-finite number writes nothing and raises
-    NonFiniteResult."""
+    """Write obj, with the schema version added, as one JSON line or as
+    text lines.  The whole rendering is built first, so a non-finite
+    number writes nothing and raises NonFiniteResult."""
+    obj = {"schema": SCHEMA, **obj}
     try:
         if fmt == "json":
             text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
@@ -149,9 +166,9 @@ def _text_lines(obj, prefix: str):
 
 
 def _cmd_invariants(args):
-    d = _diagram_from_json(_load_json(args.link))
+    d = _diagram_from_json(_load_json(args.link, "link"))
     inv = link_invariants(d)
-    return {"schema": SCHEMA, "components": inv.components,
+    return {"components": inv.components,
             "b1_positive": inv.b1_positive, **_invariants_json(inv)}
 
 
@@ -166,23 +183,19 @@ def _monodromy_label(x) -> bool:
 
 
 def _cmd_gate(args):
-    data = _load_json(args.link)
+    data = _load_json(args.link, "link")
     d = _diagram_from_json(data)
     if args.monodromy is not None:
-        labels = [f.strip() for f in args.monodromy.split(",")
-                  if f.strip() != ""]
+        labels = _fields(args.monodromy)
     elif "monodromy" in data:
         labels = data["monodromy"]
-        if not isinstance(labels, list):
-            raise InputError('"monodromy" must be an array')
     else:
         labels = [True] * d.component_count
-    labels = [_monodromy_label(x) for x in labels]
+    labels = _integers(labels, _monodromy_label)
     verdict = evaluate_gate(d, labels)
     cert = _invariants_json(verdict.invariants)
     cert["alexander_z1"] = cert.pop("alexander")
-    return {"schema": SCHEMA, "status": verdict.status,
-            "reasons": list(verdict.reasons),
+    return {"status": verdict.status, "reasons": list(verdict.reasons),
             # gate refuses labels that do not match the component count
             "certificates": dict(cert, z_components=len(labels),
                                  z1_components=sum(labels))}
@@ -195,20 +208,16 @@ def _element_from_json(obj) -> HomologyElement:
 
 
 def _cmd_flow(args):
-    data = _load_json(args.graph)
-    if not isinstance(data, dict):
-        raise InputError("flow graph JSON must be an object")
+    data = _load_json(args.graph, "flow graph")
     with _input_errors("malformed flow graph JSON"):
-        for key in ("edges", "weights", "admissible"):
-            if not isinstance(data.get(key, []), list):
-                raise InputError(f'"{key}" must be an array')
-        edges = tuple((e["from"], e["to"]) for e in data["edges"])
+        edges = _integers(data["edges"], itemgetter("from", "to"))
         labels = tuple(_element_from_json(e["label"])
                        for e in data["edges"] if "label" in e) or None
         if labels and len(labels) != len(edges):
             raise InputError("either every edge has a label or none has")
         graph = FlowGraph(data["vertices"], edges, labels)
-        weights = [Fraction(str(w)) for w in data["weights"]]
+        # read as decimal strings, so that 0.1 is 1/10
+        weights = _integers(data["weights"], str)
         flow = Flow.from_weights(weights, data["orientations"])
         model = None
         if "model" in data:
@@ -216,8 +225,7 @@ def _cmd_flow(args):
                                  data["model"].get("torsion", ()))
         elif labels is not None:
             model = AbelianGroup(len(labels[0].free))
-    out = {"schema": SCHEMA, "is_flow": is_flow(graph, flow),
-           "class": None, "realizable_k": None}
+    out = {"is_flow": is_flow(graph, flow), "class": None, "realizable_k": None}
     # a chain that is not a cycle has no homology class; labels come with
     # a model, given or of their rank
     if out["is_flow"] and labels is not None and flow.is_integral:
@@ -225,8 +233,8 @@ def _cmd_flow(args):
         out["class"] = {"free": list(cls.free), "torsion": list(cls.torsion)}
         if "admissible" in data:
             with _input_errors("malformed flow graph JSON"):
-                admissible = [_element_from_json(a)
-                              for a in data["admissible"]]
+                admissible = _integers(data["admissible"],
+                                       _element_from_json)
             rk = realizable_k(cls, admissible, model)
             if rk.finite:
                 out["realizable_k"] = {"finite": True, "values": list(rk.values)}
@@ -257,33 +265,33 @@ def _class_json(rep, traces, **flags) -> dict:
 
 
 def _cmd_solve(args):
-    pres = _presentation_from_json(_load_json(args.presentation))
+    pres = _presentation_from_json(_load_json(args.presentation,
+                                              "presentation"))
+    _limit(len(pres.generators), MAX_GENERATORS, "generators")
     sols = solve(pres, restarts=args.restarts, tol=args.tol, seed=args.seed)
     out = [_class_json(rep, trace_coordinates(pres, rep),
                        irreducible=is_irreducible(rep),
                        abelian=is_abelian(rep),
                        metabelian=is_metabelian(rep)) for rep in sols]
-    return {"schema": SCHEMA, "count": len(out), "solutions": out}
+    return {"count": len(out), "solutions": out}
 
 
 def _cmd_brieskorn(args):
     data = BrieskornData(args.p, args.q, args.r)
-    if (args.p - 1) * (args.q - 1) * (args.r - 1) > MAX_CENSUS_TRIPLES:
-        raise InputError(f"more than {MAX_CENSUS_TRIPLES} angle triples")
+    _limit((args.p - 1) * (args.q - 1) * (args.r - 1), MAX_CENSUS_TRIPLES,
+           "angle triples")
     census = brieskorn_enumerate(data, tol=args.tol)
     classes = [_class_json(cls.assignment, cls.traces,
                            angles=list(cls.angles),
                            irreducible=cls.irreducible) for cls in census]
-    return {"schema": SCHEMA, "exponents": [args.p, args.q, args.r],
+    return {"exponents": [args.p, args.q, args.r],
             "seifert": {"b0": data.b0, "cone": [[p, b] for p, b in data.cone]},
             "count": len(classes), "census": classes}
 
 
 def _cmd_euler(args):
     _check_tol(args.tol)        # before the input is read
-    data = _load_json(args.rep)
-    if not isinstance(data, dict):
-        raise InputError("representation JSON must be an object")
+    data = _load_json(args.rep, "representation")
     mats = data.get("matrices", data)
     if not isinstance(mats, dict):
         raise InputError("representation JSON must map generators to matrices")
@@ -299,18 +307,17 @@ def _cmd_euler(args):
     with _input_errors("malformed matrix data"):
         matrices = {name: PSL2.from_matrix(rows) for name, rows in mats.items()}
     e, res = _euler_and_residual(matrices, genus, args.tol)
-    return {"schema": SCHEMA, "euler": e, "residual": res, "genus": genus}
+    return {"euler": e, "residual": res, "genus": genus}
 
 
 def _cmd_mw(args):
     with _input_errors("--genera"):
-        genera = [int(g) for g in args.genera.split(",") if g.strip() != ""]
-    if all(g >= 1 for g in genera) and \
-            prod(4 * g - 3 for g in genera) > MAX_MW_VECTORS:
-        raise InputError(f"--genera: more than {MAX_MW_VECTORS} vectors")
+        genera = [int(g) for g in _fields(args.genera)]
+    if all(g >= 1 for g in genera):     # else the library refuses a genus
+        _limit(prod(4 * g - 3 for g in genera), MAX_MW_VECTORS,
+               "Milnor-Wood vectors")
     vectors = milnor_wood_admissible(genera)
-    return {"schema": SCHEMA, "genera": genera,
-            "bounds": [2 * g - 2 for g in genera],
+    return {"genera": genera, "bounds": [2 * g - 2 for g in genera],
             "n_vectors": [list(v) for v in vectors],
             "alpha_vectors": [[2 * x for x in v] for v in vectors]}
 
@@ -391,8 +398,7 @@ def run(argv, out=None) -> int:
         # looked up at call time, so a rebound module-level _cmd_* is used
         _emit(globals()[args.handler](args), out, args.format)
     except BlowupgateError as exc:
-        _emit({"schema": SCHEMA,
-               "error": {"code": type(exc).__name__, "message": str(exc)}},
+        _emit({"error": {"code": type(exc).__name__, "message": str(exc)}},
               out, args.format)
         return 1
     return 0

@@ -769,13 +769,13 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
         if whole <= total <= 2 * whole or (p1 - l1, p2 - l2, p3 - l3) < angles:
             continue
         for mats in _rotation_solve(angles, data.exponents):
-            matrices = {f"x{i+1}": PSL2(m) for i, m in enumerate(mats)}
-            matrices["h"] = eye
+            xs = [PSL2(m) for m in mats]
+            matrices = dict(zip(pres.generators, (*xs, eye)))
             res = residual(pres, RepAssignment(matrices))
             if not res < tol:
                 continue
             rep = RepAssignment(matrices, residual=res)
-            if (_rotation_numbers_verify(rep, angles, data.exponents)
+            if (_rotation_numbers_verify(xs, angles, data.exponents)
                     and is_irreducible(rep)):
                 census.append(BrieskornClass(
                     angles=angles, assignment=rep,
@@ -789,14 +789,15 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
     return census
 
 
-def _rotation_numbers_verify(rep: RepAssignment, angles, exponents) -> bool:
-    """True when each x_i has rotation number l_i / p_i mod 1.
+def _rotation_numbers_verify(xs, angles, exponents) -> bool:
+    """True when the i-th element of xs has rotation number l_i / p_i
+    mod 1, for each angle l_i and exponent p_i.
 
     translation_number is a closed form, so ROTATION_TOL only absorbs
     rounding; a NaN error fails the check.
     """
-    for i, (l, p) in enumerate(zip(angles, exponents), start=1):
-        tau = translation_number(CircleLift(rep.matrices[f"x{i}"]))
+    for x, l, p in zip(xs, angles, exponents):
+        tau = translation_number(CircleLift(x))
         target = (l / p) % 1.0
         err = min(abs(tau - target), abs(tau - target + 1),
                   abs(tau - target - 1))

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import blowupgate
-from blowupgate.cli import MAX_CROSSINGS, run
+from blowupgate.cli import MAX_CROSSINGS, MAX_GENERATORS, run
 
 
 def invoke(argv):
@@ -562,6 +562,16 @@ def test_euler_reports_a_missing_generator_in_bounded_memory(tmp_path):
                               "word": [1] * (MAX_CROSSINGS + 1)}}),
     ("gate", {"pd": blowupgate.from_braid(blowupgate.BraidWord(
         2, [1] * (MAX_CROSSINGS + 1))).to_pd()}),
+    # more generators than the limit, refused before the search, whose
+    # classes print C(n, 3) trace coordinates each
+    ("solve", {"generators": [f"g{i}" for i in range(MAX_GENERATORS + 1)],
+               "relators": [[1, -1]]}),
+    # a string or an object would pass its characters or keys as labels
+    # or edges
+    ("gate", {"braid": {"strands": 2, "word": [1, 1]}, "monodromy": "10"}),
+    ("gate", {"braid": {"strands": 2, "word": [1, 1]},
+              "monodromy": {"1": 0, "0": 1}}),
+    ("flow", dict(GRAPH, edges={})),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"
@@ -582,6 +592,48 @@ def test_link_at_the_crossing_limit_is_accepted(tmp_path):
     assert code == 0
     data = json.loads(out)
     assert (data["components"], data["det"]) == (MAX_CROSSINGS, 0)
+
+
+def test_presentation_at_the_generator_limit_is_accepted(tmp_path):
+    n = MAX_GENERATORS
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"generators": [f"g{i}" for i in range(n)],
+                                "relators": [[1, -1]]}))
+    code, out = invoke(["solve", str(path), "--restarts", "1"])
+    assert code == 0
+    (solution,) = json.loads(out)["solutions"]
+    assert len(solution["matrices"]) == n
+    # one coordinate per generator, two per pair and two per triple
+    assert len(solution["traces"]) == (n + 2 * math.comb(n, 2)
+                                       + 2 * math.comb(n, 3))
+
+
+@pytest.mark.parametrize("command, what", [
+    ("invariants", "link"), ("gate", "link"), ("flow", "flow graph"),
+    ("solve", "presentation"), ("euler", "representation")])
+def test_top_level_that_is_not_an_object_is_named(tmp_path, command, what):
+    path = tmp_path / "input.json"
+    path.write_text("[]")
+    code, out = invoke([command, str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "InputError", "message": f"{what} JSON must be an object"}
+
+
+@pytest.mark.parametrize("text", [
+    # a byte that is not UTF-8, an integer of more digits than int()
+    # takes, and arrays nested deeper than the recursion limit
+    b'{"pd": "\xff"}',
+    b'{"pd": ' + b"1" * 5000 + b"}",
+    b'{"pd": ' + b"[" * 10 ** 5 + b"]" * 10 ** 5 + b"}",
+], ids=["not-utf-8", "long-integer", "deep-nesting"])
+def test_undecodable_json_is_input_error(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_bytes(text)
+    for command in ("invariants", "gate", "flow", "solve", "euler"):
+        code, out = invoke([command, str(path)])
+        assert code == 1
+        assert "is not valid JSON" in json.loads(out)["error"]["message"]
 
 
 # the builtin base that each exception class keeps beside BlowupgateError

@@ -905,7 +905,9 @@ def test_rotation_certificate_agrees_with_windowed_oracle():
                             for i, m in enumerate(mats)}
                 matrices["h"] = eye
                 rep = RepAssignment(matrices)
-                exact = _rotation_numbers_verify(rep, angles, exponents)
+                exact = _rotation_numbers_verify(
+                    [matrices[g] for g in ("x1", "x2", "x3")], angles,
+                    exponents)
                 assert exact == windowed_rotation_check(rep, angles,
                                                         exponents), angles
                 decisions.add(exact)
