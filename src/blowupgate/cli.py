@@ -44,12 +44,19 @@ SCHEMA = "1"
 # cost grows faster than c^5), solve prints C(n, 3) trace coordinates per
 # class of an n-generator group (at 64 generators and 20 restarts, a free
 # group takes about 3.8 s, prints 23 MB and peaks at 132 MB, and a chain
-# of 63 commutators takes about 14 s on that host), mw-admissible lists
+# of 63 commutators takes about 14 s on that host), its Jacobian holds 12
+# entries per generator and relator and its prefix products one matrix
+# per relator letter (on 64 generators, 100,000 relators [1, -1] do not
+# fit in 1 GB; at the relator limits, 256 relators of 16 letters take
+# about 24 s a restart, as 64 commutators [g1, gj] already do under the
+# generator limit alone), mw-admissible lists
 # all prod(4 g_j - 3) vectors, and brieskorn tries all
 # (p - 1)(q - 1)(r - 1) angle triples at about 34 us each.
 MAX_STRANDS = 1000
 MAX_CROSSINGS = 100
 MAX_GENERATORS = 64
+MAX_RELATORS = 256
+MAX_RELATOR_LETTERS = 4096
 MAX_MW_VECTORS = 10 ** 6
 MAX_CENSUS_TRIPLES = 10 ** 6
 
@@ -268,6 +275,9 @@ def _cmd_solve(args):
     pres = _presentation_from_json(_load_json(args.presentation,
                                               "presentation"))
     _limit(len(pres.generators), MAX_GENERATORS, "generators")
+    _limit(len(pres.relators), MAX_RELATORS, "relators")
+    _limit(sum(map(len, pres.relators)), MAX_RELATOR_LETTERS,
+           "relator letters")
     sols = solve(pres, restarts=args.restarts, tol=args.tol, seed=args.seed)
     out = [_class_json(rep, trace_coordinates(pres, rep),
                        irreducible=is_irreducible(rep),

@@ -412,27 +412,12 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def eval_at(self, x) -> Fraction:
-        """Exact value at a nonzero rational point.
-
-        With x = n/d, lo = min_exp and hi = max_exp, the value is
-        x^lo * sum(k n^(e-lo) d^(hi-e)) / d^(hi-lo): the sum is taken in
-        integers and one Fraction is built at the end.
-        """
+        """Exact value at a nonzero rational point: the sum of k x^e
+        over the terms, in Fractions."""
         x = Fraction(x)
         if x == 0:
             raise ZeroEvaluationPoint("cannot evaluate at 0")
-        if not self._c:
-            return Fraction(0)
-        n, d = x.numerator, x.denominator
-        lo, hi = self.min_exp, self.max_exp
-        total = sum(k * n ** (e - lo) * d ** (hi - e)
-                    for e, k in self._c.items())
-        # x^lo enters as integer powers rather than as the Fraction x ** lo,
-        # which costs a second normalization: that form made pd-links
-        # invariants.self_ms about 25% slower
-        if lo >= 0:
-            return Fraction(total * n ** lo, d ** hi)
-        return Fraction(total * d ** -lo, d ** (hi - lo) * n ** -lo)
+        return sum((k * x ** e for e, k in self._c.items()), Fraction(0))
 
     def unit_normalize(self) -> "LaurentPoly":
         """Canonical representative modulo units +-t^k.

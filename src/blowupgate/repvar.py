@@ -96,16 +96,17 @@ def _signed_entries(img):
     return [img[0] - sign, img[1], img[2], img[3] - sign]
 
 
-def _generator_mats(p: Presentation, rep: RepAssignment) -> list:
+def _generator_mats(p: Presentation, rep) -> list:
     try:
-        return [rep.matrices[name].tuple() for name in p.generators]
+        return [rep[name].tuple() for name in p.generators]
     except KeyError as exc:
         raise UnassignedGenerator(str(exc)) from exc
 
 
-def residual(p: Presentation, rep: RepAssignment) -> float:
+def residual(p: Presentation, rep) -> float:
     """Sum over relators of the squared Frobenius distance of the relator
-    image to +-identity, the sum of squares that _levmar minimizes."""
+    image to +-identity, the sum of squares that _levmar minimizes.  rep
+    is a RepAssignment or any mapping of generator names to PSL2."""
     mats = _generator_mats(p, rep)
     return _sum(psl_dist_sq(word_image(w, mats), IDENTITY) for w in p.relators)
 
@@ -238,11 +239,11 @@ def _lower_gram(vectors, gram):
 def _normal_system(jac, r, neg_grad, pattern):
     """The lower triangle and right side that _step factors at one point.
 
-    jac holds the n columns of J, each of length m.  For m >= n this is
-    J^T J with -J^T r; for m < n it is the smaller J J^T with -r.
+    jac holds the n columns of J, each of length m.  This is J^T J with
+    -J^T r, or J J^T with -r where pattern factors it: len(starts) < n.
     """
-    gram = pattern[1]
-    if len(r) < len(jac):
+    _, gram, starts = pattern
+    if len(starts) < len(jac):
         return _lower_gram(list(zip(*jac)), gram), [-v for v in r]
     return _lower_gram(jac, gram), neg_grad
 
@@ -258,18 +259,24 @@ def _step(jac, lower, rhs, lam, pattern):
     """
     rows, _, starts = pattern
     n = len(jac)
-    if len(lower) == n:
-        return _damped_solve(lower, [lam * row[-1] + 1e-14 for row in lower],
-                             rhs, starts)
-    mu = lam * _sum(row[-1] for row in lower) / n
-    z = _damped_solve(lower, [mu + 1e-14] * len(lower), rhs, starts)
-    step = []
+    if len(starts) < n:
+        mu = lam * _sum(row[-1] for row in lower) / n
+        z = _damped_solve(lower, [mu + 1e-14] * len(lower), rhs, starts)
+        return _transposed_product(jac, rows, z)
+    return _damped_solve(lower, [lam * row[-1] + 1e-14 for row in lower],
+                         rhs, starts)
+
+
+def _transposed_product(jac, rows, v):
+    """J^T v for the columns jac of J, entry a summed over rows[a]
+    (_lm_pattern) left to right from +0.0."""
+    out = []
     for col, idx in zip(jac, rows):
         s = 0.0
         for k in idx:
-            s += col[k] * z[k]
-        step.append(s)
-    return step
+            s += col[k] * v[k]
+        out.append(s)
+    return out
 
 
 def _levmar(p: Presentation, x0, pattern):
@@ -280,7 +287,7 @@ def _levmar(p: Presentation, x0, pattern):
     Jacobian of a trial only once the trial is accepted.  Each step
     is a Cholesky solve (_damped_solve) in the smaller of the parameter
     space (n = 3 per generator) and the residual space (m = 4 per
-    relator), chosen by the shape of p alone.  For m >= n the matrix is
+    relator), picked by _lm_pattern from p alone.  For m >= n the matrix is
     J^T J + lam diag(J^T J) + 1e-14 I: Marquardt's scaling, under which
     the trefoil and Brieskorn groups converge more often than under
     isotropic damping.  For m < n, J^T J has rank at most m and the
@@ -307,12 +314,7 @@ def _levmar(p: Presentation, x0, pattern):
     for _ in range(LM_MAX_ITER):
         if cost < LM_COST_TARGET:
             break
-        neg_grad = []
-        for col, idx in zip(jac, pattern[0]):
-            s = 0.0
-            for k in idx:
-                s += col[k] * r[k]
-            neg_grad.append(-s)
+        neg_grad = [-s for s in _transposed_product(jac, pattern[0], r)]
         if max(map(abs, neg_grad), default=0.0) < 1e-17:
             break
         lower, rhs = _normal_system(jac, r, neg_grad, pattern)
@@ -641,17 +643,17 @@ def connected_sum_family(p1: Presentation, rep1: RepAssignment,
 
     The residual is additive: relators split between the factors.
     """
-    ai = a.inv()
+    conj = rep2.conjugated(a)
     try:
-        matrices = {f"{g}_1": rep1.matrices[g] for g in p1.generators}
-        for g in p2.generators:
-            matrices[f"{g}_2"] = a @ rep2.matrices[g] @ ai
+        mats = [rep1[g] for g in p1.generators] + \
+            [conj[g] for g in p2.generators]
     except KeyError as exc:
         raise UnassignedGenerator(str(exc)) from exc
     res = None
     if rep1.residual is not None and rep2.residual is not None:
         res = rep1.residual + rep2.residual
-    return RepAssignment(matrices=matrices, residual=res)
+    return RepAssignment(dict(zip(free_product(p1, p2).generators, mats)),
+                         residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +773,7 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
         for mats in _rotation_solve(angles, data.exponents):
             xs = [PSL2(m) for m in mats]
             matrices = dict(zip(pres.generators, (*xs, eye)))
-            res = residual(pres, RepAssignment(matrices))
+            res = residual(pres, matrices)
             if not res < tol:
                 continue
             rep = RepAssignment(matrices, residual=res)

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import blowupgate
-from blowupgate.cli import MAX_CROSSINGS, MAX_GENERATORS, run
+from blowupgate.cli import (MAX_CROSSINGS, MAX_GENERATORS,
+                            MAX_RELATOR_LETTERS, MAX_RELATORS, run)
 
 
 def invoke(argv):
@@ -572,6 +573,13 @@ def test_euler_reports_a_missing_generator_in_bounded_memory(tmp_path):
     ("gate", {"braid": {"strands": 2, "word": [1, 1]},
               "monodromy": {"1": 0, "0": 1}}),
     ("flow", dict(GRAPH, edges={})),
+    # more relators, or more relator letters, than the limits: the
+    # Jacobian holds 12 entries per generator and relator, and the prefix
+    # products one matrix per letter
+    ("solve", {"generators": ["a"],
+               "relators": [[1, -1]] * (MAX_RELATORS + 1)}),
+    ("solve", {"generators": ["a"],
+               "relators": [[1] * (MAX_RELATOR_LETTERS + 1)]}),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
     path = tmp_path / "input.json"
@@ -606,6 +614,22 @@ def test_presentation_at_the_generator_limit_is_accepted(tmp_path):
     # one coordinate per generator, two per pair and two per triple
     assert len(solution["traces"]) == (n + 2 * math.comb(n, 2)
                                        + 2 * math.comb(n, 3))
+
+
+def test_presentation_at_the_relator_limits_is_accepted(tmp_path):
+    # relators g g^-1 ... of equal length, which every start solves, with
+    # as many relators and letters as the limits allow
+    n, length = MAX_GENERATORS, MAX_RELATOR_LETTERS // MAX_RELATORS
+    relators = [[k % n + 1, -(k % n + 1)] * (length // 2)
+                for k in range(MAX_RELATORS)]
+    assert sum(map(len, relators)) == MAX_RELATOR_LETTERS
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"generators": [f"g{i}" for i in range(n)],
+                                "relators": relators}))
+    code, out = invoke(["solve", str(path), "--restarts", "1"])
+    assert code == 0
+    (solution,) = json.loads(out)["solutions"]
+    assert solution["residual"] < 1e-10 and len(solution["matrices"]) == n
 
 
 @pytest.mark.parametrize("command, what", [

@@ -755,6 +755,19 @@ def test_census_relator_shifts_match_jankins_neumann():
             assert total < whole or total > 2 * whole
 
 
+def test_census_class_records_the_residual_of_its_matrices():
+    # the census computes each residual once, from the matrices that the
+    # class then holds; a dict of them gives the same float
+    for exponents in COPRIME_TRIPLES:
+        data = BrieskornData(*exponents)
+        pres = brieskorn_presentation(data)
+        for cls in brieskorn_enumerate(data):
+            assert (repr(cls.residual)
+                    == repr(residual(pres, cls.assignment))
+                    == repr(residual(pres, cls.assignment.matrices))), (
+                exponents, cls.angles)
+
+
 @pytest.mark.parametrize("name, restarts", [
     ("trefoil", 12), ("figure_eight", 6), ("surface1xS1", 12),
     ("surface1*surface1", 12)])
@@ -804,6 +817,22 @@ def test_connected_sum_distinct_parameters_distinct_traces():
     assert math.dist(ka, kb) > 1e-3
     assert residual(fp, fam_a) < 1e-18
     assert residual(fp, fam_b) < 1e-18
+
+
+def test_connected_sum_is_the_conjugated_second_factor():
+    rng = random.Random("connected-sum")
+    p1, p2 = surface_presentation(1), surface_presentation(2)
+    rep1 = RepAssignment({g: random_psl2(rng) for g in p1.generators})
+    rep2 = RepAssignment(fuchsian_genus2(), residual=0.0)
+    a = random_psl2(rng)
+    fam = connected_sum_family(p1, rep1, p2, rep2, a)
+    names = free_product(p1, p2).generators
+    assert tuple(fam.matrices) == names
+    conj = rep2.conjugated(a)
+    expected = ([rep1[g] for g in p1.generators]
+                + [conj[g] for g in p2.generators])
+    assert [repr(fam[name]) for name in names] == list(map(repr, expected))
+    assert fam.residual is None
 
 
 def test_connected_sum_missing_generator():
