@@ -332,14 +332,6 @@ class LaurentPoly:
         self._c = {e: k for e, k in coeffs.items() if k}
 
     @staticmethod
-    def _of(c: dict) -> "LaurentPoly":
-        """Wrap c itself, unchecked: c must map ints to nonzero ints and
-        must not be changed afterwards.  For dicts the package built."""
-        p = object.__new__(LaurentPoly)
-        p._c = c
-        return p
-
-    @staticmethod
     def zero() -> "LaurentPoly":
         return LaurentPoly()
 
@@ -449,51 +441,52 @@ class LaurentPoly:
 
 
 def laurent_det(mat) -> LaurentPoly:
-    """Exact determinant of a square matrix of Laurent polynomials.
-
-    Kronecker substitution: each row is divided by t to its least
-    exponent, every entry is evaluated at t = 2**bits, one integer
-    determinant is taken with IntMatrix.det, and its coefficients are
-    read off as balanced base-2**bits digits.  The product over rows of
-    the sum of absolute coefficients in the row bounds every coefficient
-    of the determinant, and 2**bits exceeds twice that bound, so the
-    digits are exact.  The empty matrix has determinant 1.
-
-    An entry +-t^k at its row's least exponent becomes +-1, and
-    IntMatrix.det splits such pivots off before its Bareiss
-    elimination: Wirtinger Fox minors (entries 1 - t, t and -1) and
-    braid Seifert forms have one in most rows.
-    """
-    bound = 1
-    lows, terms = [], []
+    """Exact determinant of a square matrix of Laurent polynomials: the
+    terms (column, exponent, coefficient) of its cells, row by row, go
+    to _kronecker_det.  The empty matrix has determinant 1."""
     try:
         n = len(mat)
-        for row in mat:
-            if len(row) != n:
-                raise NonSquare("matrix of Laurent polynomials is not square")
-        # one pass over the terms of each row, which zero entries lack,
-        # finds its least exponent and coefficient sum; the terms are kept
-        # for the substitution, which needs bits from every row
-        for row in mat:
-            low, size, row_terms = None, 0, []
-            for j, entry in enumerate(row):
-                for e, k in entry._c.items():
-                    if low is None or e < low:
-                        low = e
-                    size += abs(k)
-                    row_terms.append((j, e, k))
-            if low is None:
-                return LaurentPoly.zero()
-            lows.append(low)
-            terms.append(row_terms)
-            bound *= size
+        if any(len(row) != n for row in mat):
+            raise NonSquare("matrix of Laurent polynomials is not square")
+        rows = [[(j, e, k) for j, entry in enumerate(row)
+                 for e, k in entry._c.items()] for row in mat]
     except (TypeError, AttributeError):
         raise InputError("laurent_det takes an array of arrays of "
                          "LaurentPoly") from None
+    return _kronecker_det(rows)
+
+
+def _kronecker_det(rows) -> LaurentPoly:
+    """Exact determinant of the square matrix whose row i is the sum of
+    the terms k t^e in column j, over the (j, e, k) in rows[i].
+
+    Kronecker substitution: each row is divided by t to the least
+    exponent of its terms, every cell is evaluated at t = 2**bits, one
+    integer determinant is taken with IntMatrix.det, and its
+    coefficients are read off as balanced base-2**bits digits.  The
+    product over rows of the sum of absolute coefficients of the terms
+    bounds every coefficient of the determinant, and 2**bits exceeds
+    twice that bound, so the digits are exact.  A row may repeat a
+    (column, exponent) pair, whose terms may cancel: that only loosens
+    the bound, or shifts the row by a power of t.  A row without terms
+    gives 0, and no rows give 1.
+
+    An entry +-t^k at its row's least exponent becomes a pivot +-1,
+    which IntMatrix.det splits off before Bareiss elimination: Wirtinger
+    Fox minors and braid Seifert forms have one in most rows.
+    """
+    n = len(rows)
+    bound, lows = 1, []
+    for terms in rows:
+        if not terms:
+            return LaurentPoly.zero()
+        _cols, exps, ks = zip(*terms)
+        lows.append(min(exps))
+        bound *= sum(map(abs, ks))
     bits = (2 * bound).bit_length()
     values = [0] * (n * n)
-    for i, (row_terms, low) in enumerate(zip(terms, lows)):
-        for j, e, k in row_terms:
+    for i, (terms, low) in enumerate(zip(rows, lows)):
+        for j, e, k in terms:
             values[i * n + j] += k << (bits * (e - low))
     value = IntMatrix._of(n, n, tuple(values)).det()
     base = 1 << bits

@@ -4,13 +4,17 @@ Two independent routes to the one-variable Alexander polynomial are
 provided: the Seifert-matrix determinant det(V - t V^T) for braid
 closures, and one maximal minor of the reduced free-derivative Jacobian
 of a Wirtinger presentation (all meridians sent to t).  Both agree up
-to units +-t^k.
+to units +-t^k.  Each hands the terms of its matrix, row by row, to the
+Kronecker determinant of exact; neither builds a polynomial per cell.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import BlowupgateError, _Record
-from .exact import AbelianGroup, IntMatrix, LaurentPoly, cokernel, laurent_det
+from .exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
+                    _kronecker_det, cokernel)
 from .links import LinkDiagram, Presentation, from_braid
 from .links import seifert_matrix as _seifert_of_braid
 from .links import wirtinger as _wirtinger
@@ -31,35 +35,28 @@ class LinkInvariants(_Record):
 
 
 def alexander_seifert(v: IntMatrix) -> LaurentPoly:
-    """det(V - t V^T) of a Seifert matrix V, unit-normalized."""
-    # split closures leave most cells with V_ij = V_ji = 0; they share one
-    # zero polynomial
-    zero = LaurentPoly.zero()
-    mat = [[LaurentPoly._of({0: a, 1: -b} if a and b else {0: a} if a
-                            else {1: -b}) if a or b else zero
-            for a, b in zip(row, col)]
-           for row, col in zip(v.to_rows(), v.transpose().to_rows())]
-    return laurent_det(mat).unit_normalize()
+    """det(V - t V^T) of a square Seifert matrix V, unit-normalized: row
+    i holds V_ij t^0 and -V_ji t^1 for the nonzero entries of row i and
+    column i of V."""
+    m, e = v.rows, v.entries
+    if v.cols != m:
+        raise NonSquare(f"{m}x{v.cols} Seifert matrix")
+    return _kronecker_det(
+        [[(j, 0, a) for j, a in enumerate(e[i * m:(i + 1) * m]) if a]
+         + [(j, 1, -b) for j, b in enumerate(e[i::m]) if b]
+         for i in range(m)]).unit_normalize()
 
 
 def fox_jacobian(p: Presentation) -> list:
-    """Free-derivative Jacobian with every generator sent to t.
-
-    Entry (r, g) is the image of the derivative of relator r with
-    respect to generator g under the abelianization onto <t>.
-    """
-    n = len(p.generators)
-    # a relator touches few generators: the other entries share one zero
-    zero = LaurentPoly.zero()
+    """Free-derivative Jacobian with every generator sent to t, dense:
+    entry (r, g) is the image of the derivative of relator r by
+    generator g under the abelianization onto <t>.  No route calls it;
+    the tests check alexander_fox, which reads _fox_terms, against it."""
     rows = []
     for rel in p.relators:
-        cols = {}
+        row = [LaurentPoly.zero()] * len(p.generators)
         for g, exp, sign in _fox_terms(rel):
-            c = cols.setdefault(g, {})
-            c[exp] = c.get(exp, 0) + sign
-        row = [zero] * n
-        for g, c in cols.items():
-            row[g] = LaurentPoly._of({e: k for e, k in c.items() if k})
+            row[g] += LaurentPoly.t(exp, sign)
         rows.append(row)
     return rows
 
@@ -99,10 +96,12 @@ def alexander_fox(p: Presentation) -> LaurentPoly:
     Every Wirtinger relator has exponent sum 0 and any one crossing
     relator follows from the others, so the rows satisfy a relation with
     unit coefficients and all maximal minors agree up to units +-t^k;
-    the first n-1 relators are taken.  Requires meridian markers and at
-    most as many relators as generators, as a diagram gives; without
-    enough relators to form a maximal minor the polynomial vanishes
-    (split closures).
+    the first n-1 relators are taken.  Their terms (see _fox_terms), less
+    those by the first generator, go straight to the Kronecker
+    determinant, which sums the repeated ones of kinks.  Requires meridian
+    markers and at most as many relators as generators, as a diagram
+    gives; without enough relators to form a maximal minor the
+    polynomial vanishes (split closures).
     """
     if p.meridian_markers is None:
         raise NotWirtinger("presentation has no meridian markers")
@@ -111,8 +110,9 @@ def alexander_fox(p: Presentation) -> LaurentPoly:
         raise NotWirtinger(f"{len(p.relators)} relators for {n} generators")
     if len(p.relators) < n - 1:
         return LaurentPoly.zero()
-    reduced = [row[1:] for row in fox_jacobian(p)[:n - 1]]
-    return laurent_det(reduced).unit_normalize()
+    return _kronecker_det(
+        [[(g - 1, exp, sign) for g, exp, sign in _fox_terms(rel) if g]
+         for rel in p.relators[:n - 1]]).unit_normalize()
 
 
 def determinant_at_minus_one(a: LaurentPoly) -> tuple:
@@ -138,7 +138,7 @@ def branched_cover_h1_fox(p: Presentation) -> AbelianGroup:
     Seifert route on braid closures.  Integer-only: the Jacobian at
     t = -1 is built from the relator words directly, with no Laurent
     polynomials or fractions, and its cokernel needs no unimodular
-    transforms.
+    transforms.  The matrix is built unchecked from those integer rows.
     """
     if p.meridian_markers is None:
         raise NotWirtinger("presentation has no meridian markers")
@@ -146,9 +146,8 @@ def branched_cover_h1_fox(p: Presentation) -> AbelianGroup:
     if n <= 1:
         return AbelianGroup(rank=0)
     rows = [row[1:] for row in _fox_matrix_at_minus_one(p)]
-    if not rows:
-        return AbelianGroup(rank=n - 1)
-    return cokernel(IntMatrix.from_rows(rows))
+    return cokernel(IntMatrix._of(len(rows), n - 1,
+                                  tuple(chain.from_iterable(rows))))
 
 
 def link_invariants(d: LinkDiagram) -> LinkInvariants:

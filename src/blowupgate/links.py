@@ -428,32 +428,31 @@ def wirtinger(d: LinkDiagram) -> Presentation:
 
     One generator per over-arc class, one conjugation relator per
     crossing; meridian markers pick the generator of each component's
-    first arc.
+    first arc.  The presentation is built unchecked: the names x1...xn
+    are distinct, and every letter and marker is an index from gen_index.
     """
     arcs = sorted(d.arcs)
     find, union = _union_find(arcs)
     for c in d.crossings:
         union(c.arcs[1], c.arcs[3])
 
-    reps = sorted({find(a) for a in arcs})
+    root = {a: find(a) for a in arcs}
+    reps = sorted(set(root.values()))
     gen_index = {rep: i + 1 for i, rep in enumerate(reps)}  # 1-based
-
-    def gen_of(arc):
-        return gen_index[find(arc)]
+    gen_of = {a: gen_index[r] for a, r in root.items()}
 
     relators = []
     for c in d.crossings:
         a, b2, cc, _d2 = c.arcs
-        i, k, j = gen_of(a), gen_of(cc), gen_of(b2)
+        i, k, j = gen_of[a], gen_of[cc], gen_of[b2]
         if c.sign >= 0:
             relators.append((k, j, -i, -j))
         else:
             relators.append((k, -j, -i, j))
 
-    markers = tuple(gen_of(comp[0]) for comp in d.components)
+    markers = tuple(gen_of[comp[0]] for comp in d.components)
     generators = tuple(f"x{i}" for i in range(1, len(reps) + 1))
-    return Presentation(generators=generators, relators=tuple(relators),
-                        meridian_markers=markers)
+    return Presentation._of(generators, tuple(relators), markers)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from blowupgate.errors import InputError
 from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
                               ZeroEvaluationPoint, cokernel, invariant_factors,
                               laurent_det, laurent_gcd, smith_normal_form)
+from blowupgate.exact import _kronecker_det
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -280,6 +281,56 @@ def test_laurent_det_matches_cofactor_oracle():
                  [t(-2, 4), t(), big * big]])
     for mat in mats:
         assert laurent_det(mat) == cofactor_det(mat)
+
+
+def cells_of_terms(rows):
+    """The square matrix of LaurentPoly whose cell (i, j) sums the terms
+    k t^e of the (j, e, k) in rows[i]."""
+    mat = [[LaurentPoly.zero()] * len(rows) for _ in rows]
+    for row, terms in zip(mat, rows):
+        for j, e, k in terms:
+            row[j] = row[j] + t(e, k)
+    return mat
+
+
+def random_term_rows(rng, n):
+    """n sparse rows of terms: repeated (column, exponent) pairs, some
+    of which cancel, negative exponents, now and then a large
+    coefficient or a row without terms."""
+    rows = []
+    for _ in range(n):
+        terms = [(rng.randrange(n), rng.randint(-3, 3),
+                  rng.choice([rng.randint(-3, 3) or 1,
+                              rng.randint(-10**6, 10**6) or 1]))
+                 for _ in range(rng.choice([0, 1, 2, 3, 4, 6]))]
+        for j, e, k in list(terms):
+            if rng.random() < 0.3:
+                terms.append((j, e, rng.choice([-k, rng.randint(-3, 3) or 1])))
+        rng.shuffle(terms)
+        rows.append(terms)
+    return rows
+
+
+def test_kronecker_det_matches_cofactor_oracle():
+    rng = random.Random(45)
+    cases = [random_term_rows(rng, rng.randint(1, 5)) for _ in range(300)]
+    # diag(3 + 3t) three times: 27 (1 + t)^3 has coefficients 81, which
+    # a bound from the largest row sum, 6, would not hold
+    cases.append([[(i, 0, 3), (i, 1, 3)] for i in range(3)])
+    # the terms at a row's least exponent cancel, so the row holds t^1
+    # and t^2 only; the matrix is [[t + 2t^2, 1], [-1, t^-2]]
+    cases.append([[(0, -1, 4), (0, 1, 1), (0, -1, -4), (0, 2, 2), (1, 0, 1)],
+                  [(0, 0, -1), (1, -2, 1)]])
+    for rows in cases:
+        assert _kronecker_det(rows) == cofactor_det(cells_of_terms(rows)), rows
+    assert _kronecker_det(cases[-2]) == LaurentPoly.from_coeffs([27, 81, 81,
+                                                                 27])
+    assert _kronecker_det([[(0, 0, 1)], [(1, 2, 5)], []]).is_zero
+    # a row whose terms all cancel
+    assert _kronecker_det([[(0, 1, 2), (1, 0, 3)],
+                           [(1, -1, 7), (0, 2, 1), (1, -1, -7), (0, 2, -1)]
+                           ]).is_zero
+    assert _kronecker_det([]) == LaurentPoly.one()
 
 
 def test_laurent_det_commutes_with_substitution():

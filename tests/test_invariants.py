@@ -1,16 +1,19 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly, cokernel,
-                              laurent_det, laurent_gcd)
+from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
+                              cokernel, laurent_det, laurent_gcd)
 from blowupgate.invariants import (NotWirtinger, alexander_fox,
                                    alexander_seifert, braid_invariants,
                                    branched_cover_h1, branched_cover_h1_fox,
                                    determinant_at_minus_one, fox_jacobian,
                                    link_invariants)
+from blowupgate import invariants
 from blowupgate.invariants import _fox_matrix_at_minus_one
 from blowupgate.links import (BraidWord, Presentation, from_braid, parse_pd,
                               seifert_matrix, sublink, wirtinger)
@@ -280,3 +283,137 @@ def test_large_links_agree_on_both_routes(braid, coeffs, det):
         assert inv.alexander.coeff_list() == (coeffs, 0)
         assert inv.det == det
         assert inv.h1_branched == AbelianGroup(rank=0, torsion=(det,))
+
+
+# ---------------------------------------------------------------------------
+# the term routes against the dense LaurentPoly matrices they replaced
+
+DATA = Path(__file__).with_name("data")
+
+# a trefoil with a Reidemeister-I loop (the closure of s1^3 s2), its kink
+# crossing first, so that a relator with cancelling terms is among the
+# n - 1 the minor takes
+KINKED_TREFOIL = [[3, 3, 2, 8], [2, 5, 4, 1], [5, 7, 6, 4], [7, 8, 1, 6]]
+KINKED = [[[1, 1, 2, 2]], [[2, 1, 1, 2]], KINKED_TREFOIL]
+
+
+def seifert_cells(v: IntMatrix) -> list:
+    """V - t V^T as a dense matrix of LaurentPoly, one per cell."""
+    return [[LaurentPoly({0: a, 1: -b}) for a, b in zip(row, col)]
+            for row, col in zip(v.to_rows(), v.transpose().to_rows())]
+
+
+def dense_alexander_seifert(v: IntMatrix) -> LaurentPoly:
+    return laurent_det(seifert_cells(v)).unit_normalize()
+
+
+def dense_alexander_fox(p: Presentation) -> LaurentPoly:
+    """One maximal minor of the dense Jacobian, as alexander_fox takes."""
+    n = len(p.generators)
+    if len(p.relators) < n - 1:
+        return LaurentPoly.zero()
+    minor = [row[1:] for row in fox_jacobian(p)[:n - 1]]
+    return laurent_det(minor).unit_normalize()
+
+
+def golden_links() -> list:
+    """The diagram of each link input of both CLI golden corpora (the
+    numeric one holds none today)."""
+    codes = {}
+    for name in ("cli_exact_golden.jsonl", "cli_numeric_golden.jsonl"):
+        with (DATA / name).open(encoding="utf-8") as fh:
+            for line in fh:
+                data = json.loads(line)["input"]
+                if isinstance(data, dict) and ("pd" in data or "braid" in data):
+                    link = {k: data[k] for k in ("pd", "braid") if k in data}
+                    codes[json.dumps(link, sort_keys=True)] = link
+    out = []
+    for link in codes.values():
+        if "pd" in link:
+            out.append(parse_pd(link["pd"]))
+        else:
+            braid = link["braid"]
+            out.append(from_braid(BraidWord(braid["strands"], braid["word"])))
+    return out
+
+
+def random_closures(seed, count):
+    """Closures of random braids on 1 to 6 strands, and the PD code of
+    each that has one, its crossings shuffled so that any relator, a
+    kink's among them, may be one of the n - 1 the Fox minor takes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        strands = rng.randint(1, 6)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(0, 12) if strands > 1 else 0)]
+        d = from_braid(BraidWord(strands, word))
+        yield d
+        if not d.free_arcs and d.crossings:
+            pd = d.to_pd()
+            rng.shuffle(pd)
+            yield parse_pd(pd)
+
+
+def route_diagrams() -> list:
+    diagrams = golden_links() + list(random_closures(45, 120))
+    diagrams += [parse_pd(code) for code in KINKED]
+    # every sublink of those with few components, as gate asks for
+    out = []
+    for d in diagrams:
+        nc = d.component_count
+        out.append(d)
+        if 1 < nc <= 4:
+            out += [sublink(d, keep) for k in range(1, nc)
+                    for keep in combinations(range(nc), k)]
+    return out
+
+
+def test_golden_links_are_read():
+    links = golden_links()
+    assert sum(d.braid is None for d in links) >= 10
+    assert sum(d.braid is not None for d in links) >= 10
+
+
+def test_routes_equal_their_dense_forms():
+    for d in route_diagrams():
+        p = wirtinger(d)
+        assert alexander_fox(p) == dense_alexander_fox(p), d
+        if d.braid is not None:
+            v = seifert_matrix(d.braid)
+            assert alexander_seifert(v) == dense_alexander_seifert(v), d
+
+
+def test_kinked_fox_rows_cancel():
+    # the kink relator x2 x3 x3^-1 x3^-1 has the terms t and -t by x3
+    p = wirtinger(parse_pd(KINKED_TREFOIL))
+    assert p.relators[0] == (2, 3, -3, -3)
+    assert alexander_fox(p).coeff_list() == ([1, -1, 1], 0)
+    for code in KINKED[:2]:
+        assert alexander_fox(wirtinger(parse_pd(code))) == LaurentPoly.one()
+
+
+def test_alexander_seifert_refuses_a_non_square_matrix():
+    with pytest.raises(NonSquare):
+        alexander_seifert(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_unchecked_builds_equal_checked_ones(monkeypatch):
+    built = []
+
+    def cokernel_spy(m):
+        built.append(m)
+        return cokernel(m)
+
+    monkeypatch.setattr(invariants, "cokernel", cokernel_spy)
+    for d in route_diagrams():
+        p = wirtinger(d)
+        assert Presentation(p.generators, p.relators,
+                            p.meridian_markers) == p, d
+        n = len(p.generators)
+        if n <= 1:
+            continue
+        h1 = branched_cover_h1_fox(p)
+        rows = [row[1:] for row in _fox_matrix_at_minus_one(p)]
+        checked = IntMatrix.from_rows(rows) if rows else IntMatrix(0, n - 1, ())
+        assert built.pop() == checked, d
+        assert h1 == cokernel(checked), d
