@@ -30,8 +30,7 @@ from blowupgate.links import (BraidWord, LinkDiagram, Presentation,
                               from_braid, parse_pd)
 from blowupgate.psl2r import PSL2, _euler_and_residual, milnor_wood_admissible
 from blowupgate.repvar import (BrieskornData, brieskorn_enumerate, is_abelian,
-                               is_irreducible, is_metabelian, solve,
-                               trace_coordinates)
+                               is_irreducible, is_metabelian, solve)
 
 SCHEMA = "1"
 # Limits on counts in the input, checked by _limit before anything of
@@ -41,22 +40,25 @@ SCHEMA = "1"
 # or PD crossings) has a Seifert or Fox matrix of about c rows (a 3-strand
 # alternating word of 100 letters takes about 22 s by the Seifert route
 # and 3.3 s by the Fox route for the whole process on that host, and the
-# cost grows faster than c^5), solve prints C(n, 3) trace coordinates per
-# class of an n-generator group (at 64 generators and 20 restarts, a free
-# group takes about 3.8 s, prints 23 MB and peaks at 132 MB, and a chain
-# of 63 commutators takes about 14 s on that host), its Jacobian holds 12
-# entries per generator and relator and its prefix products one matrix
-# per relator letter (on 64 generators, 100,000 relators [1, -1] do not
-# fit in 1 GB; at the relator limits, 256 relators of 16 letters take
-# about 24 s a restart, as 64 commutators [g1, gj] already do under the
-# generator limit alone), mw-admissible lists
-# all prod(4 g_j - 3) vectors, and brieskorn tries all
-# (p - 1)(q - 1)(r - 1) angle triples at about 34 us each.
+# cost grows faster than c^5), solve keeps C(n, 3) trace coordinates for
+# each converged restart of an n-generator group and prints them per
+# class (at 64 generators a free group costs about 7.3 MB a restart: 20
+# restarts take about 2.3 s, print 23 MB and peak at 164 MB, 100 take
+# about 13 s and peak at 743 MB, under 1 GB, and a chain of 63
+# commutators takes about 14 s at 20 restarts on that host), its Jacobian
+# holds 12 entries per generator and relator and its prefix products one
+# matrix per relator letter (on 64 generators, 100,000 relators [1, -1]
+# do not fit in 1 GB; at the relator limits, 256 relators of 16 letters
+# take about 24 s a restart, as 64 commutators [g1, gj] already do under
+# the generator limit alone), mw-admissible lists all prod(4 g_j - 3)
+# vectors, and brieskorn tries all (p - 1)(q - 1)(r - 1) angle triples at
+# about 34 us each.
 MAX_STRANDS = 1000
 MAX_CROSSINGS = 100
 MAX_GENERATORS = 64
 MAX_RELATORS = 256
 MAX_RELATOR_LETTERS = 4096
+MAX_RESTARTS = 100
 MAX_MW_VECTORS = 10 ** 6
 MAX_CENSUS_TRIPLES = 10 ** 6
 
@@ -262,11 +264,11 @@ def _matrix_json(m: PSL2):
     return [[round(x, 15) + 0.0 for x in row] for row in m.matrix_rows()]
 
 
-def _class_json(rep, traces, **flags) -> dict:
-    """A representation class: the residual and matrices of the
-    assignment rep, its traces rounded to 9 decimals, and flags."""
+def _class_json(rep, **flags) -> dict:
+    """A representation class: the residual, traces (rounded to 9
+    decimals) and matrices of the assignment rep, and flags."""
     return {"residual": rep.residual,
-            "traces": [round(t, 9) + 0.0 for t in traces],
+            "traces": [round(t, 9) + 0.0 for t in rep.traces],
             "matrices": {g: _matrix_json(m) for g, m in rep.matrices.items()},
             **flags}
 
@@ -278,9 +280,9 @@ def _cmd_solve(args):
     _limit(len(pres.relators), MAX_RELATORS, "relators")
     _limit(sum(map(len, pres.relators)), MAX_RELATOR_LETTERS,
            "relator letters")
+    _limit(args.restarts, MAX_RESTARTS, "restarts")
     sols = solve(pres, restarts=args.restarts, tol=args.tol, seed=args.seed)
-    out = [_class_json(rep, trace_coordinates(pres, rep),
-                       irreducible=is_irreducible(rep),
+    out = [_class_json(rep, irreducible=is_irreducible(rep),
                        abelian=is_abelian(rep),
                        metabelian=is_metabelian(rep)) for rep in sols]
     return {"count": len(out), "solutions": out}
@@ -291,8 +293,7 @@ def _cmd_brieskorn(args):
     _limit((args.p - 1) * (args.q - 1) * (args.r - 1), MAX_CENSUS_TRIPLES,
            "angle triples")
     census = brieskorn_enumerate(data, tol=args.tol)
-    classes = [_class_json(cls.assignment, cls.traces,
-                           angles=list(cls.angles),
+    classes = [_class_json(cls.assignment, angles=list(cls.angles),
                            irreducible=cls.irreducible) for cls in census]
     return {"exponents": [args.p, args.q, args.r],
             "seifert": {"b0": data.b0, "cone": [[p, b] for p, b in data.cone]},

@@ -13,10 +13,12 @@ else J J^T with isotropic damping (_levmar).  A relator's four entries
 depend only on the generators in it, so the presentation alone fixes
 some entries of J at zero, and the step forms and factors only what
 this pattern leaves (_lm_pattern).
-solve sorts its solutions by their ordered trace coordinates, which are
-invariant under conjugation and under the sign of each matrix, and
-merges two solutions when those agree (trace_coordinates); the
-Brieskorn census names each class by rotation numbers.
+A class's key is its ordered trace coordinates (trace_coordinates),
+which are invariant under conjugation and under the sign of each
+matrix.  solve and the Brieskorn census compute it once, when they build
+the assignment, and store it in RepAssignment.traces; solve sorts its
+solutions by it and merges two solutions when their keys agree, and the
+census names each class by rotation numbers.
 Every float sum is taken left to right from 0.0, by _sum or by a loop
 written out, so the points printed do not depend on the Python version.
 Where J and the residual are finite, a term that the pattern skips is
@@ -66,10 +68,13 @@ LM_COST_TARGET = 1e-28
 
 
 class RepAssignment(_Record):
-    """Matrices (mod sign) for every generator of a presentation."""
+    """Matrices (mod sign) for every generator of a presentation, with
+    the relator residual and the trace coordinates that solve and the
+    census found for them (None where not computed)."""
 
     matrices: dict
     residual: float | None = None
+    traces: tuple | None = None
 
     def __getitem__(self, name: str) -> PSL2:
         return self.matrices[name]
@@ -77,7 +82,7 @@ class RepAssignment(_Record):
     def conjugated(self, g: PSL2) -> "RepAssignment":
         gi = g.inv()
         return RepAssignment({k: g @ m @ gi for k, m in self.matrices.items()},
-                             residual=self.residual)
+                             self.residual, self.traces)
 
 
 def _sum(values):
@@ -111,13 +116,14 @@ def residual(p: Presentation, rep) -> float:
     return _sum(psl_dist_sq(word_image(w, mats), IDENTITY) for w in p.relators)
 
 
-def trace_coordinates(p: Presentation, rep: RepAssignment) -> tuple:
+def trace_coordinates(p: Presentation, rep) -> tuple:
     """Ordered trace coordinates that are invariant under conjugation and
     under the sign of each matrix (Goldman, "Trace coordinates on Fricke
     spaces", 2009): tr(g_i)^2, tr(g_i) tr(g_j) tr(g_i g_j) for i < j and
     tr(g_i) tr(g_j) tr(g_k) tr(g_i g_j g_k) for i < j < k, each product
     followed by the square of its last factor, which keeps it when a
-    generator has trace 0."""
+    generator has trace 0.  rep is a RepAssignment or any mapping of
+    generator names to PSL2."""
     mats = _generator_mats(p, rep)
     tr = [m[0] + m[3] for m in mats]
     key = [t * t for t in tr]
@@ -448,7 +454,7 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
 
     Each restart is a pure function of (presentation, seed, index), so
     results are reproducible.  Returns assignments with residual below
-    tol, sorted by trace coordinates.
+    tol and their trace coordinates, sorted by those.
     """
     if _integer(restarts) < 1:
         raise InvalidParameter("restarts must be >= 1")
@@ -461,24 +467,19 @@ def solve(p: Presentation, restarts: int = 20, tol: float = 1e-10,
         params, cost = _restart(p, seed, index, pattern)
         if not cost < tol:      # a NaN cost is rejected too
             continue
-        found.append(RepAssignment(
-            {name: PSL2(_generator_jet(*params[3 * i:3 * i + 3])[0])
-             for i, name in enumerate(p.generators)},
-            residual=cost))
-    return _dedup(p, found)
+        mats = {name: PSL2(_generator_jet(*params[3 * i:3 * i + 3])[0])
+                for i, name in enumerate(p.generators)}
+        found.append(RepAssignment(mats, cost, trace_coordinates(p, mats)))
+    return _dedup(found)
 
 
-def _dedup(p: Presentation, assignments) -> list:
-    """assignments sorted by (trace_coordinates, residual), keeping the
-    first of each class: a later one is dropped when every trace
-    coordinate is within DEDUP_TOL, relative to the coordinate's size, of
-    a kept one."""
-    keyed = sorted(((trace_coordinates(p, rep), rep) for rep in assignments),
-                   key=lambda kr: (kr[0], kr[1].residual))
-    out, kept_keys = [], []
-    for key, rep in keyed:
-        if not any(_close(key, k) for k in kept_keys):
-            kept_keys.append(key)
+def _dedup(assignments) -> list:
+    """assignments sorted by (traces, residual), keeping the first of each
+    class: a later one is dropped when every trace coordinate is within
+    DEDUP_TOL, relative to the coordinate's size, of a kept one."""
+    out = []
+    for rep in sorted(assignments, key=lambda r: (r.traces, r.residual)):
+        if not any(_close(rep.traces, k.traces) for k in out):
             out.append(rep)
     return out
 
@@ -707,7 +708,6 @@ def brieskorn_presentation(data: BrieskornData) -> Presentation:
 class BrieskornClass(_Record):
     angles: tuple            # numerators (l1, l2, l3); (0, 0, 0) is trivial
     assignment: RepAssignment
-    traces: tuple
     irreducible: bool
 
     @property
@@ -752,17 +752,17 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
     sum l_i / p_i < 1 or > 2 (tested in integers); the mirror p - l is
     its conjugate by a reflection, so only the lesser of l and p - l is
     solved.  The first closed-form solution whose residual is below tol,
-    whose rotation numbers verify and which is irreducible is kept; a
-    triple without one raises CertificateFailed.  The trivial class
+    whose rotation numbers verify and which is irreducible is kept, and
+    only then are its trace coordinates computed; a triple without one
+    raises CertificateFailed.  The trivial class
     comes first, the rest in order of angles.
     """
     _check_tol(tol)
     pres = brieskorn_presentation(data)
     eye = PSL2.identity()
-    trivial = RepAssignment({g: eye for g in pres.generators}, residual=0.0)
-    census = [BrieskornClass(angles=(0, 0, 0), assignment=trivial,
-                             traces=trace_coordinates(pres, trivial),
-                             irreducible=False)]
+    eyes = {g: eye for g in pres.generators}
+    trivial = RepAssignment(eyes, 0.0, trace_coordinates(pres, eyes))
+    census = [BrieskornClass((0, 0, 0), trivial, False)]
     p1, p2, p3 = data.exponents
     whole = p1 * p2 * p3
     for angles in product(range(1, p1), range(1, p2), range(1, p3)):
@@ -776,12 +776,10 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
             res = residual(pres, matrices)
             if not res < tol:
                 continue
-            rep = RepAssignment(matrices, residual=res)
             if (_rotation_numbers_verify(xs, angles, data.exponents)
-                    and is_irreducible(rep)):
-                census.append(BrieskornClass(
-                    angles=angles, assignment=rep,
-                    traces=trace_coordinates(pres, rep), irreducible=True))
+                    and is_irreducible(RepAssignment(matrices))):
+                census.append(BrieskornClass(angles, RepAssignment(
+                    matrices, res, trace_coordinates(pres, matrices)), True))
                 break
         else:
             raise CertificateFailed(

@@ -10,7 +10,8 @@ import pytest
 
 import blowupgate
 from blowupgate.cli import (MAX_CROSSINGS, MAX_GENERATORS,
-                            MAX_RELATOR_LETTERS, MAX_RELATORS, run)
+                            MAX_RELATOR_LETTERS, MAX_RELATORS, MAX_RESTARTS,
+                            run)
 
 
 def invoke(argv):
@@ -580,11 +581,18 @@ def test_euler_reports_a_missing_generator_in_bounded_memory(tmp_path):
                "relators": [[1, -1]] * (MAX_RELATORS + 1)}),
     ("solve", {"generators": ["a"],
                "relators": [[1] * (MAX_RELATOR_LETTERS + 1)]}),
+    # more restarts than the limit: each converged restart keeps
+    # n + 2 C(n, 2) + 2 C(n, 3) trace coordinates until they are printed
+    pytest.param(f"solve --restarts {MAX_RESTARTS + 1}",
+                 {"generators": ["a"], "relators": [[1, -1]]},
+                 id="solve-restarts-over-limit"),
 ])
 def test_malformed_input_is_input_error(tmp_path, command, payload):
+    # command is the subcommand, then any options after the input file
+    name, *options = command.split()
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
-    code, out = invoke([command, str(path)])
+    code, out = invoke([name, str(path), *options])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "InputError"
 
@@ -630,6 +638,47 @@ def test_presentation_at_the_relator_limits_is_accepted(tmp_path):
     assert code == 0
     (solution,) = json.loads(out)["solutions"]
     assert solution["residual"] < 1e-10 and len(solution["matrices"]) == n
+
+
+def test_presentation_at_the_restart_limit_is_accepted(tmp_path):
+    # without relators every start is a solution, so solve runs one
+    # restart whatever the limit
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"generators": ["a", "b"], "relators": []}))
+    code, out = invoke(["solve", str(path), "--restarts", str(MAX_RESTARTS)])
+    assert code == 0
+    assert json.loads(out)["count"] == 1
+
+
+def test_solve_computes_each_class_key_once(tmp_path, monkeypatch):
+    # the key is computed when a converged restart's assignment is built,
+    # and printed from there
+    import blowupgate.cli as cli
+    from blowupgate import repvar
+    calls, costs = [], []
+    key, restart = repvar.trace_coordinates, repvar._restart
+
+    def counted_key(p, rep):
+        calls.append(rep)
+        return key(p, rep)
+
+    def recorded_restart(*args):
+        params, cost = restart(*args)
+        costs.append(cost)
+        return params, cost
+
+    monkeypatch.setattr(repvar, "trace_coordinates", counted_key)
+    # the CLI imports no key function; were one imported, it is counted
+    monkeypatch.setattr(cli, "trace_coordinates", counted_key, raising=False)
+    monkeypatch.setattr(repvar, "_restart", recorded_restart)
+    path = tmp_path / "trefoil.json"
+    path.write_text(json.dumps({"generators": ["a", "b"],
+                                "relators": [[1, 2, 1, -2, -1, -2]]}))
+    code, out = invoke(["solve", str(path), "--restarts", "8"])
+    assert code == 0
+    assert json.loads(out)["count"] >= 1
+    assert len(costs) == 8
+    assert len(calls) == sum(cost < 1e-10 for cost in costs)
 
 
 @pytest.mark.parametrize("command, what", [

@@ -15,7 +15,7 @@ from blowupgate import (PSL2, AbelianGroup, BraidWord, BrieskornClass,
                         RealizableK, RepAssignment, Verdict, from_braid)
 
 IDENTITY = PSL2((1, 0, 0, 1))
-REP = RepAssignment({"a": IDENTITY}, 0.5)
+REP = RepAssignment({"a": IDENTITY}, 0.5, (4.0,))
 INVARIANTS = LinkInvariants(1, LaurentPoly({0: 1, 1: -1}), Fraction(1), 1,
                             AbelianGroup(0), False, "seifert")
 
@@ -63,18 +63,19 @@ RECORDS = {
                    "relators=((1, 2, -1),), meridian_markers=(1,))"),
     PSL2: (("m",), ((2.0, 0.0, 0.0, 0.5),),
            "PSL2(_t=(2.0, 0.0, 0.0, 0.5))"),
-    RepAssignment: (("matrices", "residual"), ({"a": IDENTITY}, 0.5),
+    RepAssignment: (("matrices", "residual", "traces"),
+                    ({"a": IDENTITY}, 0.5, (4.0,)),
                     "RepAssignment(matrices={'a': PSL2(_t=(1, 0, 0, 1))}, "
-                    "residual=0.5)"),
+                    "residual=0.5, traces=(4.0,))"),
     BrieskornData: (("p", "q", "r"), (2, 3, 5),
                     "BrieskornData(p=2, q=3, r=5, "
                     "cone=((2, 1), (3, 1), (5, -4)))"),
-    BrieskornClass: (("angles", "assignment", "traces", "irreducible"),
-                     ((1, 1, 1), REP, (0.5,), True),
+    BrieskornClass: (("angles", "assignment", "irreducible"),
+                     ((1, 1, 1), REP, True),
                      "BrieskornClass(angles=(1, 1, 1), "
                      "assignment=RepAssignment(matrices={'a': "
-                     "PSL2(_t=(1, 0, 0, 1))}, residual=0.5), "
-                     "traces=(0.5,), irreducible=True)"),
+                     "PSL2(_t=(1, 0, 0, 1))}, residual=0.5, "
+                     "traces=(4.0,)), irreducible=True)"),
 }
 
 # the constructor's parameters are its fields, except for these
@@ -89,7 +90,7 @@ DEFAULTS = [
     (lambda: BraidWord(3), BraidWord(3, ())),
     (lambda: LinkDiagram((), ()), LinkDiagram((), (), None)),
     (lambda: Presentation(("a",), ()), Presentation(("a",), (), None)),
-    (lambda: RepAssignment({}), RepAssignment({}, None)),
+    (lambda: RepAssignment({}), RepAssignment({}, None, None)),
 ]
 
 CLASSES = sorted(RECORDS, key=lambda cls: cls.__name__)

@@ -130,25 +130,30 @@ def hyperbolic(trace):
     return PSL2((math.exp(t), 0.0, 0.0, math.exp(-t)))
 
 
+def keyed(p, matrices):
+    """The assignment of matrices with residual 0 and its key, as solve
+    builds it."""
+    return RepAssignment(matrices, 0.0, trace_coordinates(p, matrices))
+
+
 def test_dedup_keeps_swapped_traces_apart():
     # two classes of Z^2 whose sorted |trace| vectors are equal; the
     # ordered trace coordinates tell them apart
     p = surface_presentation(1)
     a, b = hyperbolic(3.0), hyperbolic(4.0)
-    reps = [RepAssignment({"a1": a, "b1": b}, residual=0.0),
-            RepAssignment({"a1": b, "b1": a}, residual=0.0)]
+    reps = [keyed(p, {"a1": a, "b1": b}), keyed(p, {"a1": b, "b1": a})]
     assert all(residual(p, rep) < 1e-28 for rep in reps)
-    assert trace_coordinates(p, reps[0]) != trace_coordinates(p, reps[1])
-    assert len(_dedup(p, reps)) == 2
+    assert reps[0].traces != reps[1].traces
+    assert len(_dedup(reps)) == 2
 
 
 def test_dedup_keeps_classes_apart_when_a_trace_vanishes():
     # tr(x) = 0 zeroes tr(x) tr(y) tr(xy); tr(xy) = 0 and 8/3 tell them apart
     p = Presentation(("x", "y"), ())
     x = PSL2(rotation(math.pi / 2))
-    reps = [RepAssignment({"x": x, "y": y}, residual=0.0)
+    reps = [keyed(p, {"x": x, "y": y})
             for y in (hyperbolic(3.0), PSL2((1.0, 3.0, 1.0 / 3.0, 2.0)))]
-    assert len(_dedup(p, reps)) == 2
+    assert len(_dedup(reps)) == 2
 
 
 def test_dedup_merges_one_class_found_twice():
@@ -157,16 +162,18 @@ def test_dedup_merges_one_class_found_twice():
     # size merges them
     rng = random.Random(21)
     p = Presentation(("x", "y", "z"), ())
-    base = RepAssignment({g: PSL2(mat_mul(mat_mul(
+    base = keyed(p, {g: PSL2(mat_mul(mat_mul(
         rotation(rng.uniform(0, math.pi)), hyperbolic(40.0 + 9 * i).tuple()),
         rotation(rng.uniform(0, math.pi))))
-        for i, g in enumerate(p.generators)}, residual=0.0)
-    copies = [base] + [base.conjugated(random_psl2(rng)) for _ in range(6)]
-    kept = _dedup(p, copies)
+        for i, g in enumerate(p.generators)})
+    # each copy keyed by its own matrices, as solve would find it
+    copies = [base] + [keyed(p, base.conjugated(random_psl2(rng)).matrices)
+                       for _ in range(6)]
+    assert len({c.traces for c in copies}) > 1
+    kept = _dedup(copies)
     assert len(kept) == 1
-    swapped = RepAssignment({"x": base["y"], "y": base["x"], "z": base["z"]},
-                            residual=0.0)
-    assert len(_dedup(p, copies + [swapped])) == 2
+    swapped = keyed(p, {"x": base["y"], "y": base["x"], "z": base["z"]})
+    assert len(_dedup(copies + [swapped])) == 2
     # PSL2 would restore the sign, so the negated x goes in as an object
     # that has only tuple()
     negated = tuple(-v for v in base["x"].tuple())
@@ -198,6 +205,19 @@ def test_solve_free_group_every_restart_succeeds():
     sols = solve(pres, restarts=4, tol=1e-10, seed=1)
     assert len(sols) == 1  # one assignment returned, residual exactly zero
     assert residual(pres, sols[0]) == 0.0
+
+
+@pytest.mark.parametrize("name", [*LM_GROUPS, *EDGE_GROUPS])
+def test_solve_classes_record_the_traces_of_their_matrices(name):
+    # the groups and seeds of the numeric CLI corpus; conjugation keeps
+    # the key and the residual, which it leaves invariant
+    p = {**LM_GROUPS, **EDGE_GROUPS}[name]
+    rng = random.Random(8)
+    for seed in range(6):
+        for rep in solve(p, restarts=4, seed=seed):
+            assert rep.traces == trace_coordinates(p, rep)
+            conj = rep.conjugated(random_psl2(rng))
+            assert (conj.residual, conj.traces) == (rep.residual, rep.traces)
 
 
 def test_solve_survives_an_overflowing_step():
@@ -768,6 +788,16 @@ def test_census_class_records_the_residual_of_its_matrices():
                 exponents, cls.angles)
 
 
+def test_census_class_records_the_traces_of_its_matrices():
+    for exponents in COPRIME_TRIPLES:
+        data = BrieskornData(*exponents)
+        pres = brieskorn_presentation(data)
+        for cls in brieskorn_enumerate(data):
+            assert (cls.assignment.traces
+                    == trace_coordinates(pres, cls.assignment)), (
+                exponents, cls.angles)
+
+
 @pytest.mark.parametrize("name, restarts", [
     ("trefoil", 12), ("figure_eight", 6), ("surface1xS1", 12),
     ("surface1*surface1", 12)])
@@ -788,7 +818,7 @@ def test_brieskorn_census_keeps_classes_with_equal_traces():
     # sorted |trace| vectors agree to 1e-6, but the ordered trace
     # coordinates differ
     one, other = census[(1, 1, 4)], census[(1, 1, 7)]
-    assert math.dist(one.traces, other.traces) > 1e-3
+    assert math.dist(one.assignment.traces, other.assignment.traces) > 1e-3
 
 
 # ---------------------------------------------------------------------------
