@@ -2,7 +2,11 @@
 
 Everything in here is arbitrary precision: Smith normal forms of integer
 matrices, finitely generated abelian groups read off from them, and
-integer Laurent polynomials compared up to units +-t^k.
+integer Laurent polynomials compared up to units +-t^k.  One routine,
+_det, takes the determinant of an IntMatrix and of a Kronecker value
+(_kronecker_det); laurent_gcd too works in ints, and only eval_at in
+Fractions.  The IntMatrix constructor and from_rows check outside
+input; matrices the package builds are stored unchecked (_of, _of_rows).
 """
 
 from __future__ import annotations
@@ -31,14 +35,8 @@ class IntMatrix(_Record):
     entries: tuple
 
     def __init__(self, rows, cols, entries):
-        if type(rows) is not int or type(cols) is not int:
-            rows, cols = _integer(rows), _integer(cols)
-        if rows < 0 or cols < 0:
-            raise InputError("negative dimensions")
-        # one type test over the tuple: _integers per entry would cost
-        # about 130 ns each
-        if type(entries) is not tuple or not set(map(type, entries)) <= {int}:
-            entries = _integers(entries)
+        rows, cols = _shape(rows, cols)
+        entries = _integers(entries)
         if len(entries) != rows * cols:
             raise InputError("entry count does not match dimensions")
         self._store(rows, cols, entries)
@@ -56,15 +54,20 @@ class IntMatrix(_Record):
         return IntMatrix(rows, cols, tuple(chain.from_iterable(data)))
 
     @staticmethod
+    def _of_rows(rows, cols: int) -> "IntMatrix":
+        """The matrix of int rows of length cols the package built."""
+        return IntMatrix._of(len(rows), cols, tuple(chain.from_iterable(rows)))
+
+    @staticmethod
     def identity(n: int) -> "IntMatrix":
-        n = _integer(n)
-        return IntMatrix(n, n, tuple(1 if i == j else 0
-                                     for i in range(n) for j in range(n)))
+        n, _ = _shape(n, n)
+        return IntMatrix._of(n, n, tuple(int(i == j) for i in range(n)
+                                         for j in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        rows, cols = _integer(rows), _integer(cols)
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
+        rows, cols = _shape(rows, cols)
+        return IntMatrix._of(rows, cols, (0,) * (rows * cols))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -96,37 +99,47 @@ class IntMatrix(_Record):
         return IntMatrix._of(self.rows, other.cols, tuple(out))
 
     def det(self) -> int:
-        """Exact determinant: unit pivots first, then Bareiss elimination.
-
-        _peel_units expands along every entry +-1 it can find, which
-        costs one multiply-subtract per touched entry; fraction-free
-        (Bareiss) elimination, which rescales every remaining row with
-        two multiplications and an exact division per step, takes the
-        rest.
-        """
+        """Exact determinant, by _det."""
         if self.rows != self.cols:
             raise NonSquare(f"{self.rows}x{self.cols} matrix")
-        a = self.to_rows()
-        sign = _peel_units(a)
-        n = len(a)
-        if n == 0:
-            return sign
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+        return _det(self.to_rows())
+
+
+def _shape(rows, cols) -> tuple:
+    """rows and cols as ints (_integer), refusing a negative one."""
+    rows, cols = _integer(rows), _integer(cols)
+    if rows < 0 or cols < 0:
+        raise InputError("negative dimensions")
+    return rows, cols
+
+
+def _det(a: list) -> int:
+    """Exact determinant of the square matrix whose rows are the int
+    lists in a, which it overwrites.  _peel_units expands along every
+    entry +-1 it can find, at one multiply-subtract per touched entry;
+    fraction-free (Bareiss) elimination, which rescales every remaining
+    row with two multiplications and an exact division per step, takes
+    the rest."""
+    sign = _peel_units(a)
+    n = len(a)
+    if n == 0:
+        return sign
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def _peel_units(a: list) -> int:
@@ -281,10 +294,9 @@ def smith_normal_form(m: IntMatrix):
          for row, e in zip(m.to_rows(), IntMatrix.identity(r).to_rows())]
     a += IntMatrix.identity(c).to_rows()
     _eliminate(a, r, c)
-    return (IntMatrix.from_rows(row[c:] for row in a[:r]),
-            IntMatrix.from_rows(row[:c] for row in a[:r]) if r
-            else IntMatrix(0, c, ()),
-            IntMatrix.from_rows(a[r:]))
+    return (IntMatrix._of_rows([row[c:] for row in a[:r]], r),
+            IntMatrix._of_rows([row[:c] for row in a[:r]], c),
+            IntMatrix._of_rows(a[r:], c))
 
 
 def invariant_factors(m: IntMatrix) -> list:
@@ -462,18 +474,18 @@ def _kronecker_det(rows) -> LaurentPoly:
 
     Kronecker substitution: each row is divided by t to the least
     exponent of its terms, every cell is evaluated at t = 2**bits, one
-    integer determinant is taken with IntMatrix.det, and its
-    coefficients are read off as balanced base-2**bits digits.  The
-    product over rows of the sum of absolute coefficients of the terms
-    bounds every coefficient of the determinant, and 2**bits exceeds
-    twice that bound, so the digits are exact.  A row may repeat a
-    (column, exponent) pair, whose terms may cancel: that only loosens
-    the bound, or shifts the row by a power of t.  A row without terms
-    gives 0, and no rows give 1.
+    integer determinant is taken with _det, and its coefficients are
+    read off as balanced base-2**bits digits.  The product over rows of
+    the sum of absolute coefficients of the terms bounds every
+    coefficient of the determinant, and 2**bits exceeds twice that
+    bound, so the digits are exact.  A row may repeat a (column,
+    exponent) pair, whose terms may cancel: that only loosens the bound,
+    or shifts the row by a power of t.  A row without terms gives 0, and
+    no rows give 1.
 
     An entry +-t^k at its row's least exponent becomes a pivot +-1,
-    which IntMatrix.det splits off before Bareiss elimination: Wirtinger
-    Fox minors and braid Seifert forms have one in most rows.
+    which _det splits off before Bareiss elimination: Wirtinger Fox
+    minors and braid Seifert forms have one in most rows.
     """
     n = len(rows)
     bound, lows = 1, []
@@ -484,11 +496,11 @@ def _kronecker_det(rows) -> LaurentPoly:
         lows.append(min(exps))
         bound *= sum(map(abs, ks))
     bits = (2 * bound).bit_length()
-    values = [0] * (n * n)
-    for i, (terms, low) in enumerate(zip(rows, lows)):
+    values = [[0] * n for _ in range(n)]
+    for row, terms, low in zip(values, rows, lows):
         for j, e, k in terms:
-            values[i * n + j] += k << (bits * (e - low))
-    value = IntMatrix._of(n, n, tuple(values)).det()
+            row[j] += k << (bits * (e - low))
+    value = _det(values)
     base = 1 << bits
     coeffs = {}
     exp = sum(lows)
@@ -502,60 +514,32 @@ def _kronecker_det(rows) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def _int_content(coeffs) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g
-
-
-def _primitive_int(coeffs):
-    g = _int_content(coeffs)
-    if g == 0:
-        return []
-    out = [c // g for c in coeffs]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
-def _poly_mod(a, b):
-    # remainder of dense Fraction polynomial division, lists low -> high
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    while len(a) >= len(b):
-        q = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] -= q * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+def _primitive(coeffs) -> list:
+    """The int list coeffs divided by the gcd of its entries; [] for 0."""
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs] if g else []
 
 
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """gcd in Z[t, 1/t], unit-normalized.
-
-    Computed as integer content gcd times the primitive-part gcd, the
-    latter by the Euclidean algorithm over the rationals.
-    """
-    p = p.unit_normalize()
-    q = q.unit_normalize()
+    """gcd in Z[t, 1/t], unit-normalized: the gcd of the contents times
+    the last term of the primitive pseudo-remainder sequence of the
+    primitive parts (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1), in ints.
+    Pseudo-division scales a by the leading coefficient of b before each
+    subtraction, and each remainder is divided by its content."""
+    p, q = p.unit_normalize(), q.unit_normalize()
     if p.is_zero:
         return q
     if q.is_zero:
         return p
-    ca, _ = p.coeff_list()
-    cb, _ = q.coeff_list()
-    content = gcd(_int_content(ca), _int_content(cb))
-    a = [Fraction(c) for c in _primitive_int(ca)]
-    b = [Fraction(c) for c in _primitive_int(cb)]
+    (ca, _), (cb, _) = p.coeff_list(), q.coeff_list()
+    a, b = _primitive(ca), _primitive(cb)
     while b:
-        a, b = b, _poly_mod(a, b)
-    num_lcm = 1
-    for c in a:
-        num_lcm = num_lcm * c.denominator // gcd(num_lcm, c.denominator)
-    ints = [int(c * num_lcm) for c in a]
-    prim = _primitive_int(ints)
-    return (content * LaurentPoly.from_coeffs(prim)).unit_normalize()
+        while len(a) >= len(b):
+            top, shift = a[-1], len(a) - len(b)
+            a = [x * b[-1] for x in a]
+            for i, y in enumerate(b, shift):
+                a[i] -= top * y
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, _primitive(a)
+    return (gcd(*ca, *cb) * LaurentPoly.from_coeffs(a)).unit_normalize()

@@ -10,8 +10,6 @@ Kronecker determinant of exact; neither builds a polynomial per cell.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .errors import BlowupgateError, _Record
 from .exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
                     _kronecker_det, cokernel)
@@ -146,8 +144,7 @@ def branched_cover_h1_fox(p: Presentation) -> AbelianGroup:
     if n <= 1:
         return AbelianGroup(rank=0)
     rows = [row[1:] for row in _fox_matrix_at_minus_one(p)]
-    return cokernel(IntMatrix._of(len(rows), n - 1,
-                                  tuple(chain.from_iterable(rows))))
+    return cokernel(IntMatrix._of_rows(rows, n - 1))
 
 
 def link_invariants(d: LinkDiagram) -> LinkInvariants:

@@ -16,7 +16,7 @@ single free arcs that appear in no crossing record.
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import chain, count
+from itertools import count
 
 from .errors import BlowupgateError, InputError, _integer, _integers, _Record
 from .exact import IntMatrix, AbelianGroup, cokernel
@@ -179,8 +179,7 @@ class Presentation(_Record):
             for letter in r:
                 row[abs(letter) - 1] += 1 if letter > 0 else -1
             rows.append(row)
-        return IntMatrix(len(rows), len(self.generators),
-                         tuple(chain.from_iterable(rows)))
+        return IntMatrix._of_rows(rows, len(self.generators))
 
     def abelianization(self) -> AbelianGroup:
         return cokernel(self.exponent_matrix())
@@ -416,7 +415,7 @@ def seifert_matrix(b: BraidWord) -> IntMatrix:
                 rows[i][below_first + j - 1] = -1
         below, below_first = [p for p, _s in level], first
         first += size
-    return IntMatrix._of(m, m, tuple(chain.from_iterable(rows)))
+    return IntMatrix._of_rows(rows, m)
 
 
 # ---------------------------------------------------------------------------

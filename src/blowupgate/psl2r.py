@@ -9,11 +9,14 @@ lifts, letter by letter with canonical lifts, to a deck translation
 (relator_shift), and the Euler number of a surface-group representation
 is that shift for the surface relator a1 b1 a1^-1 b1^-1 ... ag bg ag^-1
 bg^-1 (surface_relator).  With this normalization the Euler number of a
-Fuchsian genus-g representation is +-(2g - 2).
+Fuchsian genus-g representation is +-(2g - 2).  The fixed lines of an
+element are computed here alone (fixed_lines), and tested by maps_line;
+translation_number and the classifiers of repvar read them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import (BlowupgateError, InputError, _check_tol, _integer,
@@ -170,6 +173,40 @@ def classify(g: PSL2, tol: float = 1e-8) -> str:
     return IDENTITY_CLASS if g.is_identity(tol=math.sqrt(tol)) else PARABOLIC
 
 
+def fixed_lines(m) -> list:
+    """The fixed lines in CP^1 of the 2x2 matrix m, as complex unit
+    vectors: the longer of the eigenvectors (b, lam - a) and (lam - d, c)
+    of each eigenvalue lam, the one of larger modulus first.  A parabolic
+    m gives its line twice, and +-identity, where both vanish, none."""
+    a, b, c, d = m
+    tr = a + d
+    # sqrt(tr^2 - 4) as a product, which does not overflow for large tr;
+    # its branch puts the eigenvalue of larger modulus first for either
+    # sign of tr
+    disc = cmath.sqrt(tr - 2) * cmath.sqrt(tr + 2)
+    lines = []
+    for lam in ((tr + disc) / 2, (tr - disc) / 2):
+        v = max([(b, lam - a), (lam - d, c)], key=_length)
+        norm = _length(v)
+        if norm > 1e-12:
+            lines.append((v[0] / norm, v[1] / norm))
+    return lines
+
+
+def maps_line(m, v, w, tol: float) -> bool:
+    """True when the 2x2 matrix m maps the line of v to that of the unit
+    vector w to within tol: |(m v) x w|, the sine of the angle between
+    the lines times |m v|, is below tol |m v|, which is 0 for m v = 0."""
+    a, b, c, d = m
+    x, y = a * v[0] + b * v[1], c * v[0] + d * v[1]
+    return abs(x * w[1] - y * w[0]) < tol * _length((x, y))
+
+
+def _length(v) -> float:
+    # hypot, unlike a sum of ** 2, does not overflow on large entries
+    return math.hypot(abs(v[0]), abs(v[1]))
+
+
 def act_rp1(g: PSL2, theta: float) -> float:
     """Image in [0, pi) of the line at angle theta under g."""
     a, b, c, d = g.tuple()
@@ -232,10 +269,11 @@ def translation_number(lift: CircleLift) -> float:
       with atan2, which stays accurate near the identity, where
       acos(tr / 2) loses half the digits.  Near a parabolic element the
       number moves like sqrt(-D), so it is as accurate as D is.
-    - D >= 0: g fixes a line theta, the lift sends theta to theta + k pi
-      for an integer k, and k is the number.  The lift is evaluated by
-      apply, so a fixed line near 0 or pi meets the same tie rule as an
-      orbit of the lift does.
+    - D >= 0: g fixes the line theta of its first fixed_lines (0 for
+      +-identity, which fixes every line), the lift sends theta to
+      theta + k pi for an integer k, and k is the number.  The lift is
+      evaluated by apply, so a fixed line near 0 or pi meets the same tie
+      rule as an orbit of the lift does.
     """
     a, b, c, d = lift.g.tuple()
     tr = a + d
@@ -243,12 +281,10 @@ def translation_number(lift: CircleLift) -> float:
     if disc < 0:
         t = math.atan2(math.sqrt(-disc), tr if c > 0 else -tr)
         return lift.offset + t / math.pi
-    # an eigenvector of the eigenvalue of larger modulus; both candidates
-    # vanish only at the identity, which fixes every line
-    lam = 0.5 * (tr + math.copysign(math.sqrt(disc), tr))
-    u, v = (b, lam - a), (lam - d, c)
-    x, y = u if math.hypot(*u) >= math.hypot(*v) else v
-    theta = math.atan2(y, x) % math.pi if x or y else 0.0
+    x, y = (fixed_lines(lift.g.tuple()) or [(0.0, 0.0)])[0]
+    # the real parts; where rounding makes tr^2 - 4 negative, the
+    # eigenvector of a parabolic g has an imaginary part of the same order
+    theta = math.atan2(y.real, x.real) % math.pi
     return float(round((lift.apply(theta) - theta) / math.pi))
 
 

@@ -18,7 +18,9 @@ which are invariant under conjugation and under the sign of each
 matrix.  solve and the Brieskorn census compute it once, when they build
 the assignment, and store it in RepAssignment.traces; solve sorts its
 solutions by it and merges two solutions when their keys agree, and the
-census names each class by rotation numbers.
+census names each class by rotation numbers.  The classifiers
+(is_irreducible, is_metabelian) take fixed lines from psl2r.fixed_lines
+and test them with psl2r.maps_line.
 Every float sum is taken left to right from 0.0, by _sum or by a loop
 written out, so the points printed do not depend on the Python version.
 Where J and the residual are finite, a term that the pattern skips is
@@ -28,7 +30,6 @@ so adding +-0.0 leaves it as it is: skipping moves no bit of any step.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from itertools import combinations, product
@@ -36,10 +37,10 @@ from itertools import combinations, product
 from .errors import (BlowupgateError, InputError, InvalidParameter,
                      _check_tol, _integer, _Record)
 from .links import Presentation
-from .psl2r import (PSL2, CircleLift, commutator, mat_inv, mat_mul,
-                    psl_dist_sq, psl_sign, rotation, surface_generator_names,
-                    surface_relator, sym_exp, translation_number, word_image,
-                    IDENTITY)
+from .psl2r import (PSL2, CircleLift, commutator, fixed_lines, maps_line,
+                    mat_inv, mat_mul, psl_dist_sq, psl_sign, rotation,
+                    surface_generator_names, surface_relator, sym_exp,
+                    translation_number, word_image, IDENTITY)
 
 
 class UnassignedGenerator(BlowupgateError, KeyError):
@@ -505,55 +506,6 @@ def _noncentral(mats, tol):
     return [m for m in mats if not psl_dist_sq(m, IDENTITY) <= tol]
 
 
-def _eigenlines(m):
-    """Projective fixed lines of a 2x2 matrix over C, as (v0, v1) pairs."""
-    a, b, c, d = (complex(x) for x in m)
-    tr = a + d
-    # sqrt(tr^2 - 4) as a product, which does not overflow for large tr
-    disc = cmath.sqrt(tr - 2) * cmath.sqrt(tr + 2)
-    lines = []
-    for lam in ((tr + disc) / 2, (tr - disc) / 2):
-        v = max([(b, lam - a), (lam - d, c)], key=_norm)
-        norm = _norm(v)
-        if norm > 1e-12:
-            lines.append((v[0] / norm, v[1] / norm))
-    # collapse the pair when the eigenvalues coincide (parabolic)
-    if len(lines) == 2 and _line_dist(lines[0], lines[1]) < 1e-8:
-        lines = lines[:1]
-    return lines
-
-
-def _norm(v):
-    # hypot, unlike a sum of ** 2, does not overflow on large entries
-    return math.hypot(abs(v[0]), abs(v[1]))
-
-
-def _line_dist(u, v):
-    # sine of the angle between complex projective lines
-    cross = u[0] * v[1] - u[1] * v[0]
-    return abs(cross)
-
-
-def _image_line(m, v):
-    """The line m v, normalized, or None when m v is numerically zero."""
-    a, b, c, d = (complex(x) for x in m)
-    w = (a * v[0] + b * v[1], c * v[0] + d * v[1])
-    nw = _norm(w)
-    if nw < 1e-12:
-        return None
-    return (w[0] / nw, w[1] / nw)
-
-
-def _fixes_line(m, v) -> bool:
-    w = _image_line(m, v)
-    return w is None or _line_dist(v, w) < CLASSIFY_TOL
-
-
-def _maps_to(m, v, w) -> bool:
-    mv = _image_line(m, v)
-    return mv is not None and _line_dist(mv, w) < CLASSIFY_TOL
-
-
 def _noncentral_commutators(mats):
     """The generator commutators that are not +-identity, lazily."""
     for a, b in combinations(mats, 2):
@@ -567,12 +519,9 @@ def is_irreducible(rep: RepAssignment) -> bool:
     a line counts as fixed to within CLASSIFY_TOL."""
     mats = [m.tuple() for m in rep.matrices.values()]
     core = _noncentral(mats, CENTRAL_TOL)
-    if not core:
-        return False
-    for v in _eigenlines(core[0]):
-        if all(_fixes_line(m, v) for m in core):
-            return False
-    return True
+    return bool(core) and not any(
+        all(maps_line(m, v, v, CLASSIFY_TOL) for m in core)
+        for v in fixed_lines(core[0]))
 
 
 def is_abelian(rep: RepAssignment) -> bool:
@@ -596,9 +545,10 @@ def is_metabelian(rep: RepAssignment) -> bool:
     c = next(_noncentral_commutators(mats), None)
     if c is None:
         return True
-    lines = _eigenlines(c)
-    return bool(lines) and all(any(_maps_to(m, v, w) for w in lines)
-                               for m in mats for v in lines)
+    lines = fixed_lines(c)
+    return bool(lines) and all(
+        any(maps_line(m, v, w, CLASSIFY_TOL) for w in lines)
+        for m in mats for v in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -644,17 +594,13 @@ def connected_sum_family(p1: Presentation, rep1: RepAssignment,
 
     The residual is additive: relators split between the factors.
     """
-    conj = rep2.conjugated(a)
-    try:
-        mats = [rep1[g] for g in p1.generators] + \
-            [conj[g] for g in p2.generators]
-    except KeyError as exc:
-        raise UnassignedGenerator(str(exc)) from exc
+    mats = _generator_mats(p1, rep1) + \
+        _generator_mats(p2, rep2.conjugated(a))
     res = None
     if rep1.residual is not None and rep2.residual is not None:
         res = rep1.residual + rep2.residual
-    return RepAssignment(dict(zip(free_product(p1, p2).generators, mats)),
-                         residual=res)
+    return RepAssignment(dict(zip(free_product(p1, p2).generators,
+                                  map(PSL2._of, mats))), residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +697,10 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
     number l_i / p_i.  By Jankins-Neumann a class exists exactly when
     sum l_i / p_i < 1 or > 2 (tested in integers); the mirror p - l is
     its conjugate by a reflection, so only the lesser of l and p - l is
-    solved.  The first closed-form solution whose residual is below tol,
-    whose rotation numbers verify and which is irreducible is kept, and
-    only then are its trace coordinates computed; a triple without one
-    raises CertificateFailed.  The trivial class
+    solved.  A closed-form solution whose residual is below tol and
+    whose rotation numbers verify is built once, with its trace
+    coordinates, and the first such one that is irreducible is kept; a
+    triple without one raises CertificateFailed.  The trivial class
     comes first, the rest in order of angles.
     """
     _check_tol(tol)
@@ -776,10 +722,12 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
             res = residual(pres, matrices)
             if not res < tol:
                 continue
-            if (_rotation_numbers_verify(xs, angles, data.exponents)
-                    and is_irreducible(RepAssignment(matrices))):
-                census.append(BrieskornClass(angles, RepAssignment(
-                    matrices, res, trace_coordinates(pres, matrices)), True))
+            if not _rotation_numbers_verify(xs, angles, data.exponents):
+                continue
+            rep = RepAssignment(matrices, res,
+                                trace_coordinates(pres, matrices))
+            if is_irreducible(rep):
+                census.append(BrieskornClass(angles, rep, True))
                 break
         else:
             raise CertificateFailed(

@@ -453,6 +453,26 @@ def test_euler_error_paths(tmp_path):
     assert json.loads(out)["error"]["code"] == "ResidualTooLarge"
 
 
+def test_euler_without_surface_names_needs_a_genus(tmp_path):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"matrices": {
+        "x": [[1.0, 0.0], [0.0, 1.0]], "y": [[1.0, 1.0], [0.0, 1.0]]}}))
+    code, out = invoke(["euler", str(rep)])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "InputError", "message": "cannot infer genus; pass --genus"}
+
+
+def test_invariants_needs_a_pd_or_braid_field(tmp_path):
+    link = tmp_path / "link.json"
+    link.write_text(json.dumps({"word": [1, 1, 1]}))
+    code, out = invoke(["invariants", str(link)])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "InputError",
+        "message": 'link JSON needs a "pd" or "braid" field'}
+
+
 def test_euler_reports_a_missing_generator_in_bounded_memory(tmp_path):
     # a genus of 10^9 with four matrices: the missing a3 is reported
     # before anything of the size of the genus is built, so the run fits

@@ -10,6 +10,7 @@ from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
                               ZeroEvaluationPoint, cokernel, invariant_factors,
                               laurent_det, laurent_gcd, smith_normal_form)
 from blowupgate.exact import _kronecker_det
+from blowupgate.links import Presentation
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -454,6 +455,14 @@ def test_intmatrix_shape_errors():
         IntMatrix.from_rows([[1, 2]]).det()
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+    for rows, cols, entries in ((2, 2, (1, 2, 3)), (1, 2, (1, 2, 3)),
+                                (0, 3, (0,))):
+        with pytest.raises(InputError, match="entry count"):
+            IntMatrix(rows, cols, entries)
+    for build in (lambda: IntMatrix.identity(-1),
+                  lambda: IntMatrix.zero(2, -1)):
+        with pytest.raises(InputError, match="negative dimensions"):
+            build()
 
 
 @pytest.mark.parametrize("build", [
@@ -503,6 +512,28 @@ def test_built_matrices_equal_checked_ones():
             assert built == checked and hash(built) == hash(checked)
     # a list of entries is read as a tuple; it was once kept, unhashable
     assert hash(IntMatrix(1, 1, [5])) == hash(IntMatrix(1, 1, (5,)))
+
+
+def test_package_built_matrices_equal_checked_ones():
+    # identity, zero, the Smith transforms and the exponent matrix are
+    # stored unchecked; each must equal, and hash like, its checked copy
+    rng = random.Random(9)
+    built = [IntMatrix.identity(0), IntMatrix.identity(3),
+             IntMatrix.zero(0, 2), IntMatrix.zero(2, 3)]
+    for _ in range(20):
+        r, c = rng.randint(0, 4), rng.randint(0, 4)
+        m = IntMatrix(r, c, tuple(rng.randint(-9, 9) for _ in range(r * c)))
+        built += smith_normal_form(m)
+        gens = tuple(f"g{i}" for i in range(c))
+        relators = tuple(tuple(rng.choice([1, -1]) * rng.randint(1, c)
+                               for _ in range(rng.randint(1, 5)))
+                         for _ in range(r)) if c else ()
+        built.append(Presentation(gens, relators).exponent_matrix())
+    for m in built:
+        checked = IntMatrix(m.rows, m.cols, m.entries)
+        assert type(m.entries) is tuple
+        assert set(map(type, m.entries)) <= {int}
+        assert m == checked and hash(m) == hash(checked)
 
 
 def test_snf_arbitrary_precision_entries():

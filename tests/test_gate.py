@@ -8,6 +8,7 @@ from blowupgate.gate import (ADMISSIBLE, INDETERMINATE, OBSTRUCTED, Flow,
                              NonIntegerWeights, SizeMismatch, flow_add, gate,
                              homology_class, is_flow, realizable_k,
                              reduce_element, scale_element)
+from blowupgate.errors import InputError
 from blowupgate.exact import AbelianGroup
 from blowupgate.invariants import braid_invariants
 from blowupgate.links import BraidWord, Presentation, from_braid
@@ -122,6 +123,32 @@ def test_is_flow_unbalanced_cycle():
 def test_is_flow_size_mismatch():
     with pytest.raises(SizeMismatch):
         is_flow(theta_graph(), Flow.from_weights((1,), (1,)))
+
+
+def test_flow_graph_needs_one_label_per_edge():
+    labels = (HomologyElement((1,)),) * 2
+    with pytest.raises(SizeMismatch, match="one label per edge"):
+        FlowGraph(2, ((0, 1), (0, 1), (0, 1)), labels)
+
+
+def test_flow_add_refuses_flows_of_different_graphs():
+    with pytest.raises(SizeMismatch, match="different graphs"):
+        flow_add(Flow.zero(3), Flow.zero(2))
+
+
+def test_homology_class_needs_labels():
+    g = FlowGraph(2, ((0, 1), (0, 1), (0, 1)))
+    f = Flow.from_weights((2, 1, 1), (1, -1, -1))
+    assert is_flow(g, f)
+    with pytest.raises(InputError, match="no homology labels"):
+        homology_class(g, f, AbelianGroup(rank=1))
+
+
+def test_homology_element_is_zero():
+    assert HomologyElement((), ()).is_zero
+    assert HomologyElement((0, 0), (0,)).is_zero
+    assert not HomologyElement((0, 1), (0,)).is_zero
+    assert not HomologyElement((0,), (0, 2)).is_zero
 
 
 def test_flow_add_identity_and_inverse():

@@ -55,6 +55,12 @@ def test_alexander_fox_requires_markers():
         alexander_fox(extra)
 
 
+def test_branched_cover_h1_fox_requires_markers():
+    pres = Presentation(("x", "y"), ((1, 2, -1, -2),))
+    with pytest.raises(NotWirtinger, match="meridian markers"):
+        branched_cover_h1_fox(pres)
+
+
 def gcd_of_maximal_minors(p: Presentation) -> LaurentPoly:
     """Reference Fox route: gcd over every maximal minor of the Jacobian
     with the first column removed."""

@@ -135,6 +135,16 @@ def test_lift_deck_equivariance_and_inverse():
         assert abs(inv.inverse().apply(x) - lift.apply(x)) < 1e-8
 
 
+def test_lift_reduces_a_point_just_below_a_period_into_the_next():
+    # -1e-17 / pi floors to -1 and -1e-17 + pi rounds to pi, so the point
+    # must be moved to 0 of the next period: left at pi, it would give
+    # f0 + pi - pi, which can differ from f0 in the last bit
+    rng = random.Random(31)
+    for _ in range(40):
+        lift = CircleLift(random_psl2(rng), offset=rng.randint(-2, 2))
+        assert lift.apply(-1e-17) == lift.apply(0.0)
+
+
 def test_translation_number_identity_offset():
     for m in (-2, 0, 2, 3):
         lift = CircleLift(PSL2.identity(), offset=m)

@@ -655,6 +655,25 @@ def test_abelian_implies_metabelian():
     assert is_metabelian(rep)
 
 
+def test_parabolics_with_one_fixed_line_are_reducible():
+    # both fix the line of (1, 0), and a parabolic has one fixed line
+    rep = RepAssignment({"g1": PSL2((1.0, 1.0, 0.0, 1.0)),
+                         "g2": PSL2((1.0, 2.0, 0.0, 1.0))})
+    assert not is_irreducible(rep)
+    assert is_abelian(rep)
+    assert is_metabelian(rep)
+
+
+def test_parabolics_with_different_fixed_lines_generate_a_free_group():
+    # the Sanov pair's square roots: they generate SL(2,Z), whose image
+    # PSL(2,Z) has a free commutator subgroup
+    rep = RepAssignment({"g1": PSL2((1.0, 1.0, 0.0, 1.0)),
+                         "g2": PSL2((1.0, 0.0, 1.0, 1.0))})
+    assert is_irreducible(rep)
+    assert not is_abelian(rep)
+    assert not is_metabelian(rep)
+
+
 def test_free_group_is_not_metabelian():
     # at random x, y the commutator c = [x, y] does not commute with its
     # conjugate x c x^-1, both of which lie in [G, G]
@@ -872,6 +891,13 @@ def test_connected_sum_missing_generator():
     for reps in ((partial, full), (full, partial)):
         with pytest.raises(UnassignedGenerator):
             connected_sum_family(p, reps[0], p, reps[1], PSL2.identity())
+    # the first factor's first missing name is the one reported
+    empty = RepAssignment({})
+    for reps in ((empty, empty), (empty, partial), (partial, empty)):
+        with pytest.raises(UnassignedGenerator) as info:
+            connected_sum_family(p, reps[0], p, reps[1], PSL2.identity())
+        missing = "a1" if reps[0] is empty else "b1"
+        assert info.value.args == (repr(missing),)
 
 
 def test_connected_sum_residual_additive():

@@ -1,7 +1,10 @@
 """The library imports nothing outside the standard library, and
 importing the CLI stays cheap: no module imports dataclasses, which
 pulls in inspect, dis and ast and compiles its methods at import.  Only
-errors._Record stores the fields of a value type."""
+errors._Record stores the fields of a value type, and only
+IntMatrix.from_rows calls the checked IntMatrix constructor: the checks
+are for outside input, and a matrix the package builds is stored by
+IntMatrix._of."""
 
 import ast
 import subprocess
@@ -56,3 +59,32 @@ def test_only_the_record_base_stores_fields():
                     and node.value.id == "object"):
                 stores.append(path.name)
     assert stores and set(stores) == {"errors.py"}, stores
+
+
+def calls_by_function(tree, name):
+    """The qualified names of the functions and classes that call name(...)
+    directly, one per call ("<module>" at the top level)."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == name):
+                out.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_only_from_rows_calls_the_checked_matrix_constructor():
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [f"{path.name}:{scope}"
+                    for scope in calls_by_function(tree, "IntMatrix")]
+    assert callers == ["exact.py:IntMatrix.from_rows"], callers
