@@ -1,7 +1,7 @@
 """Link obstruction gate and PSL(2,R) representation-variety explorer.
 
-The library computes exact link invariants (Alexander polynomials by two
-independent routes, determinants, double-branched-cover homology), runs
+The library computes exact link invariants (Alexander polynomials by three
+routes, determinants, double-branched-cover homology), runs
 an obstruction gate on labeled links, models conservation flows on
 labeled graphs, and explores PSL(2,R) representation varieties of
 finitely presented groups numerically.
@@ -14,8 +14,8 @@ from .exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
 from .gate import (Flow, FlowGraph, HomologyElement, LabelLengthMismatch,
                    NonIntegerWeights, RealizableK, SizeMismatch, Verdict,
                    flow_add, gate, homology_class, is_flow, realizable_k)
-from .invariants import (LinkInvariants, NotWirtinger, alexander_fox,
-                         alexander_seifert, braid_invariants,
+from .invariants import (LinkInvariants, NotWirtinger, alexander_burau,
+                         alexander_fox, alexander_seifert, braid_invariants,
                          branched_cover_h1, branched_cover_h1_fox,
                          determinant_at_minus_one, link_invariants)
 from .links import (BraidWord, Crossing, EmptySelection, InvalidLetter,

@@ -35,15 +35,17 @@ from blowupgate.repvar import (BrieskornData, brieskorn_enumerate, is_abelian,
 SCHEMA = "1"
 # Limits on counts in the input, checked by _limit before anything of
 # that size is built: a split braid closure on n strands has a dense
-# (n - 1)^2 Seifert matrix (about 0.26 s for the whole process at 1000
-# strands on a shared 2-vCPU host), a link with c crossings (braid letters
-# or PD crossings) has a Seifert or Fox matrix of about c rows (a 3-strand
-# alternating word of 100 letters takes about 22 s by the Seifert route
-# and 3.3 s by the Fox route for the whole process on that host, and the
-# cost grows faster than c^5), solve keeps C(n, 3) trace coordinates for
-# each converged restart of an n-generator group and prints them per
-# class (at 64 generators a free group costs about 7.3 MB a restart: 20
-# restarts take about 2.3 s, print 23 MB and peak at 164 MB, 100 take
+# (n - 1)^2 Seifert matrix for its homology (about 0.2 s for the whole
+# process at 1000 strands on a shared 2-vCPU host), a PD link with c
+# crossings has a Fox matrix of about c rows (a 3-strand alternating word
+# of 100 crossings takes about 3.3 s for the whole process on that host,
+# and the cost grows faster than c^5; as a braid it takes about 0.1 s by
+# the Burau route, whose matrix has one row per strand less one, and a
+# 41-strand closure of 100 letters up to 1.2 s), solve keeps C(n, 3)
+# trace coordinates for each converged restart of an n-generator group
+# and prints them per class (at 64 generators a free group costs about
+# 7.3 MB a restart: 20 restarts take about 2.3 s, print 23 MB and peak
+# at 164 MB, 100 take
 # about 13 s and peak at 743 MB, under 1 GB, and a chain of 63
 # commutators takes about 14 s at 20 restarts on that host), its Jacobian
 # holds 12 entries per generator and relator and its prefix products one

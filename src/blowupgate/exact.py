@@ -6,7 +6,8 @@ integer Laurent polynomials compared up to units +-t^k.  One routine,
 _det, takes the determinant of an IntMatrix and of a Kronecker value
 (_kronecker_det); laurent_gcd too works in ints, and only eval_at in
 Fractions.  The IntMatrix constructor and from_rows check outside
-input; matrices the package builds are stored unchecked (_of, _of_rows).
+input; matrices and polynomials the package builds are stored unchecked
+(_of, _of_rows).
 """
 
 from __future__ import annotations
@@ -321,11 +322,12 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
 
     Integer-only; no unimodular transforms are built, and the pivots
     +-1, which add only factors 1, are split off before the Smith
-    elimination (see invariant_factors).
+    elimination (see invariant_factors).  The factors are a divisor
+    chain, so the group is built unchecked.
     """
     facs = invariant_factors(m)
-    return AbelianGroup(rank=m.cols - len(facs),
-                        torsion=tuple(d for d in facs if d >= 2))
+    return AbelianGroup._of(m.cols - len(facs),
+                            tuple(d for d in facs if d >= 2))
 
 
 class LaurentPoly:
@@ -342,6 +344,14 @@ class LaurentPoly:
         if not {*map(type, coeffs), *map(type, coeffs.values())} <= {int}:
             coeffs = {_integer(e): _integer(k) for e, k in coeffs.items()}
         self._c = {e: k for e, k in coeffs.items() if k}
+
+    @staticmethod
+    def _of(coeffs: dict) -> "LaurentPoly":
+        """The polynomial of a dict of int exponents to nonzero int
+        coefficients that the package built, stored unchecked."""
+        p = object.__new__(LaurentPoly)
+        p._c = coeffs
+        return p
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -433,7 +443,7 @@ class LaurentPoly:
             return LaurentPoly()
         lo = self.min_exp
         sign = 1 if self._c[self.max_exp] > 0 else -1
-        return LaurentPoly({e - lo: sign * k for e, k in self._c.items()})
+        return LaurentPoly._of({e - lo: sign * k for e, k in self._c.items()})
 
     def unit_equal(self, other: "LaurentPoly") -> bool:
         return self.unit_normalize() == other.unit_normalize()
@@ -500,18 +510,25 @@ def _kronecker_det(rows) -> LaurentPoly:
     for row, terms, low in zip(values, rows, lows):
         for j, e, k in terms:
             row[j] += k << (bits * (e - low))
-    value = _det(values)
+    return LaurentPoly.from_coeffs(_balanced_digits(_det(values), bits),
+                                   sum(lows))
+
+
+def _balanced_digits(value: int, bits: int) -> list:
+    """The digits of value in base 2**bits, least first, each in
+    [-2**(bits-1), 2**(bits-1)): the coefficients of the polynomial with
+    nonnegative exponents whose value at t = 2**bits is value, when
+    every coefficient is less than 2**(bits-1) in absolute value.  The
+    list is empty for 0."""
     base = 1 << bits
-    coeffs = {}
-    exp = sum(lows)
+    digits = []
     while value:
         digit = value & (base - 1)
         if digit >= base >> 1:
             digit -= base
-        coeffs[exp] = digit
+        digits.append(digit)
         value = (value - digit) >> bits
-        exp += 1
-    return LaurentPoly(coeffs)
+    return digits
 
 
 def _primitive(coeffs) -> list:

@@ -91,12 +91,12 @@ class Crossing(_Record):
 class LinkDiagram(_Record):
     """A link diagram; braid is the word it is the closure of, or None.
 
-    braid alone marks the Seifert route.  On a closure, component i holds
+    braid alone marks the braid routes.  On a closure, component i holds
     the top arc of each strand in cycle i of braid.strand_cycles().
 
     A closure made by from_braid holds only its braid at first.  Its
     crossings and components are assembled from the braid the first time
-    either is read, and then kept; component_count and the Seifert route
+    either is read, and then kept; component_count and the braid routes
     read neither.
     """
 
@@ -338,7 +338,7 @@ def from_braid(b: BraidWord) -> LinkDiagram:
     Component count equals the cycle count of the strand permutation;
     strands that meet no crossing close up into free unknot components.
     Its crossings and components are assembled from b the first time
-    either is read; component_count and the Seifert route read neither.
+    either is read; component_count and the braid routes read neither.
     """
     if not isinstance(b, BraidWord):
         raise InputError(f"{b!r} is not a BraidWord")

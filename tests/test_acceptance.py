@@ -17,8 +17,8 @@ from blowupgate.exact import IntMatrix, smith_normal_form
 from blowupgate.gate import (ADMISSIBLE, OBSTRUCTED, Flow, HomologyElement,
                              flow_add, gate, homology_class, is_flow,
                              realizable_k, scale_element)
-from blowupgate.invariants import (alexander_fox, alexander_seifert,
-                                   braid_invariants)
+from blowupgate.invariants import (alexander_burau, alexander_fox,
+                                   alexander_seifert, braid_invariants)
 from blowupgate.links import BraidWord, from_braid, seifert_matrix, wirtinger
 from blowupgate.psl2r import (PSL2, CircleLift, euler_number,
                               fuchsian_genus2, milnor_wood_admissible,
@@ -42,13 +42,15 @@ def criterion(num, desc):
 
 
 def test_criterion_1_alexander_oracle_equivalence(corpus):
-    with criterion(1, "Alexander oracle equivalence on corpus"):
+    with criterion(1, "Alexander by the Seifert, Fox and Burau routes "
+                      "agree on corpus"):
         assert len(corpus) >= 15
         start = time.perf_counter()
         for name, braid in corpus:
             via_seifert = alexander_seifert(seifert_matrix(braid))
             via_fox = alexander_fox(wirtinger(from_braid(braid)))
             assert via_seifert.unit_equal(via_fox), name
+            assert alexander_burau(braid) == via_seifert, name
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"corpus took {elapsed:.2f}s"
 

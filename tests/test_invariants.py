@@ -8,12 +8,14 @@ import pytest
 
 from blowupgate.exact import (AbelianGroup, IntMatrix, LaurentPoly, NonSquare,
                               cokernel, laurent_det, laurent_gcd)
-from blowupgate.invariants import (NotWirtinger, alexander_fox,
+from blowupgate.errors import InputError
+from blowupgate.invariants import (LinkInvariants, NotWirtinger,
+                                   alexander_burau, alexander_fox,
                                    alexander_seifert, braid_invariants,
                                    branched_cover_h1, branched_cover_h1_fox,
                                    determinant_at_minus_one, fox_jacobian,
                                    link_invariants)
-from blowupgate import invariants
+from blowupgate import exact, invariants
 from blowupgate.invariants import _fox_matrix_at_minus_one
 from blowupgate.links import (BraidWord, Presentation, from_braid, parse_pd,
                               seifert_matrix, sublink, wirtinger)
@@ -423,3 +425,181 @@ def test_unchecked_builds_equal_checked_ones(monkeypatch):
         checked = IntMatrix.from_rows(rows) if rows else IntMatrix(0, n - 1, ())
         assert built.pop() == checked, d
         assert h1 == cokernel(checked), d
+
+
+def test_unchecked_braid_records_equal_checked_ones(monkeypatch):
+    built = []
+
+    def cokernel_spy(m):
+        built.append(m)
+        return cokernel(m)
+
+    monkeypatch.setattr(invariants, "cokernel", cokernel_spy)
+    for d in route_diagrams():
+        inv = link_invariants(d)
+        assert inv == LinkInvariants(*map(inv.__getattribute__,
+                                          LinkInvariants._fields)), d
+        h1, alex = inv.h1_branched, inv.alexander
+        assert h1 == AbelianGroup(h1.rank, h1.torsion), d
+        assert alex == LaurentPoly(dict(alex.items())), d
+        if d.braid is not None:
+            v = seifert_matrix(d.braid)
+            assert built.pop() == v + v.transpose(), d
+
+
+# ---------------------------------------------------------------------------
+# the Burau route against the Seifert and Fox routes
+
+
+def golden_braids() -> list:
+    """The braid of each closure in the golden corpora and of each of its
+    proper sublinks."""
+    out = []
+    for d in golden_links():
+        if d.braid is None:
+            continue
+        nc = d.component_count
+        out.append(d.braid)
+        out += [sublink(d, keep).braid for k in range(1, nc)
+                for keep in combinations(range(nc), k)]
+    return out
+
+
+def random_words(seed, count, strands=(1, 7), letters=(0, 18)):
+    rng = random.Random(seed)
+    for _ in range(count):
+        s = rng.randint(*strands)
+        yield BraidWord(s, [rng.choice([1, -1]) * rng.randint(1, s - 1)
+                            for _ in range(rng.randint(*letters)
+                                           if s > 1 else 0)])
+
+
+def mirror(b: BraidWord) -> BraidWord:
+    return BraidWord(b.strands, [-w for w in b.word])
+
+
+def inverse(b: BraidWord) -> BraidWord:
+    return BraidWord(b.strands, [-w for w in reversed(b.word)])
+
+
+def test_burau_route_equals_seifert_route_on_golden_braids():
+    braids = golden_braids()
+    assert len(braids) >= 30
+    for b in braids:
+        assert alexander_burau(b) == alexander_seifert(seifert_matrix(b)), b
+
+
+def test_burau_route_equals_seifert_route_on_random_closures():
+    braids = [BraidWord(s, ()) for s in range(1, 8)]
+    for b in random_words(50, 700):
+        braids += [b, mirror(b), inverse(b)]
+    assert len(braids) >= 2000
+    assert sum(len(b.word) == 0 for b in braids) >= 7
+    assert sum(b.strands == 1 for b in braids) >= 50
+    # a generator left unused splits the closure: Burau answers 0 at once
+    assert sum(len({abs(w) for w in b.word}) < b.strands - 1
+               for b in braids) >= 200
+    for b in braids:
+        assert alexander_burau(b) == alexander_seifert(seifert_matrix(b)), b
+
+
+def test_burau_route_equals_fox_route_on_long_closures():
+    braids = list(random_words(51, 100, strands=(3, 5), letters=(40, 100)))
+    assert min(len(b.word) for b in braids) >= 40
+    for b in braids:
+        assert alexander_burau(b) == \
+            alexander_fox(wirtinger(from_braid(b))), b
+
+
+def test_burau_route_examples():
+    tre = alexander_burau(TREFOIL)
+    assert tre.coeff_list() == ([1, -1, 1], 0)
+    assert alexander_burau(FIG8).coeff_list() == ([1, -3, 1], 0)
+    assert alexander_burau(HOPF).coeff_list() == ([-1, 1], 0)
+    assert alexander_burau(BraidWord(1, ())) == LaurentPoly.one()
+    assert alexander_burau(BraidWord(3, (1, 1, 1))).is_zero
+    # s2 used once: the granny knot, a connected sum of two trefoils
+    granny = alexander_burau(BraidWord(4, (1, 1, 3, 2, 3, 1, 3)))
+    assert granny == tre * tre
+    # the 3-strand word of 100 letters, far beyond the Seifert route
+    long = alexander_burau(BraidWord(3, (1, -2) * 50))
+    assert long.coeff_list()[0][:3] == [1, -51, 1275]
+
+
+def test_burau_division_guard(monkeypatch):
+    # 2 is not a multiple of 1 + t
+    monkeypatch.setattr(invariants, "_det", lambda rows: 2)
+    with pytest.raises(ArithmeticError):
+        alexander_burau(TREFOIL)
+
+
+def test_burau_refuses_what_is_not_a_braid_word():
+    for bad in ((1, 1, 1), [2, (1, 1, 1)], TREFOIL.word, None):
+        with pytest.raises(InputError):
+            alexander_burau(bad)
+
+
+def test_branched_cover_h1_refuses_a_non_square_matrix():
+    with pytest.raises(NonSquare):
+        branched_cover_h1(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_braid_closures_never_take_the_seifert_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Seifert determinant ran")
+
+    monkeypatch.setattr(invariants, "alexander_seifert", refuse)
+    monkeypatch.setattr(invariants, "_kronecker_det", refuse)
+    monkeypatch.setattr(exact, "_kronecker_det", refuse)
+    for b in (TREFOIL, FIG8, HOPF, BraidWord(3, (1, -2) * 50),
+              BraidWord(1000, (1, 2, 3, 4))):
+        inv = link_invariants(from_braid(b))
+        assert inv.alexander == alexander_burau(b)
+        assert inv.h1_method == "seifert"
+
+
+# ---------------------------------------------------------------------------
+# H_1 of the double branched cover from the Burau matrix at t = -1, as an
+# oracle of the Seifert route
+
+
+def burau_at_minus_one(b: BraidWord) -> IntMatrix:
+    """I - psi(b) at t = -1, dense: psi(s_i) is the identity with row i
+    replaced by (t, -t, 1) in columns i - 1, i, i + 1, and psi(s_i^-1)
+    with it replaced by (1, -1/t, 1/t)."""
+    n = b.strands - 1
+    m = [[int(r == c) for c in range(n)] for r in range(n)]
+    for w in b.word:
+        i = abs(w) - 1
+        row = {i - 1: -1, i: 1, i + 1: 1} if w > 0 else \
+            {i - 1: 1, i: 1, i + 1: -1}
+        g = [[int(r == c) for c in range(n)] for r in range(n)]
+        g[i] = [row.get(c, 0) for c in range(n)]
+        m = [[sum(m[r][k] * g[k][c] for k in range(n)) for c in range(n)]
+             for r in range(n)]
+    return IntMatrix(n, n, tuple(int(r == c) - m[r][c] for r in range(n)
+                                 for c in range(n)))
+
+
+def stabilized(b: BraidWord) -> BraidWord:
+    """b on an odd number of strands: b s_s on s + 1 strands when s is
+    even, a closure of the same link; 1 + t + ... + t^(s-1) vanishes at
+    t = -1 for even s."""
+    s = b.strands
+    return b if s % 2 else BraidWord(s + 1, b.word + (s,))
+
+
+def test_burau_at_minus_one_presents_the_branched_cover():
+    braids = list(random_words(52, 1000))
+    assert sum(b.strands % 2 == 0 for b in braids) >= 300
+    for b in braids:
+        assert cokernel(burau_at_minus_one(stabilized(b))) == \
+            branched_cover_h1(seifert_matrix(b)), b
+
+
+def test_even_strands_need_the_stabilization():
+    # the trefoil on 2 strands: psi(s_1^3) = 1 at t = -1, so I - psi is 0
+    assert cokernel(burau_at_minus_one(TREFOIL)) == AbelianGroup(rank=1)
+    assert cokernel(burau_at_minus_one(stabilized(TREFOIL))) == \
+        branched_cover_h1(seifert_matrix(TREFOIL)) == \
+        AbelianGroup(rank=0, torsion=(3,))
