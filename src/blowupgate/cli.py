@@ -5,19 +5,32 @@ mw-admissible.  All output is JSON (or a terse text rendering with
 --format text) on stdout; runs with identical inputs and seed are
 byte-identical.
 
-The argument parser is built once, when this module is imported, and
-`run` may be called repeatedly in one process: each call parses into a
-fresh namespace and looks its handler up by name.
+Arguments are read by one table, _COMMANDS, which lists each
+subcommand's handler, its positionals and its options with their types
+and defaults; the global --format comes before the subcommand.  An
+option of a subcommand may come before, between or after its
+positionals, as --name VALUE, --name=VALUE or a unique prefix of --name
+(--rest 3), and the last value given wins.  After "--" every argument
+is a positional, and an argument that starts with "-" and a digit, or
+"-." and a digit, is a value and not an option (--seed -3, --tol -1e-5).
+-h or --help prints the help of the table, or of the subcommand after
+which it comes, to stdout and exits 0; a usage error writes a usage line
+and an error line to stderr, nothing to stdout, and exits 2.
+
+The parser is built once, when this module is imported, and `run` may
+be called repeatedly in one process: each call parses into a fresh
+namespace and looks its handler up by name.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
 from math import prod
 from operator import itemgetter
+from types import SimpleNamespace
 
 from blowupgate.errors import (BlowupgateError, InputError, _check_tol,
                                _integer, _integers)
@@ -338,60 +351,189 @@ def _cmd_mw(args):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="blowupgate",
-        description="Link obstruction gate and PSL(2,R) representation explorer")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command table.  Options are (dest, type, default, help) and spelled
+# --dest; a tuple as type lists the allowed values, and a default of
+# _REQUIRED makes the option required.  Each subcommand has its handler,
+# its help, its positionals as (dest, type, help) and its options.
+_DESCRIPTION = "Link obstruction gate and PSL(2,R) representation explorer"
+_REQUIRED = object()
+_IGNORED = "ignored: the census is solved in closed form"
+_GLOBAL_OPTIONS = (("format", ("json", "text"), "json", "output format"),)
+_COMMANDS = {
+    "invariants": ("_cmd_invariants", "Alexander polynomial, determinant, "
+                   "branched double cover homology",
+                   (("link", str, "link JSON file"),), ()),
+    "gate": ("_cmd_gate", "obstruction verdict for a labeled link",
+             (("link", str, "link JSON file"),),
+             (("monodromy", str, None, "comma-separated 0/1 per component"),)),
+    "flow": ("_cmd_flow", "conservation check and homology class of a "
+             "weighted graph", (("graph", str, "flow graph JSON file"),), ()),
+    "solve": ("_cmd_solve", "search PSL(2,R) representations",
+              (("presentation", str, "presentation JSON file"),),
+              (("restarts", int, 20, ""), ("tol", float, 1e-10, ""),
+               ("seed", int, 0, ""))),
+    "brieskorn": ("_cmd_brieskorn", "representation census of a Brieskorn "
+                  "homology sphere", (("p", int, "Brieskorn exponent"),
+                                      ("q", int, "Brieskorn exponent"),
+                                      ("r", int, "Brieskorn exponent")),
+                  (("restarts", int, 60, _IGNORED), ("tol", float, 1e-10, ""),
+                   ("seed", int, 0, _IGNORED))),
+    "euler": ("_cmd_euler", "Euler number of a surface-group representation",
+              (("rep", str, "representation JSON file"),),
+              (("genus", int, None, "inferred from the generator names "
+                "if not given"), ("tol", float, 1e-8, ""))),
+    "mw-admissible": ("_cmd_mw", "integer classes allowed by the "
+                      "Milnor-Wood bound", (),
+                      (("genera", str, _REQUIRED, "comma-separated genera"),)),
+}
+_HELP = ("help", None, None, "show this help and exit")
+# "-" and a digit, or "-." and a digit, starts a negative number, which is
+# a value and not an option
+_NEGATIVE = re.compile(r"-\.?\d")
 
-    p = sub.add_parser("invariants", help="Alexander polynomial, determinant, "
-                       "branched double cover homology")
-    p.add_argument("link", help="link JSON file")
-    p.set_defaults(handler="_cmd_invariants")
 
-    p = sub.add_parser("gate", help="obstruction verdict for a labeled link")
-    p.add_argument("link", help="link JSON file")
-    p.add_argument("--monodromy", help="comma-separated 0/1 per component")
-    p.set_defaults(handler="_cmd_gate")
+def _is_option(arg: str) -> bool:
+    return arg[:1] == "-" and arg != "-" and not _NEGATIVE.match(arg)
 
-    p = sub.add_parser("flow", help="conservation check and homology class "
-                       "of a weighted graph")
-    p.add_argument("graph", help="flow graph JSON file")
-    p.set_defaults(handler="_cmd_flow")
 
-    p = sub.add_parser("solve", help="search PSL(2,R) representations")
-    p.add_argument("presentation", help="presentation JSON file")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler="_cmd_solve")
+def _option_usage(option) -> str:
+    dest, kind = option[:2]
+    return f"--{dest} " + ("{" + ",".join(kind) + "}"
+                           if isinstance(kind, tuple) else dest.upper())
 
-    p = sub.add_parser("brieskorn", help="representation census of a "
-                       "Brieskorn homology sphere")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--restarts", type=int, default=60,
-                   help="ignored: the census is solved in closed form")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0,
-                   help="ignored: the census is solved in closed form")
-    p.set_defaults(handler="_cmd_brieskorn")
 
-    p = sub.add_parser("euler", help="Euler number of a surface-group "
-                       "representation")
-    p.add_argument("rep", help="representation JSON file")
-    p.add_argument("--genus", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(handler="_cmd_euler")
+def _flag_table(options) -> dict:
+    """-h, and --name of each option and of help with each prefix of it
+    that no other of them shares, mapped to that option."""
+    flags = {}
+    for option in (_HELP, *options):
+        name = "--" + option[0]
+        for end in range(3, len(name)):
+            flags[name[:end]] = None if name[:end] in flags else option
+    flags.update({"--" + o[0]: o for o in (_HELP, *options)})
+    flags["-h"] = _HELP
+    return flags
 
-    p = sub.add_parser("mw-admissible", help="integer classes allowed by the "
-                       "Milnor-Wood bound")
-    p.add_argument("--genera", required=True, help="comma-separated genera")
-    p.set_defaults(handler="_cmd_mw")
 
-    return parser
+def _option_help(option) -> str:
+    default, text = option[2:]
+    if default is _REQUIRED:
+        return f"{text} (required)".lstrip()
+    return text if default is None else f"{text} (default {default})".lstrip()
+
+
+class _Parser:
+    """Reads an argv by global options and a command table, by the rules
+    of the module docstring, into a namespace holding each global dest,
+    command, handler and each dest of the subcommand."""
+
+    def __init__(self, options, commands):
+        self.options, self.commands = options, commands
+        self._flags = {None: _flag_table(options)}
+        self._flags.update((name, _flag_table(entry[3]))
+                           for name, entry in commands.items())
+
+    def parse_args(self, argv) -> SimpleNamespace:
+        ns = SimpleNamespace(**{o[0]: o[2] for o in self.options})
+        command, positionals, options = None, (), self.options
+        flags = self._flags[None]
+        argv, i, values, only_values = list(argv), 0, [], False
+        while i < len(argv):
+            arg, i = argv[i], i + 1
+            if only_values or not _is_option(arg):
+                if command is not None:
+                    values.append(arg)
+                    continue
+                if arg not in self.commands:
+                    self._fail(None, f"invalid command {arg!r} (choose from "
+                               f"{', '.join(self.commands)})")
+                command = ns.command = arg
+                ns.handler, _, positionals, options = self.commands[arg]
+                flags = self._flags[arg]
+                ns.__dict__.update((o[0], o[2]) for o in options)
+            elif arg == "--":
+                only_values = True
+            else:
+                flag, eq, value = arg.partition("=")
+                option = flags.get(flag)
+                if option is None:
+                    self._fail(command, f"unrecognized or ambiguous option "
+                               f"{flag}")
+                if option is _HELP:
+                    sys.stdout.write(self.format_help(command))
+                    raise SystemExit(0)
+                dest, kind = option[:2]
+                if not eq:
+                    if i == len(argv) or _is_option(argv[i]):
+                        self._fail(command, f"--{dest} expects a value")
+                    value, i = argv[i], i + 1
+                setattr(ns, dest, self._value(command, f"--{dest}", kind,
+                                              value))
+        if command is None:
+            self._fail(None, "the following arguments are required: command")
+        if len(values) > len(positionals):
+            self._fail(command, "unrecognized arguments: "
+                       + " ".join(values[len(positionals):]))
+        missing = ([p[0] for p in positionals[len(values):]]
+                   + [f"--{o[0]}" for o in options
+                      if getattr(ns, o[0]) is _REQUIRED])
+        if missing:
+            self._fail(command, "the following arguments are required: "
+                       + ", ".join(missing))
+        for (dest, kind, _), value in zip(positionals, values):
+            setattr(ns, dest, self._value(command, dest, kind, value))
+        return ns
+
+    def _value(self, command, what, kind, text):
+        if isinstance(kind, tuple):
+            if text in kind:
+                return text
+            self._fail(command, f"{what}: invalid choice {text!r} (choose "
+                       f"from {', '.join(kind)})")
+        try:
+            return kind(text)
+        except ValueError:
+            self._fail(command, f"{what}: invalid {kind.__name__} value "
+                       f"{text!r}")
+
+    def _fail(self, command, message):
+        prog = f"blowupgate {command}" if command else "blowupgate"
+        sys.stderr.write(f"{self.format_usage(command)}{prog}: error: "
+                         f"{message}\n")
+        raise SystemExit(2)
+
+    def format_usage(self, command=None) -> str:
+        if command is None:
+            prog, options, tail = "blowupgate", self.options, ["COMMAND ..."]
+        else:
+            _, _, positionals, options = self.commands[command]
+            prog, tail = f"blowupgate {command}", [p[0] for p in positionals]
+        flags = [_option_usage(o) if o[2] is _REQUIRED
+                 else f"[{_option_usage(o)}]" for o in options]
+        return " ".join(["usage:", prog, "[-h]", *flags, *tail]) + "\n"
+
+    def format_help(self, command=None) -> str:
+        if command is None:
+            about, options = _DESCRIPTION, self.options
+            heading = "commands:"
+            rows = [(name, entry[1]) for name, entry in self.commands.items()]
+        else:
+            _, about, positionals, options = self.commands[command]
+            heading = "positional arguments:"
+            rows = [(dest, text) for dest, _, text in positionals]
+        flags = [("-h, --help", _HELP[3])] + [
+            (_option_usage(o), _option_help(o)) for o in options]
+        width = max(len(left) for left, _ in rows + flags) + 2
+        lines = [self.format_usage(command), about, ""]
+        for title, block in ((heading, rows), ("options:", flags)):
+            if block:
+                lines += [title, *(f"  {left:<{width}}{text}".rstrip()
+                                   for left, text in block), ""]
+        return "\n".join(lines)
+
+
+def _build_parser() -> _Parser:
+    return _Parser(_GLOBAL_OPTIONS, _COMMANDS)
 
 
 # built eagerly, so that its cost is part of importing the module and

@@ -237,12 +237,16 @@ class CircleLift:
         if x0 >= math.pi:
             x0 -= math.pi
             k += 1
-        d = (act_rp1(self.g, x0) - self._f0) % math.pi
-        # the base lift increases from f0 to f0 + pi as x0 sweeps a period,
-        # so a near-tie in d belongs to whichever end x0 is close to
-        if d < 1e-9 or d > math.pi - 1e-9:
-            d = 0.0 if x0 < math.pi / 2 else math.pi
-        return self._f0 + d + k * math.pi
+        # g u turns from g e1 by an angle in [0, pi] as u turns from e1 by
+        # x0: their cross product is det g sin x0 = sin x0, and the sign of
+        # their dot product (a^2 + c^2) cos x0 + (ab + cd) sin x0 decides
+        # which end an angle near 0 or pi is at.  Both are divided by
+        # n^2 = a^2 + c^2, so that no square overflows.
+        a, b, c, d = self.g.tuple()
+        n, s = math.hypot(a, c), math.sin(x0)
+        turn = math.atan2(s / n / n,
+                          math.cos(x0) + (a / n * b + c / n * d) / n * s)
+        return self._f0 + turn + k * math.pi
 
     def apply(self, x: float) -> float:
         return self._base(x) + self.offset * math.pi
@@ -271,9 +275,8 @@ def translation_number(lift: CircleLift) -> float:
       number moves like sqrt(-D), so it is as accurate as D is.
     - D >= 0: g fixes the line theta of its first fixed_lines (0 for
       +-identity, which fixes every line), the lift sends theta to
-      theta + k pi for an integer k, and k is the number.  The lift is
-      evaluated by apply, so a fixed line near 0 or pi meets the same tie
-      rule as an orbit of the lift does.
+      theta + k pi for an integer k, and k is the number, read from
+      apply.
     """
     a, b, c, d = lift.g.tuple()
     tr = a + d

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -13,7 +14,7 @@ from blowupgate.psl2r import (CircleLift, GenusZero, IDENTITY, PSL2,
                               mat_inv, mat_mul, milnor_wood_admissible,
                               psl_dist_sq, psl_sign, relator_shift, rotation,
                               surface_generator_names, surface_relator,
-                              translation_number, word_image)
+                              sym_exp, translation_number, word_image)
 from blowupgate.repvar import solve, surface_presentation
 
 from circle_helpers import random_psl2, windowed_translation_number
@@ -202,8 +203,7 @@ def oracle_elements():
 def tie_elements():
     """The identity, the two unit parabolics, and hyperbolic and parabolic
     elements with a fixed line within 1e-9 of pi (or of 0, the same line).
-    Their lifts send 0 next to a multiple of pi, where CircleLift.apply
-    resolves near-ties by a rule of its own."""
+    Their lifts send 0 next to a multiple of pi."""
     out = [PSL2.identity(), PSL2((1.0, 1.0, 0.0, 1.0)),
            PSL2((1.0, 0.0, -1.0, 1.0))]
     bases = [PSL2((2.0, 0.0, 0.0, 0.5)), PSL2((0.5, 0.0, 0.0, 2.0)),
@@ -256,6 +256,68 @@ def test_translation_number_tie_cases_match_windowed_oracle():
             assert_integral_off_elliptic(kind, offset, tau)
             assert abs(tau - windowed_translation_number(lift, 400)) \
                 < 2 / 400, (g.tuple(), offset)
+
+
+def large_elements():
+    """Seeded hyperbolic, parabolic and elliptic elements with entries up
+    to about 1e8: conjugates of diag(L, 1/L), of [[1, b], [0, 1]] and of
+    rotations, by elements that stretch by up to e^4."""
+    rng = random.Random(53)
+    out = []
+    for _ in range(60):
+        h = PSL2(mat_mul(rotation(rng.uniform(0, math.pi)),
+                         sym_exp(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+        scale = 10 ** rng.uniform(0, 6.5)
+        sign = rng.choice((-1.0, 1.0))
+        out.append(conjugate(h, PSL2((scale, 0.0, 0.0, 1.0 / scale))))
+        out.append(conjugate(h, PSL2((1.0, sign * scale, 0.0, 1.0))))
+        out.append(conjugate(h, PSL2(rotation(rng.uniform(0.01, 3.13)))))
+    return out
+
+
+def exact_turn(g, x0):
+    """The angle from g e1 to g u, u = (cos x0, sin x0), in [0, pi]: its
+    cross and dot products over Fraction on the float entries, divided by
+    |g e1|^2 and rounded once each."""
+    a, b, c, d = map(Fraction, g.tuple())
+    cu, su = Fraction(math.cos(x0)), Fraction(math.sin(x0))
+    cross = (a * d - b * c) * su
+    dot = a * (a * cu + b * su) + c * (c * cu + d * su)
+    norm = a * a + c * c
+    return math.atan2(float(cross / norm), float(dot / norm))
+
+
+def test_lift_turns_as_the_exact_oracle_on_large_elements():
+    rng = random.Random(54)
+    elements = large_elements()
+    assert max(max(map(abs, g.tuple())) for g in elements) > 1e7
+    assert {classify(g) for g in elements} >= {"elliptic", "hyperbolic"}
+    for g in elements:
+        lift = CircleLift(g)
+        for x0 in [rng.uniform(0, math.pi) for _ in range(20)]:
+            turn = lift.apply(x0) - lift.apply(0.0)
+            assert abs(turn - exact_turn(g, x0)) < 1e-9, (g.tuple(), x0)
+
+
+def test_lift_near_the_float_limit_turns_as_the_exact_oracle():
+    # a^2 and ab overflow here; g u crosses the vertical at x0 = 3 pi / 4
+    for g in (PSL2((2e154, 2e154, 0.0, 5e-155)),
+              PSL2((1e154, 0.0, 1e154, 1e-154))):
+        lift = CircleLift(g)
+        for x0 in (0.5, 2.0, 2.3, 2.4, 3.0):
+            turn = lift.apply(x0) - lift.apply(0.0)
+            assert abs(turn - exact_turn(g, x0)) < 1e-9, (g.tuple(), x0)
+
+
+def test_lift_of_a_large_element_increases_and_commutes_with_pi():
+    xs = [i * math.pi / 64 - 2 * math.pi for i in range(257)]
+    for g in large_elements():
+        lift = CircleLift(g, offset=1)
+        ys = [lift.apply(x) for x in xs]
+        # increasing up to rounding, where the lift is flat
+        assert all(b > a - 1e-12 for a, b in zip(ys, ys[1:])), g.tuple()
+        assert all(abs(lift.apply(x + math.pi) - y - math.pi) < 1e-9
+                   for x, y in zip(xs, ys)), g.tuple()
 
 
 def test_b_squared_is_identity_but_lift_translates():

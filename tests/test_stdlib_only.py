@@ -1,6 +1,8 @@
 """The library imports nothing outside the standard library, and
 importing the CLI stays cheap: no module imports dataclasses, which
-pulls in inspect, dis and ast and compiles its methods at import.  Only
+pulls in inspect, dis and ast and compiles its methods at import, or
+argparse, which pulls in gettext and locale and whose parser of the
+seven subcommands took about 1.5 ms to build and 15-55 us a call.  Only
 errors._Record stores the fields of a value type, and only
 IntMatrix.from_rows calls the checked IntMatrix constructor: the checks
 are for outside input, and a matrix the package builds is stored by
@@ -16,7 +18,7 @@ import blowupgate
 PACKAGE = Path(blowupgate.__file__).parent
 
 # standard modules too costly to import at start-up
-UNWANTED = ("dataclasses", "inspect")
+UNWANTED = ("dataclasses", "inspect", "argparse")
 
 
 def top_level_imports(tree):
