@@ -159,6 +159,11 @@ def _invariants_json(inv) -> dict:
             "h1_method": inv.h1_method}
 
 
+# json.dumps with these options builds a new encoder on every call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                         allow_nan=False)
+
+
 def _emit(obj, out, fmt: str):
     """Write obj, with the schema version added, as one JSON line or as
     text lines.  The whole rendering is built first, so a non-finite
@@ -166,8 +171,7 @@ def _emit(obj, out, fmt: str):
     obj = {"schema": SCHEMA, **obj}
     try:
         if fmt == "json":
-            text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                              allow_nan=False) + "\n"
+            text = _JSON.encode(obj) + "\n"
         else:
             text = "".join(line + "\n" for line in _text_lines(obj, prefix=""))
     except ValueError as exc:
@@ -276,7 +280,9 @@ def _presentation_from_json(data) -> Presentation:
 
 def _matrix_json(m: PSL2):
     # + 0.0 folds negative zero away
-    return [[round(x, 15) + 0.0 for x in row] for row in m.matrix_rows()]
+    a, b, c, d = m.tuple()
+    return [[round(a, 15) + 0.0, round(b, 15) + 0.0],
+            [round(c, 15) + 0.0, round(d, 15) + 0.0]]
 
 
 def _class_json(rep, **flags) -> dict:

@@ -2,6 +2,10 @@
 
 Matrices are plain 4-tuples of floats in hot paths; PSL2 wraps one
 such tuple, rescaled to determinant one by SL2 and with its sign fixed.
+Hot products (word_image, psl_dist_sq) are written out in mat_mul's
+operand order, so they round exactly as the mat_mul compositions they
+replace and no printed byte depends on how they are written; mat_mul
+is for one-off constructions.
 The projective line RP^1 is parametrized by the angle of a line in
 [0, pi), so the full circle has length pi and deck translations of
 lifts are multiples of pi.  A relator word whose image is +-identity
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .errors import (BlowupgateError, InputError, _check_tol, _integer,
                      _integers, _Record)
@@ -62,9 +67,14 @@ def psl_sign(x, y):
 
 
 def psl_dist_sq(x, y):
-    """Squared Frobenius distance modulo overall sign."""
-    s = psl_sign(x, y)
-    d0, d1, d2, d3 = (a - s * b for a, b in zip(x, y))
+    """Squared Frobenius distance modulo overall sign: |x - s y|^2 with
+    s = psl_sign(x, y), where x - (-1.0 y) is written x + y."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    if x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 >= 0:
+        d0, d1, d2, d3 = x0 - y0, x1 - y1, x2 - y2, x3 - y3
+    else:
+        d0, d1, d2, d3 = x0 + y0, x1 + y1, x2 + y2, x3 + y3
     # d * d overflows to inf where d ** 2 raises OverflowError
     return d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
 
@@ -264,7 +274,8 @@ def translation_number(lift: CircleLift) -> float:
 
     The unit is one deck translation, so the base lift of the rotation
     by t in (0, pi) has translation number t / pi.  With a, b, c, d the
-    entries of g and D = (a - d)^2 + 4 b c = tr^2 - 4:
+    entries of g and D = (a - d)^2 + 4 b c = tr^2 - 4, whose sign is
+    taken exactly for the stored entries (_discriminant):
 
     - D < 0 (elliptic): the sign of g with c > 0 is conjugate to the
       rotation by t in (0, pi) with cos t = tr / 2 and
@@ -279,9 +290,8 @@ def translation_number(lift: CircleLift) -> float:
       apply.
     """
     a, b, c, d = lift.g.tuple()
-    tr = a + d
-    disc = (a - d) ** 2 + 4.0 * b * c
-    if disc < 0:
+    sign, disc, tr = _discriminant(a, b, c, d)
+    if sign < 0:
         t = math.atan2(math.sqrt(-disc), tr if c > 0 else -tr)
         return lift.offset + t / math.pi
     x, y = (fixed_lines(lift.g.tuple()) or [(0.0, 0.0)])[0]
@@ -289,6 +299,36 @@ def translation_number(lift: CircleLift) -> float:
     # eigenvector of a parabolic g has an imaginary part of the same order
     theta = math.atan2(y.real, x.real) % math.pi
     return float(round((lift.apply(theta) - theta) / math.pi))
+
+
+_SQUARE_LIMIT = 2.0 ** 510                     # (2 x)^2 is finite below it
+_DISC_ROUNDING = 4 * sys.float_info.epsilon     # 8 u, u = 2^-53
+
+
+def _discriminant(a, b, c, d) -> tuple:
+    """(s, D, tr): the sign s in {-1, 0, 1} of D = (a - d)^2 + 4 b c for
+    the float entries, exactly, with D and tr = a + d scaled by 4^-e and
+    2^-e, where e >= 0 is the least that takes every entry below 2^510.
+
+    Below 2^510 (e = 0) nothing overflows, and the float D is within
+    4.1 u E of the exact value, E = (a - d)^2 + 4 |b c|, and 1e-300 more
+    for rounding below 2^-1022; where |D| exceeds 8 u E + 1e-300, s is
+    its sign.  Otherwise s, D and tr are taken in ints from the entries'
+    integer ratios over their largest denominator q, a power of two:
+    q^2 D is an integer, rounded once when divided by q^2 4^e."""
+    m = max(abs(a), abs(b), abs(c), abs(d))
+    if m < _SQUARE_LIMIT:
+        sq = (a - d) ** 2
+        disc = sq + 4.0 * b * c
+        if abs(disc) > _DISC_ROUNDING * (sq + 4.0 * abs(b * c)) + 1e-300:
+            return (1 if disc > 0 else -1), disc, a + d
+    e = max(math.frexp(m)[1] - 510, 0)
+    ratios = [x.as_integer_ratio() for x in (a, b, c, d)]
+    q = max(den for _, den in ratios)
+    na, nb, nc, nd = (n * (q // den) for n, den in ratios)
+    num = (na - nd) ** 2 + 4 * nb * nc
+    return ((num > 0) - (num < 0), num / (q * q << 2 * e),
+            (na + nd) / (q << e))
 
 
 def surface_generator_names(genus: int):
@@ -308,11 +348,16 @@ def surface_relator(genus: int) -> tuple:
 def word_image(word, mats):
     """The product of mats[g - 1] for each letter g > 0 and of its inverse
     for each letter -g, left to right from the identity."""
-    out = IDENTITY
+    p0, p1, p2, p3 = IDENTITY
     for letter in word:
-        m = mats[abs(letter) - 1]
-        out = mat_mul(out, m if letter > 0 else mat_inv(m))
-    return out
+        if letter > 0:
+            a, b, c, d = mats[letter - 1]
+        else:                   # mat_inv: (d, -b, -c, a)
+            d, b, c, a = mats[-letter - 1]
+            b, c = -b, -c
+        p0, p1, p2, p3 = (p0 * a + p1 * c, p0 * b + p1 * d,
+                          p2 * a + p3 * c, p2 * b + p3 * d)
+    return p0, p1, p2, p3
 
 
 def relator_shift(word, mats) -> int:

@@ -23,6 +23,10 @@ census names each class by rotation numbers.  The classifiers
 and test them with psl2r.maps_line.
 Every float sum is taken left to right from 0.0, by _sum or by a loop
 written out, so the points printed do not depend on the Python version.
+The 2x2 products of the LM core and of trace_coordinates are written
+out in mat_mul's operand order, so they round exactly as mat_mul would
+and no printed byte depends on how they are written; mat_mul is for
+one-off constructions.
 Where J and the residual are finite, a term that the pattern skips is
 0.0 times a finite number, so +-0.0, and a sum from +0.0 is never -0.0,
 so adding +-0.0 leaves it as it is: skipping moves no bit of any step.
@@ -128,13 +132,18 @@ def trace_coordinates(p: Presentation, rep) -> tuple:
     mats = _generator_mats(p, rep)
     tr = [m[0] + m[3] for m in mats]
     key = [t * t for t in tr]
+    pairs = {}                  # g_i g_j, which the triples start from
     for i, j in combinations(range(len(mats)), 2):
-        m = mat_mul(mats[i], mats[j])
+        a0, a1, a2, a3 = mats[i]
+        b0, b1, b2, b3 = mats[j]
+        pairs[i, j] = m = (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3,
+                           a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
         t = m[0] + m[3]
         key += (tr[i] * tr[j] * t, t * t)
     for i, j, k in combinations(range(len(mats)), 3):
-        m = mat_mul(mat_mul(mats[i], mats[j]), mats[k])
-        t = m[0] + m[3]
+        m0, m1, m2, m3 = pairs[i, j]
+        c0, c1, c2, c3 = mats[k]
+        t = (m0 * c0 + m1 * c2) + (m2 * c1 + m3 * c3)
         key += (tr[i] * tr[j] * tr[k] * t, t * t)
     return tuple(key)
 
@@ -647,8 +656,9 @@ def brieskorn_presentation(data: BrieskornData) -> Presentation:
     for i, (pi, bi) in enumerate(data.cone, start=1):
         commutators.append((h, i, -h, -i))
         powers.append((i,) * pi + ((h,) * bi if bi >= 0 else (-h,) * -bi))
-    return Presentation(generators=("x1", "x2", "x3", "h"),
-                        relators=(*commutators, *powers, (1, 2, 3)))
+    # every letter is in range by construction, so no check is needed
+    return Presentation._of(("x1", "x2", "x3", "h"),
+                            (*commutators, *powers, (1, 2, 3)), None)
 
 
 class BrieskornClass(_Record):
@@ -707,8 +717,8 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
     pres = brieskorn_presentation(data)
     eye = PSL2.identity()
     eyes = {g: eye for g in pres.generators}
-    trivial = RepAssignment(eyes, 0.0, trace_coordinates(pres, eyes))
-    census = [BrieskornClass((0, 0, 0), trivial, False)]
+    trivial = RepAssignment._of(eyes, 0.0, trace_coordinates(pres, eyes))
+    census = [BrieskornClass._of((0, 0, 0), trivial, False)]
     p1, p2, p3 = data.exponents
     whole = p1 * p2 * p3
     for angles in product(range(1, p1), range(1, p2), range(1, p3)):
@@ -724,10 +734,10 @@ def brieskorn_enumerate(data: BrieskornData, tol: float = 1e-10) -> list:
                 continue
             if not _rotation_numbers_verify(xs, angles, data.exponents):
                 continue
-            rep = RepAssignment(matrices, res,
-                                trace_coordinates(pres, matrices))
+            rep = RepAssignment._of(matrices, res,
+                                    trace_coordinates(pres, matrices))
             if is_irreducible(rep):
-                census.append(BrieskornClass(angles, rep, True))
+                census.append(BrieskornClass._of(angles, rep, True))
                 break
         else:
             raise CertificateFailed(

@@ -320,6 +320,57 @@ def test_lift_of_a_large_element_increases_and_commutes_with_pi():
                    for x, y in zip(xs, ys)), g.tuple()
 
 
+def rounded_parabolic_elements():
+    """Seeded conjugates of [[1, b], [0, 1]] with |b| in 1e3-1e6 and an
+    entry above 1e5.  Rounded to floats, their D = tr^2 - 4 det lies
+    within its rounding error of 0, on either side."""
+    rng = random.Random(3)
+    out = []
+    for _ in range(300):
+        h = PSL2(mat_mul(rotation(rng.uniform(0, math.pi)),
+                         sym_exp(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+        b = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(3, 6)
+        g = conjugate(h, PSL2((1.0, b, 0.0, 1.0)))
+        if max(map(abs, g.tuple())) > 1e5:
+            out.append(g)
+    return out
+
+
+def exact_discriminant_sign(g):
+    a, b, c, d = map(Fraction, g.tuple())
+    disc = (a - d) ** 2 + 4 * b * c
+    return (disc > 0) - (disc < 0)
+
+
+def test_translation_number_takes_the_branch_of_the_exact_discriminant():
+    elements = rounded_parabolic_elements()
+    signs = [exact_discriminant_sign(g) for g in elements]
+    assert len(elements) > 100 and -1 in signs and 1 in signs
+    # the float (a - d)^2 + 4 b c has the wrong sign on some of them
+    misread = sum(((a - d) ** 2 + 4.0 * b * c < 0) != (s < 0) for
+                  (a, b, c, d), s in zip(map(PSL2.tuple, elements), signs))
+    assert misread > 20
+    for g, s in zip(elements, signs):
+        tau = translation_number(CircleLift(g))
+        if s < 0:               # elliptic: a rotation by t in (0, pi)
+            assert 0 < tau < 1, g.tuple()
+        else:
+            assert tau == round(tau), g.tuple()
+
+
+def test_translation_number_of_entries_whose_squares_overflow():
+    # (a - d) ** 2 raised OverflowError here
+    g = PSL2((1e200, 0.0, 0.0, 1e-200))
+    assert classify(g) == "hyperbolic"
+    assert translation_number(CircleLift(g)) == 0.0
+    assert translation_number(CircleLift(g, offset=-3)) == -3.0
+    # elliptic with c > 0, so cos t = tr / 2 = a
+    r = PSL2((0.3, -1e-200, 1e200, 0.3))
+    assert classify(r) == "elliptic"
+    assert abs(translation_number(CircleLift(r))
+               - math.acos(r.tuple()[0]) / math.pi) < 1e-12
+
+
 def test_b_squared_is_identity_but_lift_translates():
     assert (B @ B).is_identity()
     lift = CircleLift(B)
